@@ -29,14 +29,9 @@ from .equivalence import (
     check_distance_characterization,
     check_path_characterization,
 )
-from .linalg import (
-    JacobiConvergenceError,
-    MatrixParseError,
-    SingularMatrixError,
-    Tolerance,
-    read_matrix,
-)
+from .linalg import MatrixParseError, SingularMatrixError, Tolerance, read_matrix
 from .spectra import (
+    DegenerateSpectrumError,
     MultiplicityFreeRequiredError,
     SpectralIdentityError,
     SpectralKind,
@@ -58,10 +53,13 @@ _INPUT_ERRORS = (
     OSError,
     ValueError,
 )
+# Checked first: numpy's LinAlgError subclasses ValueError.
 _NUMERICAL_ERRORS = (
     SpectralIdentityError,
-    JacobiConvergenceError,
+    DegenerateSpectrumError,
+    np.linalg.LinAlgError,
     schemes.EigenvalueCollisionError,
+    schemes.EigendataResidualError,
     RuntimeError,
 )
 
@@ -155,13 +153,9 @@ def _cmd_analyze(args) -> int:
     sym = analysis.symmetrizer
     spectral = analysis.spectral
 
-    constant_positions = []
-    if spectral.kind is SpectralKind.MULTIPLICITY_FREE:
-        for s in range(n):
-            for t in range(n):
-                prof = analysis.profile(s, t)
-                if prof.is_constant and prof.common_value is not None:
-                    constant_positions.append({"s": s, "t": t, "value": prof.common_value})
+    constant_positions = [
+        {"s": s, "t": t, "value": v} for s, t, v in analysis.constant_positions()
+    ]
 
     requested = None
     if args.s is not None and args.t is not None:
@@ -298,8 +292,6 @@ def _cmd_scheme(args) -> int:
     action = args.action
     extra = args.indices
 
-    if action in ("info", "q-poly", "p-check", "q-check") or action == "p-poly":
-        pass
     if action in ("p-check", "q-check"):
         if len(extra) != 2:
             raise ValueError(f"{action} expects two indices, got {extra}")

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, bidirected_path_endpoints, gamma
+from .digraph import Digraph, _bfs, bidirected_path_endpoints, gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .spectra import (
     EntryProfile,
     SpectralClass,
     SpectralKind,
     classify,
+    constant_profile_positions,
     entry_product_profile,
 )
 from .symmetrize import Symmetrizer, find_symmetrizer
@@ -83,6 +84,12 @@ class MatrixAnalysis:
             return None
         return entry_product_profile(self.A, s, t, self.tol, self.spectral.spectrum)
 
+    def constant_positions(self) -> list:
+        """(s, t, common value) for every position with a nonzero constant profile."""
+        if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
+            return []
+        return constant_profile_positions(self.A, self.spectral.spectrum, self.tol)
+
 
 def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
     """Analyze pattern, symmetrizability, spectrum and distances of `A`."""
@@ -91,22 +98,7 @@ def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
     order = bidirected_path_endpoints(G)
     sym = find_symmetrizer(A, tol)
     spectral = classify(A, tol, symmetrizer=sym)
-
-    n = G.n
-    dist = np.full((n, n), -1, dtype=int)
-    for s in range(n):
-        frontier = [s]
-        dist[s, s] = 0
-        depth = 0
-        while frontier:
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for w in G.out_adj[v]:
-                    if dist[s, w] < 0:
-                        dist[s, w] = depth
-                        nxt.append(w)
-            frontier = nxt
+    dist = np.array([_bfs(G, s)[0] for s in range(G.n)], dtype=int)
     return MatrixAnalysis(
         A=A, tol=tol, graph=G, path_order=order, symmetrizer=sym, spectral=spectral, distances=dist
     )

@@ -1,11 +1,12 @@
-"""Dense real linear algebra kernels.
+"""Dense real linear algebra helpers.
 
 Everything downstream works with square matrices of double-precision reals.
-Eigenvalues of symmetric matrices come from a cyclic Jacobi sweep; linear
-systems go through Gaussian elimination with partial pivoting.  Non-symmetric
-eigenvalue problems are never solved directly anywhere in this package: they
-are either routed through a diagonal symmetrizer or handled by the
-characteristic-polynomial fallback in :mod:`spectralpath.spectra`.
+Symmetric eigenproblems go to LAPACK through `numpy.linalg.eigh`, wrapped by
+`sym_eigen` to check symmetry and order eigenvalues descending; the
+non-symmetric ones are handled in :mod:`spectralpath.spectra`.  Linear
+systems go through Gaussian elimination with partial pivoting, and numeric
+rank through full-pivot elimination, both with scale-aware thresholds.
+Matrices are read and written in a plain text format.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ __all__ = [
     "read_matrix",
     "write_matrix",
     "SingularMatrixError",
-    "JacobiConvergenceError",
     "MatrixParseError",
 ]
 
@@ -62,10 +62,6 @@ class SingularMatrixError(ValueError):
         super().__init__(f"matrix is singular to working precision (pivot column {pivot_index})")
 
 
-class JacobiConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweep fails to reduce the off-diagonal mass."""
-
-
 class MatrixParseError(ValueError):
     """Raised on malformed matrix text, carrying the 1-based line number."""
 
@@ -93,77 +89,20 @@ def multiply(A, B) -> np.ndarray:
     return A @ B
 
 
-def sym_eigen(S, tol: Tolerance = DEFAULT_TOL, max_sweeps: int = 100):
+def sym_eigen(S, tol: Tolerance = DEFAULT_TOL):
     """Eigenvalues and orthonormal eigenvectors of a symmetric matrix.
 
-    Runs cyclic Jacobi rotations over the upper triangle until the largest
-    off-diagonal entry falls to machine scale (relative to the matrix norm),
-    capped at `max_sweeps` full sweeps.  Returns ``(w, V)`` with eigenvalues
-    `w` sorted descending and eigenvectors in the columns of `V`, so that
-    ``S = V @ diag(w) @ V.T``.
-
-    Raises ValueError for non-symmetric input and JacobiConvergenceError if
-    the cap is reached without convergence.
+    LAPACK `eigh` on the symmetric part of `S`.  Returns ``(w, V)`` with
+    eigenvalues `w` sorted descending and eigenvectors in the columns of
+    `V`, so that ``S = V @ diag(w) @ V.T``.  Raises ValueError when `S` is
+    not symmetric to within zero_tol.
     """
     S = as_matrix(S)
-    n = S.shape[0]
-    asym = float(np.max(np.abs(S - S.T))) if n > 1 else 0.0
+    asym = float(np.max(np.abs(S - S.T))) if S.shape[0] > 1 else 0.0
     if asym > tol.zero_tol:
         raise ValueError(f"matrix is not symmetric (max |S - S^T| = {asym:.3e})")
-
-    A = 0.5 * (S + S.T)
-    V = np.eye(n)
-    if n == 1:
-        return np.array([A[0, 0]]), V
-
-    scale = max(1.0, float(np.max(np.abs(A))))
-    # stopping at eig_tol alone would leave reconstruction residuals above
-    # residual_tol, so the sweep runs down to machine scale
-    stop = 5e-15 * scale
-    converged = False
-    for _ in range(max_sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= stop / (2 * n):
-                    continue
-                off = max(off, abs(apq))
-                tau = (A[q, q] - A[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.hypot(1.0, tau))
-                else:
-                    t = -1.0 / (-tau + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                rp = A[p, :].copy()
-                rq = A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp = A[:, p].copy()
-                cq = A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                vp = V[:, p].copy()
-                vq = V[:, q].copy()
-                V[:, p] = c * vp - s * vq
-                V[:, q] = s * vp + c * vq
-        if off <= stop:
-            converged = True
-            break
-    if not converged:
-        worst = float(np.max(np.abs(A - np.diag(np.diag(A)))))
-        if worst > stop:
-            raise JacobiConvergenceError(
-                f"Jacobi sweep did not converge after {max_sweeps} sweeps "
-                f"(off-diagonal max {worst:.3e})"
-            )
-
-    w = np.diag(A).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    return w[::-1].copy(), V[:, ::-1].copy()
 
 
 def solve(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -54,6 +54,7 @@ __all__ = [
     "SchemeValidationError",
     "SchemeParseError",
     "EigenvalueCollisionError",
+    "EigendataResidualError",
 ]
 
 BUILTIN_SIZE_CAP = 4096
@@ -78,6 +79,21 @@ class SchemeParseError(ValueError):
 
 class EigenvalueCollisionError(RuntimeError):
     """Random positive combinations kept producing colliding eigenvalues."""
+
+
+class EigendataResidualError(RuntimeError):
+    """Computed eigendata failed one of its verified identities.
+
+    A numerical failure, unlike SchemeValidationError: the input passed the
+    scheme axioms, but P, Q, m or the Krein parameters came out beyond the
+    residual bound.
+    """
+
+    def __init__(self, identity: str, residual: float, bound: float):
+        self.identity = identity
+        self.residual = residual
+        self.bound = bound
+        super().__init__(f"{identity} residual {residual:.3g} > {bound:.3g}")
 
 
 @dataclass(frozen=True)
@@ -397,7 +413,7 @@ def _verify_eigendata(scheme, P, Q, m, q, tol: Tolerance) -> dict:
         "multiplicity_sum",
     ):
         if checks[name] > bound:
-            raise SchemeValidationError(name, checks[name], f"residual exceeds {bound:.3e}")
+            raise EigendataResidualError(name, checks[name], bound)
     kre_scale = tol.residual_tol * max(1.0, float(np.max(np.abs(q)))) * scale
     for name in (
         "krein_symmetry",
@@ -407,9 +423,9 @@ def _verify_eigendata(scheme, P, Q, m, q, tol: Tolerance) -> dict:
         "krein_min",
     ):
         if checks[name] > kre_scale:
-            raise SchemeValidationError(name, checks[name], f"residual exceeds {kre_scale:.3e}")
+            raise EigendataResidualError(name, checks[name], kre_scale)
     if np.any(m <= 0.0):
-        raise SchemeValidationError("multiplicities", tuple(m.tolist()), "must be positive")
+        raise EigendataResidualError("nonpositive_multiplicity", -float(np.min(m)), 0.0)
     return checks
 
 

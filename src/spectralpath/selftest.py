@@ -20,7 +20,7 @@ from .equivalence import (
     random_instance,
 )
 from .linalg import DEFAULT_TOL, Tolerance, numeric_rank
-from .spectra import SpectralKind, Spectrum, gap_product
+from .spectra import SpectralKind, Spectrum, _product_formula
 from .symmetrize import Symmetrizer, find_symmetrizer, tridiagonal_symmetrizer
 
 __all__ = [
@@ -63,26 +63,18 @@ def spectrum_identity_residuals(A: np.ndarray, spectrum: Spectrum) -> dict:
     """Residuals of the projector identities plus the polynomial identity.
 
     Extends the residuals recorded at construction with the relative
-    reconstruction error and the worst relative deviation in
-    f_i(A) = f_i(theta_i) E_i, where f_i is the monic polynomial with the
-    other eigenvalues as roots.
+    reconstruction error and the worst deviation of the projectors from the
+    polynomial identity f_i(A) = f_i(theta_i) E_i, where f_i is the monic
+    polynomial with the other eigenvalues as roots: the unverified product
+    formula behind `primitive_idempotents`, an independent route.
     """
-    n = A.shape[0]
-    eye = np.eye(n)
-    theta = spectrum.theta
     out = dict(spectrum.residuals)
     scale = float(np.max(np.abs(A)))
     out["reconstruction_rel"] = out["reconstruction"] / max(scale, 1e-300)
-    worst = 0.0
-    for i in range(n):
-        F = eye.copy()
-        for j in range(n):
-            if j != i:
-                F = (A - theta[j] * eye) @ F
-        fi = gap_product(theta, i)
-        resid = float(np.max(np.abs(F - fi * spectrum.idempotents[i]))) / abs(fi)
-        worst = max(worst, resid)
-    out["poly_projector_rel"] = worst
+    poly = _product_formula(A, spectrum.theta)
+    out["poly_projector_rel"] = max(
+        float(np.max(np.abs(P - E))) for P, E in zip(poly, spectrum.idempotents)
+    )
     return out
 
 

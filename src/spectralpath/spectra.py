@@ -1,22 +1,29 @@
 """Spectral classification and primitive-idempotent entry profiles.
 
 A square real matrix is *multiplicity-free* when it has n distinct real
-eigenvalues.  For such a matrix the spectral projectors come from the
-product formula
+eigenvalues theta_i.  Its spectral projectors are then rank one,
 
-    E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j),
+    E_i = x_i y_i^T,
 
-and the profile of an entry position (s, t) is the vector
+with the right eigenvectors x_i in the columns of X and the left ones y_i^T
+in the rows of Y^T = X^-1, and the profile of an entry position (s, t) is
 
     c_i = (E_i)_{st} * prod_{j != i} (theta_i - theta_j).
 
 Whether that profile is a nonzero constant is the spectral side of the
-structure tests in :mod:`spectralpath.equivalence`.
+structure tests in :mod:`spectralpath.equivalence`.  On the diagonal the
+profile is the eigenvector-eigenvalue identity (Denton, Parke, Tao and
+Zhang, arXiv:1908.03795).
 
-Eigenvalues are found without any non-symmetric eigensolver: a
-positive-diagonal symmetrizer reduces to the symmetric case when one
-exists, and otherwise the characteristic polynomial (Faddeev-LeVerrier)
-is analyzed by bisection over sign changes of its derivative sequence.
+Eigenvectors come from LAPACK.  When a positive diagonal D symmetrizes A,
+`eigh` gives D A D^-1 = V diag(theta) V^T, so X = D^-1 V and Y^T = V^T D.
+Otherwise `eig` gives X and Y^T = X^-1; its eigenvalues are grouped by
+perturbation disks whose radii follow from the projector condition numbers,
+and a group that neither separates nor passes the rank test raises
+DegenerateSpectrumError instead of guessing.  Every spectrum is checked once
+against the projector identities.  The product formula
+E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j) remains as an
+independent cross-check in `primitive_idempotents`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numeric_rank, sym_eigen
-from .symmetrize import NotSymmetrizable, Symmetrizer, find_symmetrizer
+from .symmetrize import Symmetrizer, find_symmetrizer
 
 __all__ = [
     "SpectralKind",
@@ -39,12 +46,13 @@ __all__ = [
     "spectrum_of",
     "gap_product",
     "entry_product_profile",
-    "char_poly_coefficients",
-    "real_roots",
+    "constant_profile_positions",
     "SpectralIdentityError",
     "DegenerateSpectrumError",
     "MultiplicityFreeRequiredError",
 ]
+
+EPS = float(np.finfo(float).eps)
 
 
 class SpectralKind(enum.Enum):
@@ -66,8 +74,8 @@ class SpectralIdentityError(RuntimeError):
         )
 
 
-class DegenerateSpectrumError(ValueError):
-    """Eigenvalue gap product underflowed its scale threshold."""
+class DegenerateSpectrumError(RuntimeError):
+    """Eigenvalues too close to tell apart or to merge at working precision."""
 
 
 class MultiplicityFreeRequiredError(ValueError):
@@ -82,15 +90,27 @@ class MultiplicityFreeRequiredError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Distinct real eigenvalues (descending) with verified projectors."""
+    """Distinct real eigenvalues (descending) with verified rank-one projectors.
+
+    Column i of `X` and row i of `Yt` are the right and left eigenvectors of
+    theta_i, scaled so that E_i = outer(X[:, i], Yt[i, :]); `gaps[i]` is
+    gap_product(theta, i).
+    """
 
     theta: np.ndarray
-    idempotents: tuple
+    X: np.ndarray
+    Yt: np.ndarray
+    gaps: np.ndarray
     residuals: dict = field(compare=False)
 
     @property
     def d(self) -> int:
         return len(self.theta) - 1
+
+    @property
+    def idempotents(self) -> tuple:
+        """The projectors E_i as dense matrices, built on each access."""
+        return tuple(np.outer(self.X[:, i], self.Yt[i, :]) for i in range(len(self.theta)))
 
 
 @dataclass(frozen=True)
@@ -100,9 +120,7 @@ class SpectralClass:
     `eigenvalues` lists (value, multiplicity) pairs for the real eigenvalues
     that were found; `rank_defects` lists (value, defect) pairs witnessing
     missing eigenvector directions; `spectrum` is populated only in the
-    multiplicity-free case.  For matrices with no positive-diagonal
-    symmetrizer the split between the non-diagonalizable kinds is
-    best-effort diagnostics from the characteristic polynomial.
+    multiplicity-free case.
     """
 
     kind: SpectralKind
@@ -123,168 +141,55 @@ class EntryProfile:
     threshold: float
 
 
-def char_poly_coefficients(A) -> np.ndarray:
-    """Monic characteristic polynomial coefficients, highest degree first.
+def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
+    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, with the underflow guard."""
+    rows = np.asarray(rows)
+    d = len(theta) - 1
+    diff = theta[rows, None] - theta[None, :]
+    diff[np.arange(len(rows)), rows] = 1.0
+    g = np.prod(diff, axis=1)
+    if d >= 1:
+        small = np.flatnonzero(np.abs(g) < max(tol.eig_tol**d, 5e-324))
+        if small.size:
+            i = int(rows[small[0]])
+            raise DegenerateSpectrumError(
+                f"gap product at index {i} underflowed ({g[small[0]]:.3e}); eigenvalues nearly coincide"
+            )
+    return g
 
-    Faddeev-LeVerrier recurrence; exact in exact arithmetic, adequate in
-    floating point at the small orders used here.
+
+def gap_product(theta, i: int, tol: Tolerance = DEFAULT_TOL) -> float:
+    """Product of eigenvalue gaps prod_{j != i} (theta_i - theta_j).
+
+    Empty product (single eigenvalue) is 1.  Raises DegenerateSpectrumError
+    when the magnitude underflows eig_tol to the power d, which signals
+    eigenvalues too close for the product to be meaningful.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0
-    M = np.eye(n)
-    for k in range(1, n + 1):
-        AM = A @ M
-        coeffs[k] = -np.trace(AM) / k
-        M = AM + coeffs[k] * np.eye(n)
-    return coeffs
-
-
-def _poly_eval(c: np.ndarray, x: float):
-    """Horner evaluation returning (value, magnitude scale of the terms)."""
-    v = 0.0
-    s = 0.0
-    ax = abs(x)
-    for coef in c:
-        v = v * x + coef
-        s = s * ax + abs(coef)
-    return v, s
-
-
-def _poly_deriv(c: np.ndarray) -> np.ndarray:
-    n = len(c) - 1
-    return c[:-1] * np.arange(n, 0, -1)
-
-
-def _bisect_root(c, a, b, fa, fb) -> float:
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm, _ = _poly_eval(c, m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) != (fm < 0.0):
-            b, fb = m, fm
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)
-
-
-def _merge_close(values, radius):
-    if not values:
-        return []
-    values = sorted(values)
-    merged = [[values[0]]]
-    for v in values[1:]:
-        if v - merged[-1][-1] <= radius:
-            merged[-1].append(v)
-        else:
-            merged.append([v])
-    return [sum(g) / len(g) for g in merged]
-
-
-def _isolation_nodes(c: np.ndarray, eig_tol: float):
-    """Approximate real roots of `c`, used as isolation nodes one level up."""
-    n = len(c) - 1
-    if n <= 0:
-        return []
-    c = c / c[0]
-    if n == 1:
-        return [-c[1]]
-    bound = 1.0 + float(np.max(np.abs(c[1:])))
-    inner = [x for x in _isolation_nodes(_poly_deriv(c), eig_tol) if -bound < x < bound]
-    nodes = sorted(set([-bound] + inner + [bound]))
-    vals = [_poly_eval(c, x) for x in nodes]
-    # treat |p| at or below the vanish threshold as a zero endpoint
-    zeroish = [abs(v) <= eig_tol * max(1.0, s) for v, s in vals]
-    roots = [x for x, z in zip(nodes, zeroish) if z]
-    for idx in range(len(nodes) - 1):
-        if zeroish[idx] or zeroish[idx + 1]:
-            continue
-        fa, fb = vals[idx][0], vals[idx + 1][0]
-        if (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect_root(c, nodes[idx], nodes[idx + 1], fa, fb))
-    return _merge_close(roots, eig_tol)
-
-
-def _multiplicity_at(c: np.ndarray, x: float, eig_tol: float) -> int:
-    n = len(c) - 1
-    deriv = c
-    for m in range(1, n + 1):
-        deriv = _poly_deriv(deriv)
-        if len(deriv) == 0:
-            return m
-        v, s = _poly_eval(deriv, x)
-        if abs(v) > eig_tol * max(1.0, s):
-            return m
-    return n
-
-
-def real_roots(coeffs, tol: Tolerance = DEFAULT_TOL):
-    """Real roots of a polynomial with multiplicities.
-
-    Returns a list of (root, multiplicity) pairs sorted ascending.  The sum
-    of multiplicities can fall short of the degree; the deficit counts
-    non-real roots.  Roots closer than eig_tol are merged.
-    """
-    c = np.asarray(coeffs, dtype=float)
-    if c.ndim != 1 or len(c) < 2 or c[0] == 0.0:
-        raise ValueError("expected coefficients of a polynomial of degree >= 1")
-    c = c / c[0]
-    n = len(c) - 1
-    bound = 1.0 + float(np.max(np.abs(c[1:]))) if n >= 1 else 1.0
-
-    inner = [x for x in _isolation_nodes(_poly_deriv(c), tol.eig_tol) if -bound < x < bound]
-    nodes = sorted(set([-bound] + inner + [bound]))
-    vals = [_poly_eval(c, x) for x in nodes]
-    zeroish = [abs(v) <= tol.eig_tol * max(1.0, s) for v, s in vals]
-
-    simple = []
-    for idx in range(len(nodes) - 1):
-        if zeroish[idx] or zeroish[idx + 1]:
-            continue
-        fa, fb = vals[idx][0], vals[idx + 1][0]
-        if (fa < 0.0) != (fb < 0.0):
-            simple.append(_bisect_root(c, nodes[idx], nodes[idx + 1], fa, fb))
-    simple = _merge_close(simple, tol.eig_tol)
-
-    if len(simple) == n:
-        return [(r, 1) for r in simple]
-
-    vanish = [
-        x
-        for x, z in zip(nodes, zeroish)
-        if z and all(abs(x - r) > tol.eig_tol for r in simple)
-    ]
-    vanish = _merge_close(vanish, tol.eig_tol)
-    # most-root-like candidates claim multiplicity budget first
-    vanish.sort(key=lambda x: abs(_poly_eval(c, x)[0]))
-    found = [(r, 1) for r in simple]
-    budget = n - len(simple)
-    for x in vanish:
-        if budget <= 0:
-            break
-        m = min(_multiplicity_at(c, x, tol.eig_tol), budget)
-        found.append((x, m))
-        budget -= m
-    return sorted(found)
-
-
-def primitive_idempotents(A, theta, tol: Tolerance = DEFAULT_TOL):
-    """Spectral projectors of a multiplicity-free matrix by the product formula.
-
-    `theta` must hold the n distinct eigenvalues.  Factors are applied in
-    descending order of |theta_i - theta_j| for accuracy.  The projector
-    identities (sum to I, pairwise products, eigen-reconstruction) are
-    verified before returning; violation raises SpectralIdentityError.
-    """
-    A = as_matrix(A)
     theta = np.asarray(theta, dtype=float)
-    n = A.shape[0]
-    if theta.shape != (n,):
-        raise ValueError(f"expected {n} eigenvalues, got shape {theta.shape}")
+    d = len(theta) - 1
+    if not (0 <= i <= d):
+        raise ValueError(f"index {i} outside 0..{d}")
+    return float(_gap_products(theta, [i], tol)[0])
+
+
+def _residual_report(A, r_sum: float, r_idem: float, r_recon: float, tol: Tolerance) -> dict:
+    scale = max(1.0, float(np.max(np.abs(A))))
+    if r_sum > tol.residual_tol:
+        raise SpectralIdentityError("sum_to_identity", r_sum, tol.residual_tol)
+    if r_idem > tol.residual_tol:
+        raise SpectralIdentityError("idempotency", r_idem, tol.residual_tol)
+    if r_recon > tol.residual_tol * scale:
+        raise SpectralIdentityError("reconstruction", r_recon, tol.residual_tol * scale)
+    return {"sum_to_identity": r_sum, "idempotency": r_idem, "reconstruction": r_recon}
+
+
+def _product_formula(A: np.ndarray, theta: np.ndarray) -> list:
+    """E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j), unverified.
+
+    Factors are applied in descending order of |theta_i - theta_j| for
+    accuracy.
+    """
+    n = len(theta)
     eye = np.eye(n)
     idempotents = []
     for i in range(n):
@@ -297,46 +202,79 @@ def primitive_idempotents(A, theta, tol: Tolerance = DEFAULT_TOL):
                 raise DegenerateSpectrumError(f"eigenvalues {i} and {j} coincide")
             E = (A - theta[j] * eye) @ E / gap
         idempotents.append(E)
-    _verify_spectrum(A, theta, idempotents, tol)
     return idempotents
 
 
-def _verify_spectrum(A, theta, idempotents, tol: Tolerance) -> dict:
-    n = A.shape[0]
-    eye = np.eye(n)
-    r_sum = float(np.max(np.abs(sum(idempotents) - eye)))
-    r_idem = 0.0
-    for i in range(n):
-        for j in range(n):
-            target = idempotents[i] if i == j else 0.0
-            r = float(np.max(np.abs(idempotents[i] @ idempotents[j] - target)))
-            r_idem = max(r_idem, r)
-    recon = sum(t * E for t, E in zip(theta, idempotents))
-    r_recon = float(np.max(np.abs(A - recon)))
+def primitive_idempotents(A, theta, tol: Tolerance = DEFAULT_TOL):
+    """Spectral projectors of a multiplicity-free matrix by the product formula.
 
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if r_sum > tol.residual_tol:
-        raise SpectralIdentityError("sum_to_identity", r_sum, tol.residual_tol)
-    if r_idem > tol.residual_tol:
-        raise SpectralIdentityError("idempotency", r_idem, tol.residual_tol)
-    if r_recon > tol.residual_tol * scale:
-        raise SpectralIdentityError("reconstruction", r_recon, tol.residual_tol * scale)
-    return {
-        "sum_to_identity": r_sum,
-        "idempotency": r_idem,
-        "reconstruction": r_recon,
-    }
+    `theta` must hold the n distinct eigenvalues.  The projector identities
+    (sum to I, pairwise products, eigen-reconstruction) are verified before
+    returning; violation raises SpectralIdentityError.  The formula loses
+    accuracy as the order grows: `classify` does not use it, and the
+    self-test compares its unverified form against `classify` as an
+    independent route.
+    """
+    A = as_matrix(A)
+    theta = np.asarray(theta, dtype=float)
+    n = A.shape[0]
+    if theta.shape != (n,):
+        raise ValueError(f"expected {n} eigenvalues, got shape {theta.shape}")
+    idempotents = _product_formula(A, theta)
+    E = np.stack(idempotents)
+    eye = np.eye(n)
+    _residual_report(
+        A,
+        float(np.max(np.abs(E.sum(axis=0) - eye))),
+        max(float(np.max(np.abs(E[i] @ E - eye[i][:, None, None] * E[i]))) for i in range(n)),
+        float(np.max(np.abs(A - np.tensordot(theta, E, axes=1)))),
+        tol,
+    )
+    return idempotents
+
+
+def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:
+    """The projector identities for E_i = X[:, i] Yt[i, :], in O(n^3).
+
+    E_i E_j - delta_ij E_i = ((Yt X)_ij - delta_ij) X[:, i] Yt[j, :], so its
+    largest entry is |(Yt X - I)_ij| max|X[:, i]| max|Yt[j, :]|.
+    """
+    eye = np.eye(len(theta))
+    xmax = np.max(np.abs(X), axis=0)
+    ymax = np.max(np.abs(Yt), axis=1)
+    return _residual_report(
+        A,
+        float(np.max(np.abs(X @ Yt - eye))),
+        float(np.max(np.abs(Yt @ X - eye) * xmax[:, None] * ymax[None, :])),
+        float(np.max(np.abs(A - (X * theta) @ Yt))),
+        tol,
+    )
+
+
+def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
+    """Sort descending, verify the projectors X[:, i] Yt[i, :] once, attach gap products."""
+    order = np.argsort(-theta, kind="stable")
+    theta, X, Yt = theta[order], X[:, order], Yt[order, :]
+    residuals = _verify_spectrum(A, theta, X, Yt, tol)
+    gaps = _gap_products(theta, np.arange(len(theta)), tol)
+    return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
 def spectrum_of(A, theta, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
-    """Bundle eigenvalues (sorted descending) with verified projectors."""
+    """Bundle distinct real eigenvalues, sorted descending, with verified projectors.
+
+    The eigenvectors are the ones `np.linalg.eig` pairs with each theta_i.
+    The projector identities are checked once; a violation, as from values
+    that are not the spectrum, raises SpectralIdentityError.
+    """
     A = as_matrix(A)
     theta = np.asarray(theta, dtype=float)
-    order = np.argsort(-theta, kind="stable")
-    theta = theta[order]
-    idempotents = primitive_idempotents(A, theta, tol)
-    residuals = _verify_spectrum(A, theta, idempotents, tol)
-    return Spectrum(theta=theta, idempotents=tuple(idempotents), residuals=residuals)
+    n = A.shape[0]
+    if theta.shape != (n,):
+        raise ValueError(f"expected {n} eigenvalues, got shape {theta.shape}")
+    w, V = np.linalg.eig(A)
+    X = V[:, [int(np.argmin(np.abs(w - t))) for t in theta]].real
+    return _spectrum(A, theta, X, np.linalg.inv(X), tol)
 
 
 def _cluster_eigenvalues(values, eig_tol):
@@ -351,87 +289,123 @@ def _cluster_eigenvalues(values, eig_tol):
     return tuple((sum(g) / len(g), len(g)) for g in clusters)
 
 
-def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None) -> SpectralClass:
-    """Classify the spectrum of a square real matrix.
+def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
+    """(members, center, radius) for groups of eigenvalues no perturbation can tell apart.
 
-    A positive-diagonal symmetrizer, when one exists, reduces the problem
-    to a symmetric eigen decomposition with guaranteed real spectrum.
-    Otherwise real roots of the characteristic polynomial are isolated and
-    counted; a shortfall against the degree means non-real eigenvalues,
-    and repeated real roots are probed with a rank test for missing
-    eigenvector directions.
+    A group's disk is centred on its mean.  Its radius is the spread of its
+    members about the mean plus 4 n eps ||A||_F ||P||_F, where P is the
+    group's spectral projector: the first-order perturbation bound for a
+    backward error of 4 n eps ||A||_F, with ||P|| as condition number, and
+    never less than the floor eig_tol * scale.  A factor of 1 in place of 4
+    leaves some eig-split Jordan blocks of order 2 apart.  Groups merge closest pair
+    first while some pair of disks overlaps, and each merged group is
+    conditioned anew through its own projector: the members of a repeated
+    eigenvalue have nearly parallel eigenvectors and huge separate condition
+    numbers, but their projectors sum to a moderate one.
     """
-    A = as_matrix(A)
+    n = len(w)
+    floor = tol.eig_tol * max(1.0, float(np.max(np.abs(A))))
+    unit = 4 * n * EPS * float(np.linalg.norm(A))
+    groups = [[i] for i in range(n)]
+    center = w.astype(complex)
+    radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
+    while len(groups) > 1:
+        dist = np.abs(center[:, None] - center[None, :])
+        np.fill_diagonal(dist, np.inf)
+        linked = np.where(dist <= radius[:, None] + radius[None, :], dist, np.inf)
+        a, b = sorted(np.unravel_index(int(np.argmin(linked)), linked.shape))
+        if not np.isfinite(linked[a, b]):
+            break
+        groups[a] += groups.pop(b)
+        center, radius = np.delete(center, b), np.delete(radius, b)
+        g = groups[a]
+        center[a] = np.mean(w[g])
+        kappa = float(np.linalg.norm(X[:, g] @ Yt[g, :]))
+        radius[a] = max(floor, unit * kappa) + float(np.max(np.abs(w[g] - center[a])))
+    return [(np.array(g), c, float(r)) for g, c, r in zip(groups, center, radius)]
+
+
+def _classify_general(A, tol: Tolerance) -> SpectralClass:
+    """Classification by LAPACK `eig` for matrices without a symmetrizer."""
     n = A.shape[0]
-    sym = symmetrizer if symmetrizer is not None else find_symmetrizer(A, tol)
-
-    if isinstance(sym, Symmetrizer):
-        S = sym.conjugate(A)
-        S = 0.5 * (S + S.T)
-        w, _ = sym_eigen(S, tol)
-        gaps_ok = n == 1 or float(np.min(w[:-1] - w[1:])) > tol.eig_tol
-        if gaps_ok:
-            sp = spectrum_of(A, w, tol)
-            return SpectralClass(
-                kind=SpectralKind.MULTIPLICITY_FREE,
-                eigenvalues=tuple((float(t), 1) for t in sp.theta),
-                spectrum=sp,
-            )
-        return SpectralClass(
-            kind=SpectralKind.DIAGONALIZABLE_NOT_MF,
-            eigenvalues=_cluster_eigenvalues(w, tol.eig_tol),
-        )
-
-    roots = real_roots(char_poly_coefficients(A), tol)
-    total = sum(m for _, m in roots)
-    eigenvalues = tuple(sorted(((float(r), m) for r, m in roots), key=lambda p: -p[0]))
-    if total < n:
+    w, X = np.linalg.eig(A)
+    # X^-1 unless LAPACK returned eigenvectors dependent to working precision
+    # (it does for some repeated eigenvalues): the pseudo-inverse drops those
+    # directions instead of flooding every condition number with them
+    Yt = np.linalg.pinv(X)
+    groups = _eigenvalue_groups(A, w, X, Yt, tol)
+    real = [(float(c.real), len(g)) for g, c, r in groups if abs(c.imag) <= r]
+    eigenvalues = tuple(sorted(real, key=lambda p: -p[0]))
+    if len(real) < len(groups):
         return SpectralClass(kind=SpectralKind.COMPLEX_SPECTRUM, eigenvalues=eigenvalues)
-    if all(m == 1 for _, m in roots):
-        sp = spectrum_of(A, [r for r, _ in roots], tol)
+    if len(groups) == n:
+        sp = _spectrum(A, w.real, X.real, Yt.real, tol)
         return SpectralClass(
             kind=SpectralKind.MULTIPLICITY_FREE,
             eigenvalues=tuple((float(t), 1) for t in sp.theta),
             spectrum=sp,
         )
     defects = []
-    for r, m in roots:
+    for mu, m in eigenvalues:
         if m < 2:
             continue
-        shifted = A - r * np.eye(n)
+        shifted = A - mu * np.eye(n)
         thr = tol.residual_tol * max(1.0, float(np.max(np.abs(shifted))))
-        defect = numeric_rank(shifted, thr) - (n - m)
-        if defect > 0:
-            defects.append((float(r), defect))
-    if defects:
-        return SpectralClass(
-            kind=SpectralKind.NOT_DIAGONALIZABLE,
-            eigenvalues=eigenvalues,
-            rank_defects=tuple(defects),
-        )
-    return SpectralClass(kind=SpectralKind.DIAGONALIZABLE_NOT_MF, eigenvalues=eigenvalues)
+        geometric = n - numeric_rank(shifted, thr)
+        if not 1 <= geometric <= m:
+            raise DegenerateSpectrumError(
+                f"{m} eigenvalues near {mu:.6g} cannot be resolved: "
+                f"{geometric} eigenvector directions at the rank threshold {thr:.3e}"
+            )
+        if geometric < m:
+            defects.append((mu, m - geometric))
+    kind = SpectralKind.NOT_DIAGONALIZABLE if defects else SpectralKind.DIAGONALIZABLE_NOT_MF
+    return SpectralClass(kind=kind, eigenvalues=eigenvalues, rank_defects=tuple(defects))
 
 
-def gap_product(theta, i: int) -> float:
-    """Product of eigenvalue gaps prod_{j != i} (theta_i - theta_j).
+def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None) -> SpectralClass:
+    """Classify the spectrum of a square real matrix.
 
-    Empty product (single eigenvalue) is 1.  Raises DegenerateSpectrumError
-    when the magnitude underflows eig_tol to the power d, which signals
-    eigenvalues too close for the product to be meaningful.
+    A positive-diagonal symmetrizer D, when one exists, reduces the problem
+    to `eigh` on D A D^-1 with guaranteed real spectrum; eigenvalues count
+    as distinct when their gaps exceed eig_tol.  Otherwise `eig` is used:
+    a group of eigenvalues whose mean is off the real axis by more than its
+    radius makes the spectrum complex, and repeated real groups are probed
+    with a rank test for missing eigenvector directions.  LAPACK failures
+    surface as numpy.linalg.LinAlgError.
     """
-    theta = np.asarray(theta, dtype=float)
-    d = len(theta) - 1
-    if not (0 <= i <= d):
-        raise ValueError(f"index {i} outside 0..{d}")
-    v = 1.0
-    for j in range(d + 1):
-        if j != i:
-            v *= theta[i] - theta[j]
-    if d >= 1 and abs(v) < max(DEFAULT_TOL.eig_tol**d, 5e-324):
-        raise DegenerateSpectrumError(
-            f"gap product at index {i} underflowed ({v:.3e}); eigenvalues nearly coincide"
+    A = as_matrix(A)
+    n = A.shape[0]
+    sym = symmetrizer if symmetrizer is not None else find_symmetrizer(A, tol)
+    if not isinstance(sym, Symmetrizer):
+        return _classify_general(A, tol)
+
+    S = sym.conjugate(A)
+    w, V = sym_eigen(0.5 * (S + S.T), tol)
+    if n > 1 and float(np.min(w[:-1] - w[1:])) <= tol.eig_tol:
+        return SpectralClass(
+            kind=SpectralKind.DIAGONALIZABLE_NOT_MF,
+            eigenvalues=_cluster_eigenvalues(w, tol.eig_tol),
         )
-    return float(v)
+    delta = sym.delta
+    sp = _spectrum(A, w, V / delta[:, None], V.T * delta[None, :], tol)
+    return SpectralClass(
+        kind=SpectralKind.MULTIPLICITY_FREE,
+        eigenvalues=tuple((float(t), 1) for t in sp.theta),
+        spectrum=sp,
+    )
+
+
+def _profile_threshold(A, tol: Tolerance) -> float:
+    return tol.residual_tol * float(np.max(np.abs(A))) ** (A.shape[0] - 1)
+
+
+def _constancy(values: np.ndarray, threshold: float):
+    """Mean, spread and verdicts of profiles stacked along axis 0."""
+    mean = np.mean(values, axis=0)
+    spread = np.max(np.abs(values - mean), axis=0)
+    is_constant = spread <= threshold
+    return mean, spread, is_constant, is_constant & (np.abs(mean) <= threshold)
 
 
 def entry_product_profile(
@@ -454,22 +428,28 @@ def entry_product_profile(
         if cls.kind is not SpectralKind.MULTIPLICITY_FREE:
             raise MultiplicityFreeRequiredError(cls)
         spectrum = cls.spectrum
-    theta = spectrum.theta
-    values = np.array(
-        [spectrum.idempotents[i][s, t] * gap_product(theta, i) for i in range(n)]
-    )
-    d = n - 1
-    scale = float(np.max(np.abs(A)))
-    threshold = tol.residual_tol * scale**d
-    mean = float(np.mean(values))
-    spread = float(np.max(np.abs(values - mean))) if n else 0.0
-    is_constant = spread <= threshold
-    constant_zero = is_constant and abs(mean) <= threshold
+    values = spectrum.X[s, :] * spectrum.Yt[:, t] * spectrum.gaps
+    threshold = _profile_threshold(A, tol)
+    mean, spread, is_constant, constant_zero = _constancy(values, threshold)
     return EntryProfile(
         values=values,
-        is_constant=is_constant,
-        common_value=mean if is_constant and not constant_zero else None,
-        constant_zero=constant_zero,
-        spread=spread,
+        is_constant=bool(is_constant),
+        common_value=float(mean) if is_constant and not constant_zero else None,
+        constant_zero=bool(constant_zero),
+        spread=float(spread),
         threshold=threshold,
     )
+
+
+def constant_profile_positions(A, spectrum: Spectrum, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Every (s, t, common value) whose profile is a nonzero constant.
+
+    All n^2 profiles come from one (n, n, n) tensor
+    C[i, s, t] = X[s, i] * Yt[i, t] * gap_i, judged with the threshold and
+    constancy rule of `entry_product_profile`.  Positions are listed in
+    row-major order.
+    """
+    A = as_matrix(A)
+    C = (spectrum.X.T * spectrum.gaps[:, None])[:, :, None] * spectrum.Yt[:, None, :]
+    mean, _, is_constant, constant_zero = _constancy(C, _profile_threshold(A, tol))
+    return [(int(s), int(t), float(mean[s, t])) for s, t in np.argwhere(is_constant & ~constant_zero)]

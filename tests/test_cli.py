@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import spectralpath
@@ -112,6 +113,55 @@ def test_out_of_range_position_exit_two(capsys, path3_file):
     code, _, err = run(capsys, "check", path3_file, "--form", "path", "--s", "0", "--t", "9")
     assert code == 2
     assert "error:" in err
+
+
+def _hamming_p_tensor(n):
+    """Intersection numbers of the binary Hamming scheme H(n, 2) in closed form."""
+    from math import comb
+
+    p = np.zeros((n + 1, n + 1, n + 1), dtype=np.int64)
+    for h in range(n + 1):
+        for i in range(n + 1):
+            for j in range(n + 1):
+                if (h + i - j) % 2 == 0 and abs(i - j) <= h <= i + j:
+                    p[h, i, j] = comb(h, (h + i - j) // 2) * comb(n - h, (i + j - h) // 2)
+    return p, [comb(n, i) for i in range(n + 1)]
+
+
+def test_eigendata_residual_failure_exits_three(capsys, tmp_path):
+    # H(30, 2) is a valid scheme, but its eigendata lose the QP identity in
+    # double precision: a numerical failure, not an input error
+    from spectralpath.schemes import scheme_from_p_tensor, write_scheme
+
+    path = tmp_path / "h30.scheme"
+    write_scheme(scheme_from_p_tensor(*_hamming_p_tensor(30)), str(path))
+    code, _, err = run(capsys, "scheme", str(path), "info")
+    assert code == 3
+    assert "residual" in err
+
+
+def test_lapack_failure_exits_three(capsys, monkeypatch, path3_file):
+    def failing_eigh(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+    code, _, err = run(capsys, "analyze", path3_file)
+    assert code == 3
+    assert "did not converge" in err
+
+
+def test_unresolvable_eigenvalue_group_exits_three(capsys, tmp_path):
+    # eigenvalues 0, 0, 5e-8 and 1: 5e-8 lies outside the eigenvalue floor
+    # but inside the looser rank threshold, so the double eigenvalue 0 shows
+    # three eigenvector directions and cannot be classified
+    path = tmp_path / "tri.txt"
+    path.write_text("4\n0 0 0 1\n0 0 0 0\n0 0 5e-8 0\n0 0 0 1\n")
+    argv = ("check", str(path), "--form", "distance", "--s", "0", "--t", "3")
+    code, _, _ = run(capsys, *argv)
+    assert code == 1
+    code, _, err = run(capsys, *argv, "--residual-tol", "1e-7")
+    assert code == 3
+    assert "cannot be resolved" in err
 
 
 def test_scheme_commands(capsys):

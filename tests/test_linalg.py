@@ -1,4 +1,4 @@
-"""Kernel-level checks: Jacobi eigensolver, elimination, matrix text I/O."""
+"""Kernel-level checks: symmetric eigensolver wrapper, elimination, matrix text I/O."""
 
 import io
 import math
@@ -8,7 +8,6 @@ import pytest
 
 from spectralpath.linalg import (
     DEFAULT_TOL,
-    JacobiConvergenceError,
     MatrixParseError,
     SingularMatrixError,
     Tolerance,
@@ -108,15 +107,6 @@ def test_sym_eigen_matches_reference_eigensolver():
 def test_sym_eigen_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_sym_eigen_sweep_cap():
-    S = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(JacobiConvergenceError):
-        sym_eigen(S, max_sweeps=0)
-    # already-diagonal input needs no sweeps at all
-    w, _ = sym_eigen(np.diag([3.0, 1.0]), max_sweeps=0)
-    assert w.tolist() == [3.0, 1.0]
 
 
 def test_solve_vector_and_matrix_right_hand_sides():

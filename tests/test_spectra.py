@@ -11,41 +11,33 @@ from spectralpath.spectra import (
     MultiplicityFreeRequiredError,
     SpectralIdentityError,
     SpectralKind,
-    char_poly_coefficients,
     classify,
     entry_product_profile,
     gap_product,
     primitive_idempotents,
-    real_roots,
     spectrum_of,
 )
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
 
-def test_char_poly_small_frozen_cases():
-    # companion-style checks done by hand
-    assert np.allclose(char_poly_coefficients(np.diag([1.0, 2.0])), [1.0, -3.0, 2.0], atol=1e-12)
-    assert np.allclose(char_poly_coefficients(PATH3), [1.0, 0.0, -2.0, 0.0], atol=1e-12)
-    cyc = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    assert np.allclose(char_poly_coefficients(cyc), [1.0, 0.0, 0.0, -1.0], atol=1e-12)
+def _companion(coeffs) -> np.ndarray:
+    """Companion matrix of a monic polynomial, coefficients highest degree first."""
+    c = np.asarray(coeffs, dtype=float)
+    n = len(c) - 1
+    C = np.zeros((n, n))
+    C[0, :] = -c[1:]
+    C[np.arange(1, n), np.arange(n - 1)] = 1.0
+    return C
 
 
-def test_char_poly_matches_symbolic_oracle():
-    sympy = pytest.importorskip("sympy")
-    rng = np.random.default_rng(1618)
-    for n in (2, 3, 5, 7):
-        for _ in range(4):
-            A = rng.integers(-3, 4, size=(n, n)).astype(float)
-            mine = char_poly_coefficients(A)
-            poly = sympy.Matrix(A.astype(int)).charpoly()
-            ref = np.array([float(c) for c in poly.all_coeffs()])
-            scale = np.maximum(1.0, np.abs(ref))
-            assert np.all(np.abs(mine - ref) <= 1e-9 * scale)
+def _real_roots(coeffs):
+    """Real roots with multiplicities, ascending, as eigenvalues of the companion matrix."""
+    return sorted(classify(_companion(coeffs)).eigenvalues)
 
 
 def test_real_roots_distinct():
-    roots = real_roots([1.0, 0.0, -4.0])
+    roots = _real_roots([1.0, 0.0, -4.0])
     assert len(roots) == 2
     assert roots[0][1] == 1 and roots[1][1] == 1
     assert abs(roots[0][0] + 2.0) < 1e-9
@@ -53,34 +45,31 @@ def test_real_roots_distinct():
 
 
 def test_real_roots_triple():
-    # (x - 1)^3
-    roots = real_roots([1.0, -3.0, 3.0, -1.0])
-    assert len(roots) == 1
-    r, m = roots[0]
+    # (x - 1)^3: a single Jordan block, eigenvalues spread by eps^(1/3) in eig
+    out = classify(_companion([1.0, -3.0, 3.0, -1.0]))
+    assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
+    assert len(out.eigenvalues) == 1
+    r, m = out.eigenvalues[0]
     assert m == 3
     assert abs(r - 1.0) < 1e-5
+    assert out.rank_defects == ((r, 2),)
 
 
 def test_real_roots_mixed_multiplicity():
     # (x - 2)^2 (x + 1)
-    roots = real_roots([1.0, -3.0, 0.0, 4.0])
+    roots = _real_roots([1.0, -3.0, 0.0, 4.0])
     assert [(round(r, 6), m) for r, m in roots] == [(-1.0, 1), (2.0, 2)]
 
 
 def test_real_roots_complex_pair():
-    assert real_roots([1.0, 0.0, 1.0]) == []
+    out = classify(_companion([1.0, 0.0, 1.0]))
+    assert out.kind is SpectralKind.COMPLEX_SPECTRUM
+    assert out.eigenvalues == ()
     # x^3 - 1: one real root, two complex
-    roots = real_roots([1.0, 0.0, 0.0, -1.0])
+    roots = _real_roots([1.0, 0.0, 0.0, -1.0])
     assert len(roots) == 1
     assert abs(roots[0][0] - 1.0) < 1e-9
     assert roots[0][1] == 1
-
-
-def test_real_roots_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        real_roots([0.0, 1.0])
-    with pytest.raises(ValueError):
-        real_roots([5.0])
 
 
 def test_real_roots_random_factored_polynomials():
@@ -92,7 +81,7 @@ def test_real_roots_random_factored_polynomials():
         coeffs = np.array([1.0])
         for r in true:
             coeffs = np.convolve(coeffs, [1.0, -r])
-        got = real_roots(coeffs)
+        got = _real_roots(coeffs)
         assert len(got) == k
         for (r, m), expect in zip(got, true):
             assert m == 1
@@ -180,6 +169,18 @@ def test_gap_product_degenerate_guard():
         gap_product(np.array([1e-9, 0.0]), 0)
     with pytest.raises(ValueError):
         gap_product(np.array([1.0, 2.0]), 5)
+
+
+def test_gap_product_uses_callers_eig_tol():
+    theta = np.array([1e-5, 0.0])
+    assert gap_product(theta, 0) == pytest.approx(1e-5)
+    with pytest.raises(DegenerateSpectrumError):
+        gap_product(theta, 0, Tolerance(eig_tol=1e-4))
+    # the tolerance also reaches the gap products stored with a spectrum
+    A = np.diag([1e-5, 0.0])
+    assert spectrum_of(A, [1e-5, 0.0]).gaps.tolist() == pytest.approx([1e-5, -1e-5])
+    with pytest.raises(DegenerateSpectrumError):
+        spectrum_of(A, [1e-5, 0.0], Tolerance(eig_tol=1e-4))
 
 
 def test_entry_profile_frozen_path3():
