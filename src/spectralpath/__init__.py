@@ -39,13 +39,8 @@ from .equivalence import (
 from .linalg import (
     DEFAULT_TOL,
     MatrixParseError,
-    SingularMatrixError,
     Tolerance,
-    multiply,
-    numeric_rank,
     read_matrix,
-    solve,
-    sym_eigen,
     write_matrix,
 )
 from .schemes import (
@@ -117,7 +112,6 @@ __all__ = [
     "SchemeEigendata",
     "SchemeParseError",
     "SchemeValidationError",
-    "SingularMatrixError",
     "SpectralClass",
     "SpectralIdentityError",
     "SpectralKind",
@@ -148,8 +142,6 @@ __all__ = [
     "is_irreducible_tridiagonal",
     "krein_matrix",
     "krein_parameters",
-    "multiply",
-    "numeric_rank",
     "primitive_idempotents",
     "random_instance",
     "read_matrix",
@@ -158,9 +150,7 @@ __all__ = [
     "scheme_from_p_tensor",
     "scheme_from_relations",
     "shortest_path",
-    "solve",
     "spectrum_of",
-    "sym_eigen",
     "tridiagonal_symmetrizer",
     "write_matrix",
     "write_scheme",

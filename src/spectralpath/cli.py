@@ -15,6 +15,8 @@ six significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import os
 import re
@@ -24,18 +26,12 @@ import numpy as np
 
 from . import schemes, selftest
 from .equivalence import (
-    NegativeEntryError,
     analyze_matrix,
     check_distance_characterization,
     check_path_characterization,
 )
-from .linalg import MatrixParseError, SingularMatrixError, Tolerance, read_matrix
-from .spectra import (
-    DegenerateSpectrumError,
-    MultiplicityFreeRequiredError,
-    SpectralIdentityError,
-    SpectralKind,
-)
+from .linalg import Tolerance, read_matrix
+from .spectra import SpectralKind
 from .symmetrize import Symmetrizer
 
 EXIT_TRUE = 0
@@ -43,25 +39,10 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
-_INPUT_ERRORS = (
-    MatrixParseError,
-    schemes.SchemeParseError,
-    schemes.SchemeValidationError,
-    NegativeEntryError,
-    SingularMatrixError,
-    MultiplicityFreeRequiredError,
-    OSError,
-    ValueError,
-)
-# Checked first: numpy's LinAlgError subclasses ValueError.
-_NUMERICAL_ERRORS = (
-    SpectralIdentityError,
-    DegenerateSpectrumError,
-    np.linalg.LinAlgError,
-    schemes.EigenvalueCollisionError,
-    schemes.EigendataResidualError,
-    RuntimeError,
-)
+# Every package error subclasses one of these bases.  Numerical failures are
+# checked first because numpy's LinAlgError subclasses ValueError.
+_NUMERICAL_ERRORS = (np.linalg.LinAlgError, RuntimeError)
+_INPUT_ERRORS = (ValueError, OSError)
 
 
 def _jsonable(obj):
@@ -129,20 +110,20 @@ def _add_common(parser: argparse.ArgumentParser):
 
 
 def _profile_dict(profile):
-    if profile is None:
-        return None
-    return {
-        "values": profile.values,
-        "is_constant": profile.is_constant,
-        "common_value": profile.common_value,
-        "constant_zero": profile.constant_zero,
-        "spread": profile.spread,
-        "threshold": profile.threshold,
-    }
+    return None if profile is None else dataclasses.asdict(profile)
 
 
 def _tol_dict(tol: Tolerance) -> dict:
-    return {"zero_tol": tol.zero_tol, "eig_tol": tol.eig_tol, "residual_tol": tol.residual_tol}
+    return dataclasses.asdict(tol)
+
+
+def _verdict(side_i: bool, side_ii: bool):
+    """Verdict text and exit code of a two-sided check."""
+    if side_i and side_ii:
+        return "both sides hold", EXIT_TRUE
+    if not side_i and not side_ii:
+        return "both sides fail", EXIT_FALSE
+    return "sides disagree: numerical inconsistency", EXIT_NUMERICAL
 
 
 def _cmd_analyze(args) -> int:
@@ -217,12 +198,7 @@ def _cmd_check(args) -> int:
     )
     rep = checker(A, args.s, args.t, tol)
     profile = _profile_dict(rep.profile)
-    if rep.condition_i and rep.condition_ii:
-        verdict, code = "both sides hold", EXIT_TRUE
-    elif not rep.condition_i and not rep.condition_ii:
-        verdict, code = "both sides fail", EXIT_FALSE
-    else:
-        verdict, code = "sides disagree: numerical inconsistency", EXIT_NUMERICAL
+    verdict, code = _verdict(rep.condition_i, rep.condition_ii)
     report = {
         "command": "check",
         "tolerances": _tol_dict(tol),
@@ -285,6 +261,33 @@ def _characterization_payload(rep):
     }
 
 
+def _report_structures(args, kind: str, scheme, structures, tol: Tolerance, seed=None) -> int:
+    """Emit the detected P- or Q-polynomial structures; `kind` is "p" or "q"."""
+    name = f"{kind.upper()}-polynomial"
+    payload = [
+        {"generator": st.generator, "ordering": list(st.ordering), "last": st.last}
+        for st in structures
+    ]
+    verdict = f"{len(structures)} {name} structure(s)" if structures else f"no {name} structure"
+    report = {
+        "command": f"scheme {kind}-poly",
+        "tolerances": _tol_dict(tol),
+        "result": {"size": scheme.size, "d": scheme.d, "structures": payload},
+        "verdict": verdict,
+    }
+    if seed is not None:
+        report["seed"] = seed
+    lines = [f"|X| = {scheme.size}   d = {scheme.d}"]
+    for st in structures:
+        lines.append(
+            f"{name}: generator {st.generator}, ordering "
+            f"{' -> '.join(map(str, st.ordering))}, last {st.last}"
+        )
+    lines.append(f"verdict: {verdict}")
+    _emit(report, args.json, lines)
+    return EXIT_TRUE if structures else EXIT_FALSE
+
+
 def _cmd_scheme(args) -> int:
     tol = _tol_from_args(args)
     seed = _resolve_seed(args)
@@ -299,29 +302,7 @@ def _cmd_scheme(args) -> int:
         raise ValueError(f"{action} takes no indices, got {extra}")
 
     if action == "p-poly":
-        structures = schemes.detect_p_polynomial(scheme, tol)
-        payload = [
-            {"generator": st.generator, "ordering": list(st.ordering), "last": st.last}
-            for st in structures
-        ]
-        verdict = (
-            f"{len(structures)} P-polynomial structure(s)" if structures else "no P-polynomial structure"
-        )
-        report = {
-            "command": "scheme p-poly",
-            "tolerances": _tol_dict(tol),
-            "result": {"size": scheme.size, "d": scheme.d, "structures": payload},
-            "verdict": verdict,
-        }
-        lines = [f"|X| = {scheme.size}   d = {scheme.d}"]
-        for st in structures:
-            lines.append(
-                f"P-polynomial: generator {st.generator}, ordering "
-                f"{' -> '.join(map(str, st.ordering))}, last {st.last}"
-            )
-        lines.append(f"verdict: {verdict}")
-        _emit(report, args.json, lines)
-        return EXIT_TRUE if structures else EXIT_FALSE
+        return _report_structures(args, "p", scheme, schemes.detect_p_polynomial(scheme, tol), tol)
 
     ed = schemes.eigendata(scheme, tol, seed=seed)
 
@@ -359,42 +340,14 @@ def _cmd_scheme(args) -> int:
         return EXIT_TRUE
 
     if action == "q-poly":
-        structures = schemes.detect_q_polynomial(ed, tol)
-        payload = [
-            {"generator": st.generator, "ordering": list(st.ordering), "last": st.last}
-            for st in structures
-        ]
-        verdict = (
-            f"{len(structures)} Q-polynomial structure(s)" if structures else "no Q-polynomial structure"
-        )
-        report = {
-            "command": "scheme q-poly",
-            "tolerances": _tol_dict(tol),
-            "seed": seed,
-            "result": {"size": scheme.size, "d": scheme.d, "structures": payload},
-            "verdict": verdict,
-        }
-        lines = [f"|X| = {scheme.size}   d = {scheme.d}"]
-        for st in structures:
-            lines.append(
-                f"Q-polynomial: generator {st.generator}, ordering "
-                f"{' -> '.join(map(str, st.ordering))}, last {st.last}"
-            )
-        lines.append(f"verdict: {verdict}")
-        _emit(report, args.json, lines)
-        return EXIT_TRUE if structures else EXIT_FALSE
+        return _report_structures(args, "q", scheme, schemes.detect_q_polynomial(ed, tol), tol, seed)
 
     b, c = int(extra[0]), int(extra[1])
     if action == "p-check":
         rep = schemes.check_p_polynomial_characterization(ed, b, c, tol)
     else:
         rep = schemes.check_q_polynomial_characterization(ed, b, c, tol)
-    if rep.side_i and rep.side_ii:
-        verdict, code = "both sides hold", EXIT_TRUE
-    elif not rep.side_i and not rep.side_ii:
-        verdict, code = "both sides fail", EXIT_FALSE
-    else:
-        verdict, code = "sides disagree: numerical inconsistency", EXIT_NUMERICAL
+    verdict, code = _verdict(rep.side_i, rep.side_ii)
     report = {
         "command": f"scheme {action}",
         "tolerances": _tol_dict(tol),
@@ -451,6 +404,7 @@ def _cmd_selftest(args) -> int:
     return EXIT_TRUE if all_passed else EXIT_NUMERICAL
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectralpath",

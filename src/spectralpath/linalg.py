@@ -1,12 +1,11 @@
-"""Dense real linear algebra helpers.
+"""Tolerances, matrix validation and the plain-text matrix format.
 
 Everything downstream works with square matrices of double-precision reals.
-Symmetric eigenproblems go to LAPACK through `numpy.linalg.eigh`, wrapped by
-`sym_eigen` to check symmetry and order eigenvalues descending; the
-non-symmetric ones are handled in :mod:`spectralpath.spectra`.  Linear
-systems go through Gaussian elimination with partial pivoting, and numeric
-rank through full-pivot elimination, both with scale-aware thresholds.
-Matrices are read and written in a plain text format.
+`Tolerance` carries the three thresholds the checks share, `as_matrix`
+validates an input into a float64 square matrix, and `read_matrix` /
+`write_matrix` convert the text format.  The linear algebra itself (LAPACK
+`eigh`, `eig`, `solve` and SVD rank) is called through numpy where it is
+needed, in :mod:`spectralpath.spectra` and :mod:`spectralpath.schemes`.
 """
 
 from __future__ import annotations
@@ -20,13 +19,8 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
-    "multiply",
-    "sym_eigen",
-    "solve",
-    "numeric_rank",
     "read_matrix",
     "write_matrix",
-    "SingularMatrixError",
     "MatrixParseError",
 ]
 
@@ -54,14 +48,6 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-class SingularMatrixError(ValueError):
-    """Raised when elimination hits a pivot below the zero threshold."""
-
-    def __init__(self, pivot_index: int):
-        self.pivot_index = pivot_index
-        super().__init__(f"matrix is singular to working precision (pivot column {pivot_index})")
-
-
 class MatrixParseError(ValueError):
     """Raised on malformed matrix text, carrying the 1-based line number."""
 
@@ -78,93 +64,6 @@ def as_matrix(A) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must all be finite")
     return M
-
-
-def multiply(A, B) -> np.ndarray:
-    """Matrix product with dimension validation."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ValueError(f"incompatible shapes for product: {A.shape} x {B.shape}")
-    return A @ B
-
-
-def sym_eigen(S, tol: Tolerance = DEFAULT_TOL):
-    """Eigenvalues and orthonormal eigenvectors of a symmetric matrix.
-
-    LAPACK `eigh` on the symmetric part of `S`.  Returns ``(w, V)`` with
-    eigenvalues `w` sorted descending and eigenvectors in the columns of
-    `V`, so that ``S = V @ diag(w) @ V.T``.  Raises ValueError when `S` is
-    not symmetric to within zero_tol.
-    """
-    S = as_matrix(S)
-    asym = float(np.max(np.abs(S - S.T))) if S.shape[0] > 1 else 0.0
-    if asym > tol.zero_tol:
-        raise ValueError(f"matrix is not symmetric (max |S - S^T| = {asym:.3e})")
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    return w[::-1].copy(), V[:, ::-1].copy()
-
-
-def solve(A, B, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Solve A X = B by Gaussian elimination with partial pivoting.
-
-    `B` may be a vector or a matrix of right-hand sides.  Raises
-    SingularMatrixError with the offending pivot column when a pivot falls
-    below zero_tol, and ValueError if the computed solution fails a
-    scale-aware residual check.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
-    b = np.array(B, dtype=float)
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b.reshape(n, 1) if b.shape[0] == n else b
-    if b.ndim != 2 or b.shape[0] != n:
-        raise ValueError(f"right-hand side shape {np.shape(B)} does not match order {n}")
-
-    M = np.hstack([A.copy(), b.copy()])
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(M[k:, k])))
-        if abs(M[piv, k]) <= tol.zero_tol:
-            raise SingularMatrixError(k)
-        if piv != k:
-            M[[k, piv], :] = M[[piv, k], :]
-        factors = M[k + 1 :, k] / M[k, k]
-        M[k + 1 :, k:] -= np.outer(factors, M[k, k:])
-
-    X = np.zeros((n, b.shape[1]))
-    for k in range(n - 1, -1, -1):
-        X[k, :] = (M[k, n:] - M[k, k + 1 : n] @ X[k + 1 :, :]) / M[k, k]
-
-    resid = float(np.max(np.abs(A @ X - b))) if n else 0.0
-    bound = tol.residual_tol * max(1.0, float(np.max(np.abs(A)))) * max(
-        1.0, float(np.max(np.abs(X))) if X.size else 0.0
-    )
-    if resid > bound:
-        raise ValueError(
-            f"solve residual {resid:.3e} exceeds {bound:.3e}; system is near-singular"
-        )
-    return X[:, 0] if vector_rhs else X
-
-
-def numeric_rank(M, threshold: float) -> int:
-    """Rank of a rectangular matrix by full-pivot elimination.
-
-    Entries are eliminated until the largest remaining magnitude drops to
-    `threshold` or below.
-    """
-    W = np.array(M, dtype=float)
-    if W.ndim != 2:
-        raise ValueError("numeric_rank expects a 2-d array")
-    rank = 0
-    while W.shape[0] > 0 and W.shape[1] > 0:
-        i, j = np.unravel_index(int(np.argmax(np.abs(W))), W.shape)
-        if abs(W[i, j]) <= threshold:
-            break
-        rank += 1
-        W = W - np.outer(W[:, j], W[i, :]) / W[i, j]
-        W = np.delete(np.delete(W, i, axis=0), j, axis=1)
-    return rank
 
 
 def read_matrix(source) -> np.ndarray:

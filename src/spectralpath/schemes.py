@@ -11,11 +11,11 @@ The first eigenmatrix P and second eigenmatrix Q diagonalize the Bose-
 Mesner algebra: P rows are the common left eigenvectors of the
 intersection matrices B_i (entries p^h_ij), normalized so column 0 is all
 ones, with the valency row first; Q = |X| P^{-1}.  The Krein parameters
-q^h_ij play the role of intersection numbers for the entrywise product and
-define dual intersection matrices.  P- and Q-polynomial orderings are
-detected from the bidirected-path shape of B_i and of the dual matrices,
-and the endpoint characterization checks compare those orderings against
-closed-form eigenvalue gap-product ratios.
+q^h_ij = |X|^{-1} sum_k P_hk Q_ki Q_kj play the role of intersection
+numbers for the entrywise product and define dual intersection matrices.
+P- and Q-polynomial orderings are detected from the bidirected-path shape
+of B_i and of the dual matrices, and the endpoint characterization checks
+compare those orderings against closed-form eigenvalue gap-product ratios.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .digraph import bidirected_path_endpoints, gamma
-from .linalg import DEFAULT_TOL, Tolerance, solve, sym_eigen
+from .linalg import DEFAULT_TOL, Tolerance
 from .spectra import gap_product
-from .symmetrize import Symmetrizer, find_symmetrizer
 
 __all__ = [
     "AssociationScheme",
@@ -274,26 +273,16 @@ def intersection_matrix(scheme: AssociationScheme, i: int) -> np.ndarray:
     return scheme.p[:, i, :].astype(float)
 
 
-def krein_parameters(P, Q, size: int, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Krein tensor q[h, i, j] from the eigenmatrices.
+def krein_parameters(P, Q, size: int) -> np.ndarray:
+    """Krein tensor q[h, i, j] = |X|^-1 sum_k P_hk Q_ki Q_kj.
 
-    For each pair (i, j) the vector (q^h_ij)_h solves Q v = w with
-    w_k = Q_ki Q_kj, which is the entrywise-product expansion of the
-    projectors in the 0/1 basis.
+    Substituting A_k = sum_h P_hk E_h into E_i o E_j = |X|^-2 sum_k Q_ki Q_kj A_k
+    gives E_i o E_j = |X|^-1 sum_h q^h_ij E_h (Brouwer, Cohen and Neumaier,
+    *Distance-Regular Graphs*, chapter 2).
     """
     P = np.asarray(P, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    dp1 = P.shape[0]
-    W = np.empty((dp1, dp1 * dp1))
-    for i in range(dp1):
-        for j in range(dp1):
-            W[:, i * dp1 + j] = Q[:, i] * Q[:, j]
-    V = solve(Q, W, tol)
-    q = np.empty((dp1, dp1, dp1))
-    for i in range(dp1):
-        for j in range(dp1):
-            q[:, i, j] = V[:, i * dp1 + j]
-    return q
+    return np.tensordot(P, Q[:, :, None] * Q[:, None, :], axes=1) / size
 
 
 @dataclass(frozen=True)
@@ -331,32 +320,30 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed=0) -
     """Compute P, Q, multiplicities and Krein parameters.
 
     A seeded random positive combination of the intersection matrices is
-    symmetrized (its symmetrizer weights are exactly the valencies) and
-    diagonalized; left eigenvectors normalized at column 0 are the rows of
-    P.  Colliding combination eigenvalues trigger a retry with a derived
-    seed, up to five attempts.
+    symmetrized by conjugation with diag(sqrt(k)) (the valency balance
+    k_h p^h_ij = k_j p^j_ih, checked on construction, makes every B_i
+    symmetrizable by the valencies) and diagonalized; left eigenvectors
+    normalized at column 0 are the rows of P.  Colliding combination
+    eigenvalues trigger a retry with a derived seed, up to five attempts.
     """
     dp1 = scheme.d + 1
     B = [intersection_matrix(scheme, i) for i in range(dp1)]
+    delta = np.sqrt(scheme.k.astype(float))
     base_seed = abs(int(seed)) if seed is not None else 0
     last_gap = None
     for attempt in range(5):
         rng = np.random.default_rng([base_seed, attempt])
         coeffs = rng.uniform(1.0, 2.0, size=dp1)
         C = sum(c * Bi for c, Bi in zip(coeffs, B))
-        sym = find_symmetrizer(C, tol)
-        if not isinstance(sym, Symmetrizer):
-            raise SchemeValidationError(
-                "symmetrizable", sym.witness, "intersection matrices are not symmetrizable"
-            )
-        S = sym.conjugate(C)
-        w, V = sym_eigen(0.5 * (S + S.T), tol)
+        S = C * delta[:, None] / delta[None, :]
+        w, V = np.linalg.eigh(0.5 * (S + S.T))
+        w, V = w[::-1], V[:, ::-1]
         if dp1 > 1:
             gap = float(np.min(w[:-1] - w[1:]))
             last_gap = gap
             if gap <= tol.eig_tol * max(1.0, float(np.max(np.abs(C)))):
                 continue
-        U = sym.delta[:, None] * V  # columns are left eigenvectors of C, transposed
+        U = delta[:, None] * V  # columns are left eigenvectors of C, transposed
         if float(np.min(np.abs(U[0, :]))) < 1e-12:
             continue
         rows = (U / U[0, :]).T
@@ -370,9 +357,9 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed=0) -
                 reverse=True,
             )
         )
-        Q = solve(P, scheme.size * np.eye(dp1), tol)
+        Q = np.linalg.solve(P, scheme.size * np.eye(dp1))
         m = Q[0, :].copy()
-        q = krein_parameters(P, Q, scheme.size, tol)
+        q = krein_parameters(P, Q, scheme.size)
         residuals = _verify_eigendata(scheme, P, Q, m, q, tol)
         return SchemeEigendata(
             scheme=scheme, P=P, Q=Q, m=m, q=q, seed=seed, residuals=residuals
@@ -517,22 +504,22 @@ class SchemeCharacterizationReport:
         return self.side_i and self.side_ii
 
 
-def _endpoint_check(kind, structures, theta, actual, b, c, d, tol: Tolerance):
+def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
+    """Column b of `eigen` against row c of `dual`: (P, Q) or, dually, (Q, P)."""
+    d = eigen.shape[0] - 1
     if not (1 <= b <= d and 1 <= c <= d):
         raise ValueError(f"indices ({b}, {c}) outside 1..{d}")
+    theta, actual = eigen[:, b], dual[c, :]
     side_i = any(st.generator == b and st.last == c for st in structures)
 
-    distinct = True
-    for i in range(d + 1):
-        for j in range(i + 1, d + 1):
-            if abs(theta[i] - theta[j]) <= tol.eig_tol:
-                distinct = False
+    gaps = np.abs(theta[:, None] - theta[None, :])
+    np.fill_diagonal(gaps, np.inf)
     expected = None
     max_dev = None
     side_ii = False
-    if distinct:
-        f0 = gap_product(theta, 0)
-        expected = np.array([f0 / gap_product(theta, i) for i in range(d + 1)])
+    if float(np.min(gaps)) > tol.eig_tol:
+        f0 = gap_product(theta, 0, tol)
+        expected = np.array([f0 / gap_product(theta, i, tol) for i in range(d + 1)])
         max_dev = float(np.max(np.abs(actual - expected)))
         bound = tol.residual_tol * max(1.0, float(np.max(np.abs(expected))))
         side_ii = max_dev <= bound
@@ -542,9 +529,9 @@ def _endpoint_check(kind, structures, theta, actual, b, c, d, tol: Tolerance):
         last=c,
         side_i=side_i,
         side_ii=side_ii,
-        theta=np.asarray(theta, dtype=float),
+        theta=theta.copy(),
         expected=expected,
-        actual=np.asarray(actual, dtype=float),
+        actual=actual.copy(),
         max_deviation=max_dev,
         structures=structures,
     )
@@ -558,12 +545,7 @@ def check_p_polynomial_characterization(
     side_ii compares row c of Q against f_0(theta_0)/f_i(theta_i) built
     from the eigenvalue column theta_i = P[i, b].
     """
-    if not (1 <= b <= ed.d and 1 <= c <= ed.d):
-        raise ValueError(f"indices ({b}, {c}) outside 1..{ed.d}")
-    structures = detect_p_polynomial(ed.scheme, tol)
-    theta = ed.P[:, b].copy()
-    actual = ed.Q[c, :].copy()
-    return _endpoint_check("p", structures, theta, actual, b, c, ed.d, tol)
+    return _endpoint_check("p", detect_p_polynomial(ed.scheme, tol), ed.P, ed.Q, b, c, tol)
 
 
 def check_q_polynomial_characterization(
@@ -574,12 +556,7 @@ def check_q_polynomial_characterization(
     Dual statement: theta*_i = Q[i, e] and row f of P against the same
     gap-product form.
     """
-    if not (1 <= e <= ed.d and 1 <= f <= ed.d):
-        raise ValueError(f"indices ({e}, {f}) outside 1..{ed.d}")
-    structures = detect_q_polynomial(ed, tol)
-    theta = ed.Q[:, e].copy()
-    actual = ed.P[f, :].copy()
-    return _endpoint_check("q", structures, theta, actual, e, f, ed.d, tol)
+    return _endpoint_check("q", detect_q_polynomial(ed, tol), ed.Q, ed.P, e, f, tol)
 
 
 _HEADER_RE = re.compile(r"^SCHEME\s+X=(\d+)\s+D=(\d+)\s+FORM=(RELATIONS|PTENSOR)$")

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import gamma
 from .equivalence import (
     analyze_matrix,
     check_distance_characterization,
     check_path_characterization,
     random_instance,
 )
-from .linalg import DEFAULT_TOL, Tolerance, numeric_rank
+from .linalg import DEFAULT_TOL, Tolerance
 from .spectra import SpectralKind, Spectrum, _product_formula
 from .symmetrize import Symmetrizer, find_symmetrizer, tridiagonal_symmetrizer
 
@@ -213,7 +212,7 @@ def suite_hessenberg_powers(
             continue
         stack = np.vstack([M.reshape(1, -1) for M in powers])
         stack = stack / np.max(np.abs(stack), axis=1, keepdims=True)
-        rank = numeric_rank(stack, tol.residual_tol)
+        rank = np.linalg.matrix_rank(stack, tol=tol.residual_tol)
         if rank != d + 1:
             result.fail(f"idx={idx}: power stack rank {rank} != {d + 1}")
     return result

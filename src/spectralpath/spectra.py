@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, numeric_rank, sym_eigen
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .symmetrize import Symmetrizer, find_symmetrizer
 
 __all__ = [
@@ -351,7 +351,7 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
             continue
         shifted = A - mu * np.eye(n)
         thr = tol.residual_tol * max(1.0, float(np.max(np.abs(shifted))))
-        geometric = n - numeric_rank(shifted, thr)
+        geometric = n - int(np.linalg.matrix_rank(shifted, tol=thr))
         if not 1 <= geometric <= m:
             raise DegenerateSpectrumError(
                 f"{m} eigenvalues near {mu:.6g} cannot be resolved: "
@@ -381,7 +381,8 @@ def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None) -> SpectralClass
         return _classify_general(A, tol)
 
     S = sym.conjugate(A)
-    w, V = sym_eigen(0.5 * (S + S.T), tol)
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    w, V = w[::-1], V[:, ::-1]
     if n > 1 and float(np.min(w[:-1] - w[1:])) <= tol.eig_tol:
         return SpectralClass(
             kind=SpectralKind.DIAGONALIZABLE_NOT_MF,

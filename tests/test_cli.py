@@ -140,14 +140,23 @@ def test_eigendata_residual_failure_exits_three(capsys, tmp_path):
     assert "residual" in err
 
 
-def test_lapack_failure_exits_three(capsys, monkeypatch, path3_file):
-    def failing_eigh(*args, **kwargs):
-        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+@pytest.mark.parametrize(
+    "routine, message, argv",
+    [
+        ("eigh", "Eigenvalues did not converge", lambda path: ("analyze", path)),
+        ("solve", "Singular matrix", lambda path: ("scheme", "builtin:complete(4)", "info")),
+    ],
+    ids=["analyze", "scheme-info"],
+)
+def test_lapack_failure_exits_three(capsys, monkeypatch, path3_file, routine, message, argv):
+    # a singular or unconverged LAPACK call is a numerical failure, exit 3
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError(message)
 
-    monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
-    code, _, err = run(capsys, "analyze", path3_file)
+    monkeypatch.setattr(np.linalg, routine, failing)
+    code, _, err = run(capsys, *argv(path3_file))
     assert code == 3
-    assert "did not converge" in err
+    assert message in err
 
 
 def test_unresolvable_eigenvalue_group_exits_three(capsys, tmp_path):
@@ -270,6 +279,25 @@ def test_console_entry_point(path3_file, tmp_path):
     proc = _run_module("analyze", str(bad))
     assert proc.returncode == 2, proc.stderr
     assert "line 2" in proc.stderr
+
+
+def test_parser_is_built_once_and_reused(capsys, path3_file):
+    # the same cached parser serves different subcommands in one process;
+    # each call must still answer as if it ran alone
+    from spectralpath.cli import build_parser
+
+    assert build_parser() is build_parser()
+    calls = [
+        ("analyze", path3_file),
+        ("check", path3_file, "--form", "path", "--s", "0", "--t", "2"),
+        ("scheme", "builtin:hypercube(3)", "p-check", "1", "2", "--json"),
+        ("analyze", path3_file, "--s", "0", "--t", "2"),
+    ]
+    in_process = [run(capsys, *argv)[:2] for argv in calls]
+    for argv, (code, out) in zip(calls, in_process):
+        proc = _run_module(*argv)
+        assert (code, out) == (proc.returncode, proc.stdout), (argv, proc.stderr)
+    assert [code for code, _ in in_process] == [0, 0, 1, 0]
 
 
 @pytest.mark.skipif(

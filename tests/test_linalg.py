@@ -1,4 +1,6 @@
-"""Kernel-level checks: symmetric eigensolver wrapper, elimination, matrix text I/O."""
+"""Tolerances and matrix text I/O, plus the numpy routes the package leans
+on: `eigh` behind the symmetric route of `classify`, the rank test of its
+`eig` route, and the solve that gives a scheme's second eigenmatrix."""
 
 import io
 import math
@@ -9,16 +11,13 @@ import pytest
 from spectralpath.linalg import (
     DEFAULT_TOL,
     MatrixParseError,
-    SingularMatrixError,
     Tolerance,
     as_matrix,
-    multiply,
-    numeric_rank,
     read_matrix,
-    solve,
-    sym_eigen,
     write_matrix,
 )
+from spectralpath.schemes import builtin_scheme, eigendata
+from spectralpath.spectra import SpectralKind, classify
 
 # second eigenmatrix of the 3-cube; squares to 8 I
 P_CUBE3 = np.array(
@@ -57,40 +56,44 @@ def test_as_matrix_validates_shape_and_finiteness():
     assert M.dtype == np.float64
 
 
-def test_multiply_checks_dimensions():
-    with pytest.raises(ValueError):
-        multiply(np.eye(2), np.eye(3))
-    out = multiply([[1.0, 2.0], [0.0, 1.0]], [[1.0], [1.0]])
-    assert out.tolist() == [[3.0], [1.0]]
+def _symmetric_spectrum(A):
+    out = classify(A)
+    assert out.kind is SpectralKind.MULTIPLICITY_FREE
+    return out.spectrum
 
 
 def test_sym_eigen_two_by_two_exchange():
-    w, V = sym_eigen(np.array([[0.0, 4.0], [4.0, 0.0]]))
-    assert np.allclose(w, [4.0, -4.0], atol=1e-12)
+    sp = _symmetric_spectrum(np.array([[0.0, 4.0], [4.0, 0.0]]))
+    assert np.allclose(sp.theta, [4.0, -4.0], atol=1e-12)
     r = 1.0 / math.sqrt(2.0)
     # eigenvectors defined up to sign
-    assert np.allclose(np.abs(V[:, 0]), [r, r], atol=1e-12)
-    assert np.allclose(np.abs(V[:, 1]), [r, r], atol=1e-12)
-    assert np.allclose(V @ np.diag(w) @ V.T, [[0.0, 4.0], [4.0, 0.0]], atol=1e-12)
+    assert np.allclose(np.abs(sp.X[:, 0]), [r, r], atol=1e-12)
+    assert np.allclose(np.abs(sp.X[:, 1]), [r, r], atol=1e-12)
+    assert np.allclose(sp.idempotents[0], np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_sym_eigen_path_of_three_vertices():
     S = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-    w, V = sym_eigen(S)
-    assert np.allclose(w, [math.sqrt(2.0), 0.0, -math.sqrt(2.0)], atol=1e-12)
-    assert np.allclose(V.T @ V, np.eye(3), atol=1e-12)
+    sp = _symmetric_spectrum(S)
+    assert np.allclose(sp.theta, [math.sqrt(2.0), 0.0, -math.sqrt(2.0)], atol=1e-12)
+    assert np.allclose(sp.X.T @ sp.X, np.eye(3), atol=1e-12)
 
 
 def test_sym_eigen_descending_order_and_reconstruction_random():
+    # D S D^-1 with S symmetric: classify finds the symmetrizer, runs eigh on
+    # the symmetrized matrix and maps the eigenvectors back through D
     rng = np.random.default_rng(20240811)
     for n in (1, 2, 3, 5, 8, 13):
         for _ in range(6):
             S = rng.normal(size=(n, n))
             S = S + S.T
-            w, V = sym_eigen(S)
-            assert np.all(np.diff(w) <= 1e-12)
-            assert np.allclose(V @ np.diag(w) @ V.T, S, atol=1e-11 * max(1.0, np.max(np.abs(S))))
-            assert np.allclose(V.T @ V, np.eye(n), atol=1e-12)
+            delta = rng.uniform(0.5, 2.0, size=n)
+            A = S * delta[:, None] / delta[None, :]
+            sp = _symmetric_spectrum(A)
+            assert np.all(np.diff(sp.theta) < 0)
+            recon = (sp.X * sp.theta[None, :]) @ sp.Yt
+            assert np.allclose(recon, A, atol=1e-11 * max(1.0, np.max(np.abs(A))))
+            assert np.allclose(sp.Yt @ sp.X, np.eye(n), atol=1e-11)
 
 
 def test_sym_eigen_matches_reference_eigensolver():
@@ -99,63 +102,37 @@ def test_sym_eigen_matches_reference_eigensolver():
         for _ in range(5):
             S = rng.normal(size=(n, n))
             S = 0.5 * (S + S.T)
-            w, _ = sym_eigen(S)
             ref = np.sort(np.linalg.eigvalsh(S))[::-1]
-            assert np.allclose(w, ref, atol=1e-10 * max(1.0, np.max(np.abs(S))))
-
-
-def test_sym_eigen_rejects_asymmetric_input():
-    with pytest.raises(ValueError):
-        sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_solve_vector_and_matrix_right_hand_sides():
-    A = np.array([[2.0, 1.0], [1.0, 3.0]])
-    x = solve(A, np.array([3.0, 4.0]))
-    assert x.shape == (2,)
-    assert np.allclose(A @ x, [3.0, 4.0], atol=1e-12)
-    X = solve(A, np.eye(2))
-    assert np.allclose(A @ X, np.eye(2), atol=1e-12)
-
-
-def test_solve_inverse_of_cube_eigenmatrix():
-    # P^2 = 8 I, so solving P X = 8 I must reproduce P itself
-    X = solve(P_CUBE3, 8.0 * np.eye(4))
-    assert np.allclose(X, P_CUBE3, atol=1e-12)
-
-
-def test_solve_reports_dead_pivot_column():
-    with pytest.raises(SingularMatrixError) as info:
-        solve(np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, 0.0]))
-    assert info.value.pivot_index == 1
-    with pytest.raises(SingularMatrixError) as info:
-        solve(np.zeros((2, 2)), np.array([1.0, 0.0]))
-    assert info.value.pivot_index == 0
-
-
-def test_solve_random_systems_round_trip():
-    rng = np.random.default_rng(99)
-    for n in (1, 3, 6, 10):
-        for _ in range(5):
-            A = rng.normal(size=(n, n)) + n * np.eye(n)
-            x_true = rng.normal(size=n)
-            x = solve(A, A @ x_true)
-            assert np.allclose(x, x_true, atol=1e-9 * max(1.0, np.max(np.abs(x_true))))
+            assert np.allclose(
+                _symmetric_spectrum(S).theta, ref, atol=1e-10 * max(1.0, np.max(np.abs(S)))
+            )
 
 
 def test_numeric_rank_basic_cases():
-    assert numeric_rank(np.zeros((3, 3)), 1e-12) == 0
-    assert numeric_rank(np.eye(4), 1e-12) == 4
-    u = np.array([1.0, 2.0, 3.0])
-    assert numeric_rank(np.outer(u, u), 1e-10) == 1
-    M = np.array([[1.0, 0.0], [0.0, 1e-13]])
-    assert numeric_rank(M, 1e-10) == 1
-    assert numeric_rank(M, 1e-15) == 2
+    # the eig route counts eigenvector directions of a repeated eigenvalue
+    # mu as n - rank(A - mu I); the rank-defect list reports the missing ones
+    def defects(A):
+        out = classify(np.array(A, dtype=float))
+        return out.kind, out.rank_defects
+
+    nilpotent_plus_zero = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    assert defects(nilpotent_plus_zero) == (SpectralKind.NOT_DIAGONALIZABLE, ((0.0, 1),))
+    jordan3 = [[1, 1, 0], [0, 1, 1], [0, 0, 1]]
+    kind, found = defects(jordan3)
+    assert kind is SpectralKind.NOT_DIAGONALIZABLE
+    assert [(round(mu, 6), k) for mu, k in found] == [(1.0, 2)]
+    two_blocks = [[2, 1, 0, 0], [0, 2, 0, 0], [0, 0, 2, 1], [0, 0, 0, 2]]
+    kind, found = defects(two_blocks)
+    assert [(round(mu, 6), k) for mu, k in found] == [(2.0, 2)]
+    # eigenvalue 1 twice with two directions: repeated but diagonalizable
+    assert defects([[1, 0, 1], [0, 1, 0], [0, 0, 2]]) == (SpectralKind.DIAGONALIZABLE_NOT_MF, ())
 
 
-def test_numeric_rank_rectangular():
-    M = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]])
-    assert numeric_rank(M, 1e-10) == 1
+def test_solve_inverse_of_cube_eigenmatrix():
+    # P^2 = 8 I for the 3-cube, so Q = 8 P^-1 must reproduce P itself
+    ed = eigendata(builtin_scheme("hypercube", 3))
+    assert np.allclose(ed.P, P_CUBE3, atol=1e-12)
+    assert np.allclose(ed.Q, P_CUBE3, atol=1e-12)
 
 
 def test_read_matrix_from_text_with_comments():

@@ -4,7 +4,6 @@ polynomial structure detection, endpoint checks, file format."""
 import numpy as np
 import pytest
 
-from spectralpath.linalg import numeric_rank
 from spectralpath.schemes import (
     SchemeParseError,
     SchemeValidationError,
@@ -81,7 +80,7 @@ def test_complete_four_projectors():
     assert np.allclose(E[1], np.eye(4) - 0.25, atol=1e-12)
     for i, Ei in enumerate(E):
         assert np.trace(Ei) == pytest.approx(ed.m[i], abs=1e-9)
-        assert numeric_rank(Ei, 1e-8) == round(ed.m[i])
+        assert np.linalg.matrix_rank(Ei, tol=1e-8) == round(ed.m[i])
 
 
 def test_cube3_frozen_battery():
@@ -102,12 +101,27 @@ def test_cube3_frozen_battery():
     assert np.allclose(ed.q, scheme.p, atol=1e-9)
 
 
+def rook_scheme(m, n):
+    """K_m x K_n on the cells of an m x n board: same cell, same row, same
+    column, neither.  Not self-dual as numbered: P != Q and q != p."""
+    row, col = np.divmod(np.arange(m * n), n)
+    same_row = row[:, None] == row[None, :]
+    same_col = col[:, None] == col[None, :]
+    cells = (same_row & same_col, same_row & ~same_col, ~same_row & same_col, ~same_row & ~same_col)
+    return scheme_from_relations([c.astype(np.int8) for c in cells])
+
+
 def test_krein_matches_trace_oracle():
-    for name, n in (("complete", 5), ("hypercube", 3), ("hypercube", 4)):
-        scheme = builtin_scheme(name, n)
+    schemes = [builtin_scheme(name, n) for name, n in (("complete", 5), ("hypercube", 3), ("hypercube", 4))]
+    for scheme in schemes + [rook_scheme(3, 4)]:
         ed = eigendata(scheme)
         ref = krein_by_trace(scheme, ed)
         assert np.max(np.abs(ed.q - ref)) <= 1e-8 * scheme.size
+    # the rook scheme tells P from Q and q from p, so a P <-> Q swap in the
+    # closed form would fail the trace oracle above
+    assert scheme.k.tolist() == [1, 3, 2, 6]
+    assert np.max(np.abs(ed.P - ed.Q)) > 0.1
+    assert np.max(np.abs(ed.q - scheme.p)) > 0.1
 
 
 def test_bose_mesner_closure():
