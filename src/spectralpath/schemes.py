@@ -123,27 +123,47 @@ class PolyStructure(NamedTuple):
 def _relations_p_tensor(mats, size: int):
     """Intersection tensor by exact triple counting, with regularity check.
 
-    Products are taken in float64, which is exact here because every count
-    is at most |X| < 2**53.
+    p^h_ij is the value of A_i A_j on R_h, which must be the same at every
+    pair of R_h.  The caller has checked that every relation is symmetric,
+    so A_j A_i = (A_i A_j)^T, every R_h is symmetric, and the (j, i) product
+    is regular exactly when the (i, j) one is, with p^h_ji = p^h_ij; and
+    A_0 = I makes the i = 0 and j = 0 slices Kronecker deltas.  Only the
+    d(d+1)/2 products with 1 <= i <= j <= d are formed, in the order the
+    full loop over (i, j) would meet them, so a failing scheme reports the
+    same (h, i, j) witness.
+
+    Every entry of a product, and every partial sum of it, is an integer
+    count between 0 and |X|.  float32 holds every integer below 2**24
+    exactly and float64 every integer below 2**53, so a product in the
+    narrowest of the two that covers |X| is exact whatever order BLAS sums
+    in (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 2.1).
     """
     dp1 = len(mats)
-    F = [m.astype(float) for m in mats]
-    supports = [m.astype(bool) for m in mats]
+    dtype = np.float32 if size < 2**24 else np.float64
+    F = [None] + [m.astype(dtype) for m in mats[1:]]
+    labels = np.zeros((size, size), dtype=np.min_scalar_type(dp1 - 1))
+    for h in range(1, dp1):
+        np.putmask(labels, mats[h], h)
+    # representative pair of R_h: its first pair in row-major order
+    first = np.array([int(np.argmax(m)) for m in mats])
+    eye = np.eye(dp1, dtype=np.int64)
     p = np.zeros((dp1, dp1, dp1), dtype=np.int64)
-    for i in range(dp1):
-        for j in range(dp1):
-            M = np.rint(F[i] @ F[j]).astype(np.int64)
-            for h in range(dp1):
-                vals = M[supports[h]]
-                v0 = int(vals[0])
-                if not np.all(vals == v0):
-                    x, y = np.argwhere(supports[h])[int(np.argmax(vals != v0))]
-                    raise SchemeValidationError(
-                        "regularity",
-                        (h, i, j),
-                        f"triple count at pair ({x}, {y}) differs from {v0}",
-                    )
-                p[h, i, j] = v0
+    p[:, 0, :] = eye
+    p[:, :, 0] = eye
+    for i in range(1, dp1):
+        for j in range(i, dp1):
+            M = F[i] @ F[j]
+            vals = M.ravel()[first]
+            bad = M != vals[labels]
+            if bad.any():
+                h = int(labels[bad].min())
+                x, y = divmod(int(np.argmax(bad & (labels == h))), size)
+                raise SchemeValidationError(
+                    "regularity",
+                    (h, i, j),
+                    f"triple count at pair ({x}, {y}) differs from {int(vals[h])}",
+                )
+            p[:, i, j] = p[:, j, i] = vals
     return p
 
 
@@ -559,6 +579,20 @@ def check_q_polynomial_characterization(
     return _endpoint_check("q", detect_q_polynomial(ed, tol), ed.Q, ed.P, e, f, tol)
 
 
+def _int_rows(rows, width: int) -> np.ndarray:
+    """(lineno, line) rows of `width` integers each, checked one line at a time."""
+    out = np.zeros((len(rows), width), dtype=np.int64)
+    for r, (lineno, line) in enumerate(rows):
+        parts = line.split()
+        if len(parts) != width:
+            raise SchemeParseError(lineno, f"expected {width} integers")
+        try:
+            out[r] = [int(x) for x in parts]
+        except ValueError:
+            raise SchemeParseError(lineno, "non-integer intersection number") from None
+    return out
+
+
 _HEADER_RE = re.compile(r"^SCHEME\s+X=(\d+)\s+D=(\d+)\s+FORM=(RELATIONS|PTENSOR)$")
 
 
@@ -612,10 +646,11 @@ def read_scheme(source) -> AssociationScheme:
             rows = []
             for _ in range(size):
                 lineno, line = take()
-                if len(line) != size or set(line) - {"0", "1"}:
+                if len(line) != size or line.strip("01"):
                     raise SchemeParseError(lineno, f"expected {size} characters of 0/1")
-                rows.append([int(ch) for ch in line])
-            mats.append(np.array(rows, dtype=np.int8))
+                rows.append(line)
+            block = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+            mats.append((block == ord("1")).astype(np.int8).reshape(size, size))
         if pos != len(body):
             raise SchemeParseError(body[pos][0], "unexpected trailing content")
         scheme = scheme_from_relations(mats)
@@ -628,23 +663,29 @@ def read_scheme(source) -> AssociationScheme:
             k = np.array([int(x) for x in parts[1:]], dtype=np.int64)
         except ValueError:
             raise SchemeParseError(lineno, "non-integer valency") from None
-        p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
-        for h in range(d + 1):
-            lineno, line = take()
-            if line != f"P {h}":
-                raise SchemeParseError(lineno, f"expected 'P {h}', got {line!r}")
-            for i in range(d + 1):
+        rows = []
+        try:
+            for h in range(d + 1):
                 lineno, line = take()
-                parts = line.split()
-                if len(parts) != d + 1:
-                    raise SchemeParseError(lineno, f"expected {d + 1} integers")
-                try:
-                    p[h, i, :] = [int(x) for x in parts]
-                except ValueError:
-                    raise SchemeParseError(lineno, "non-integer intersection number") from None
-        if pos != len(body):
-            raise SchemeParseError(body[pos][0], "unexpected trailing content")
-        scheme = scheme_from_p_tensor(p, k)
+                if line != f"P {h}":
+                    raise SchemeParseError(lineno, f"expected 'P {h}', got {line!r}")
+                for _ in range(d + 1):
+                    rows.append(take())
+            if pos != len(body):
+                raise SchemeParseError(body[pos][0], "unexpected trailing content")
+        except SchemeParseError:
+            _int_rows(rows, d + 1)  # a malformed row above the failing line comes first
+            raise
+        try:
+            p = np.loadtxt([line for _, line in rows], dtype=np.int64, ndmin=2, comments=None)
+        except ValueError:
+            p = None
+        if p is None or p.shape != (len(rows), d + 1):
+            # loadtxt rejects some tokens int() accepts ("0_0"), and rows of one
+            # common but wrong width load without error; the per-line route
+            # gives int()'s values or the error of the first bad line
+            p = _int_rows(rows, d + 1)
+        scheme = scheme_from_p_tensor(p.reshape(d + 1, d + 1, d + 1), k)
     if scheme.size != size or scheme.d != d:
         raise SchemeParseError(
             content[0][0],

@@ -282,6 +282,102 @@ def test_relations_regularity_witness():
     assert info.value.axiom in ("regularity", "row_sums", "valency_balance")
 
 
+def triple_count_oracle(mats):
+    """Brute-force p^h_ij over all (i, j, h) in float64; test-side reference.
+
+    Raises the regularity SchemeValidationError at the first failing
+    (i, j, h) in loop order, at the first bad pair of R_h in row-major order.
+    """
+    dp1 = len(mats)
+    F = [np.asarray(m, dtype=float) for m in mats]
+    supports = [np.asarray(m).astype(bool) for m in mats]
+    p = np.zeros((dp1, dp1, dp1), dtype=np.int64)
+    for i in range(dp1):
+        for j in range(dp1):
+            M = np.rint(F[i] @ F[j]).astype(np.int64)
+            for h in range(dp1):
+                vals = M[supports[h]]
+                v0 = int(vals[0])
+                if not np.all(vals == v0):
+                    x, y = np.argwhere(supports[h])[int(np.argmax(vals != v0))]
+                    raise SchemeValidationError(
+                        "regularity", (h, i, j), f"triple count at pair ({x}, {y}) differs from {v0}"
+                    )
+                p[h, i, j] = v0
+    return p
+
+
+def johnson_relations(v, k):
+    """J(v, k) on the k-subsets of v points, R_h: intersection size k - h."""
+    from itertools import combinations
+
+    sets = np.array([[x in c for x in range(v)] for c in combinations(range(v), k)], dtype=int)
+    dist = k - sets @ sets.T
+    return [(dist == h).astype(np.int8) for h in range(k + 1)]
+
+
+def test_triple_counting_matches_brute_force():
+    cases = {
+        "hypercube(5)": builtin_scheme("hypercube", 5).relations,
+        "complete(7)": builtin_scheme("complete", 7).relations,
+        "rook(3, 4)": rook_scheme(3, 4).relations,
+        "J(6, 3)": johnson_relations(6, 3),
+    }
+    for name, mats in cases.items():
+        scheme = scheme_from_relations(mats)
+        assert scheme.p.dtype == np.int64
+        assert np.array_equal(scheme.p, triple_count_oracle(mats)), name
+    assert scheme.size == 20 and scheme.k.tolist() == [1, 9, 9, 1]
+
+
+def test_regularity_witness_matches_brute_force():
+    eye3 = np.eye(3, dtype=np.int8)
+    adj = np.zeros((3, 3), dtype=np.int8)
+    adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = 1
+    path3 = [eye3, adj, np.ones((3, 3), dtype=np.int8) - eye3 - adj]
+
+    cube = [m.copy() for m in builtin_scheme("hypercube", 4).relations]
+    for (x, y), src, dst in (((0, 1), 1, 2), ((5, 6), 2, 1)):
+        assert cube[src][x, y] == 1
+        for a, b in ((x, y), (y, x)):
+            cube[src][a, b], cube[dst][a, b] = 0, 1
+
+    rng = np.random.default_rng(20240611)
+    upper = np.triu(rng.integers(1, 4, size=(12, 12)), 1)
+    labels = upper + upper.T
+    random3 = [(labels == h).astype(np.int8) for h in range(4)]
+
+    for mats in (path3, cube, random3):
+        with pytest.raises(SchemeValidationError) as want:
+            triple_count_oracle(mats)
+        with pytest.raises(SchemeValidationError) as got:
+            scheme_from_relations(mats)
+        assert got.value.axiom == want.value.axiom == "regularity"
+        assert got.value.witness == want.value.witness
+        assert str(got.value) == str(want.value)
+
+
+def test_float32_counting_exact_on_hypercube9():
+    from math import comb
+
+    n = 9
+    scheme = builtin_scheme("hypercube", n)
+    assert scheme.size == 512
+
+    def closed_form(h, i, j):
+        a2, b2 = h + i - j, i + j - h
+        if a2 % 2 or a2 < 0 or b2 < 0:
+            return 0
+        a, b = a2 // 2, b2 // 2
+        return comb(h, a) * comb(n - h, b) if a <= h and b <= n - h else 0
+
+    expected = np.array(
+        [[[closed_form(h, i, j) for j in range(n + 1)] for i in range(n + 1)] for h in range(n + 1)]
+    )
+    assert np.array_equal(scheme.p, expected)
+    assert int(scheme.p.max()) == 126
+
+
 def test_p_tensor_validation_witnesses():
     cube = builtin_scheme("hypercube", 3)
     bad = cube.p.copy()
@@ -336,6 +432,38 @@ def test_scheme_parse_errors_carry_line_numbers():
     assert info.value.lineno == 2
     with pytest.raises(SchemeParseError):
         read_scheme("SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\nP 0\n1 0\n0 1\n")
+    rel = good.splitlines()  # line 6 is the first row of REL 1
+    ptensor = "SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\nP 0\n1 0\n0 1\nP 1\n0 1\n1 0\n".splitlines()
+
+    def edit(lines, changes):
+        out = list(lines)
+        for lineno, text in changes.items():
+            out[lineno - 1] = text
+        return "\n".join(out) + "\n"
+
+    bad_row = "expected 2 characters of 0/1"
+    cases = [
+        (edit(rel, {6: "02"}), 6, bad_row),
+        (edit(rel, {6: "0\u00e9"}), 6, bad_row),
+        (edit(rel, {6: "0\u20ac"}), 6, bad_row),
+        (edit(rel, {6: "0"}), 6, bad_row),
+        # the first bad row wins over a later one of the other kind
+        (edit(rel, {6: "0x", 7: "1"}), 6, bad_row),
+        (edit(ptensor, {8: "1 0.0"}), 8, "non-integer intersection number"),
+        (edit(ptensor, {7: "x 1"}), 7, "non-integer intersection number"),
+        (edit(ptensor, {4: "1 0 0"}), 4, "expected 2 integers"),
+        (edit(ptensor, {4: "1 0 0", 5: "0 1 0", 7: "0 1 0", 8: "1 0 0"}), 4, "expected 2 integers"),
+        (edit(ptensor, {5: "0 y", 7: "0 1 1"}), 5, "non-integer intersection number"),
+        (edit(ptensor, {5: "0 y", 6: "P 7"}), 5, "non-integer intersection number"),
+        (edit(ptensor, {5: "0 y"}) + "EXTRA\n", 5, "non-integer intersection number"),
+        (edit(ptensor[:7], {5: "0 y"}), 5, "non-integer intersection number"),
+    ]
+    for text, lineno, message in cases:
+        with pytest.raises(SchemeParseError) as info:
+            read_scheme(text)
+        assert (info.value.lineno, str(info.value)) == (lineno, f"line {lineno}: {message}"), text
+    # int() accepts digit-group underscores
+    assert read_scheme(edit(ptensor, {4: "1 0_0"})).p[0, 0].tolist() == [1, 0]
 
 
 def test_scheme_file_comments_and_blank_lines():
