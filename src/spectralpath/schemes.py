@@ -134,13 +134,13 @@ def _relations_p_tensor(mats, size: int):
 
     Every entry of a product, and every partial sum of it, is an integer
     count between 0 and |X|.  float32 holds every integer below 2**24
-    exactly and float64 every integer below 2**53, so a product in the
-    narrowest of the two that covers |X| is exact whatever order BLAS sums
-    in (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 2.1).
+    exactly, so the products are exact whatever order BLAS sums in
+    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 2.1).
+    |X| < 2**24 always holds here: a larger |X| x |X| relation matrix would
+    need at least 2**48 bytes.
     """
     dp1 = len(mats)
-    dtype = np.float32 if size < 2**24 else np.float64
-    F = [None] + [m.astype(dtype) for m in mats[1:]]
+    F = [None] + [m.astype(np.float32) for m in mats[1:]]
     labels = np.zeros((size, size), dtype=np.min_scalar_type(dp1 - 1))
     for h in range(1, dp1):
         np.putmask(labels, mats[h], h)
@@ -579,18 +579,23 @@ def check_q_polynomial_characterization(
     return _endpoint_check("q", detect_q_polynomial(ed, tol), ed.Q, ed.P, e, f, tol)
 
 
-def _int_rows(rows, width: int) -> np.ndarray:
-    """(lineno, line) rows of `width` integers each, checked one line at a time."""
-    out = np.zeros((len(rows), width), dtype=np.int64)
-    for r, (lineno, line) in enumerate(rows):
-        parts = line.split()
-        if len(parts) != width:
-            raise SchemeParseError(lineno, f"expected {width} integers")
-        try:
-            out[r] = [int(x) for x in parts]
-        except ValueError:
-            raise SchemeParseError(lineno, "non-integer intersection number") from None
-    return out
+def _load_p_tensor(lines, n: int):
+    """The n x n x n tensor of a PTENSOR body read by one np.loadtxt, or None.
+
+    `lines` are the (lineno, text) lines after the K line.  None unless they
+    are exactly the blocks `P 0` .. `P n-1` of n rows each and loadtxt reads
+    every row as n int64 values.  On None, read_scheme parses line by line,
+    which gives int()'s value for a token loadtxt rejects (such as "0_0") or
+    the error of the first bad line.
+    """
+    if len(lines) != n * (n + 1) or any(lines[h * (n + 1)][1] != f"P {h}" for h in range(n)):
+        return None
+    rows = [line for r, (_, line) in enumerate(lines) if r % (n + 1)]
+    try:
+        p = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
+    except ValueError:
+        return None
+    return p.reshape(n, n, n) if p.shape == (n * n, n) else None
 
 
 _HEADER_RE = re.compile(r"^SCHEME\s+X=(\d+)\s+D=(\d+)\s+FORM=(RELATIONS|PTENSOR)$")
@@ -663,29 +668,25 @@ def read_scheme(source) -> AssociationScheme:
             k = np.array([int(x) for x in parts[1:]], dtype=np.int64)
         except ValueError:
             raise SchemeParseError(lineno, "non-integer valency") from None
-        rows = []
-        try:
+        p = _load_p_tensor(body[pos:], d + 1)
+        if p is None:
+            p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
             for h in range(d + 1):
                 lineno, line = take()
                 if line != f"P {h}":
                     raise SchemeParseError(lineno, f"expected 'P {h}', got {line!r}")
-                for _ in range(d + 1):
-                    rows.append(take())
+                for i in range(d + 1):
+                    lineno, line = take()
+                    parts = line.split()
+                    if len(parts) != d + 1:
+                        raise SchemeParseError(lineno, f"expected {d + 1} integers")
+                    try:
+                        p[h, i, :] = [int(x) for x in parts]
+                    except ValueError:
+                        raise SchemeParseError(lineno, "non-integer intersection number") from None
             if pos != len(body):
                 raise SchemeParseError(body[pos][0], "unexpected trailing content")
-        except SchemeParseError:
-            _int_rows(rows, d + 1)  # a malformed row above the failing line comes first
-            raise
-        try:
-            p = np.loadtxt([line for _, line in rows], dtype=np.int64, ndmin=2, comments=None)
-        except ValueError:
-            p = None
-        if p is None or p.shape != (len(rows), d + 1):
-            # loadtxt rejects some tokens int() accepts ("0_0"), and rows of one
-            # common but wrong width load without error; the per-line route
-            # gives int()'s values or the error of the first bad line
-            p = _int_rows(rows, d + 1)
-        scheme = scheme_from_p_tensor(p.reshape(d + 1, d + 1, d + 1), k)
+        scheme = scheme_from_p_tensor(p, k)
     if scheme.size != size or scheme.d != d:
         raise SchemeParseError(
             content[0][0],

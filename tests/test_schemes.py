@@ -457,6 +457,9 @@ def test_scheme_parse_errors_carry_line_numbers():
         (edit(ptensor, {5: "0 y", 6: "P 7"}), 5, "non-integer intersection number"),
         (edit(ptensor, {5: "0 y"}) + "EXTRA\n", 5, "non-integer intersection number"),
         (edit(ptensor[:7], {5: "0 y"}), 5, "non-integer intersection number"),
+        (edit(ptensor, {6: "P 0"}), 6, "expected 'P 1', got 'P 0'"),
+        # a '#' after the start of a line does not begin a comment
+        (edit(ptensor, {4: "1 0 #", 5: "0 1 #", 7: "0 1 #", 8: "1 0 #"}), 4, "expected 2 integers"),
     ]
     for text, lineno, message in cases:
         with pytest.raises(SchemeParseError) as info:

@@ -11,7 +11,8 @@ and adds each run's end-to-end metrics to BENCH_<label>.json at the root of
 this checkout, under "<workload>/seed<S>".  Every workload entry also holds
 the median and quartiles of each metric over its runs.  Calling it again with
 the same label adds runs, so two checkouts can be measured in alternation.
-The file also records the environment: Python, numpy, BLAS, CPU and cores.
+The file also records the environment: Python, numpy, BLAS, CPU and cores;
+a call made in another environment than the one recorded is refused.
 """
 
 import argparse
@@ -79,7 +80,13 @@ def main() -> int:
     record = {"label": args.label, "environment": environment(), "workloads": {}}
     if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
-            record = json.load(fh)
+            stored = json.load(fh)
+        if stored["environment"] != record["environment"]:
+            sys.stderr.write(f"{path} was recorded in another environment:\n"
+                             f"  stored:  {json.dumps(stored['environment'])}\n"
+                             f"  current: {json.dumps(record['environment'])}\n")
+            return 2
+        record = stored
     entry = record["workloads"].setdefault(f"{args.workload}/seed{args.seed}", {"runs": []})
     entry["units"] = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
