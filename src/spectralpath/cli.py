@@ -45,22 +45,6 @@ _NUMERICAL_ERRORS = (np.linalg.LinAlgError, RuntimeError)
 _INPUT_ERRORS = (ValueError, OSError)
 
 
-def _jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def _fmt(x) -> str:
     return f"{float(x):.6g}"
 
@@ -73,9 +57,19 @@ def _fmt_matrix(M, indent="  ") -> str:
     return "\n".join(indent + "  ".join(f"{x:>10.6g}" for x in row) for row in np.asarray(M))
 
 
+def _json_default(obj):
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, as_json: bool, human_lines):
     if as_json:
-        print(json.dumps(_jsonable(report), indent=2, sort_keys=True))
+        print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     else:
         for line in human_lines:
             print(line)

@@ -73,7 +73,10 @@ def gamma(A, tol: Tolerance = DEFAULT_TOL, with_loops: bool = False) -> Digraph:
     mask = np.abs(A) > tol.zero_tol
     if not with_loops:
         np.fill_diagonal(mask, False)
-    return Digraph(n, tuple(tuple(np.flatnonzero(mask[i]).tolist()) for i in range(n)))
+    rows, cols = np.nonzero(mask)
+    ends = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    cols = cols.tolist()
+    return Digraph(n, tuple(tuple(cols[a:b]) for a, b in zip(ends, ends[1:])))
 
 
 def _bfs(G: Digraph, s: int):

@@ -85,9 +85,9 @@ def read_matrix(source) -> np.ndarray:
                 lines = fh.read().splitlines()
 
     content = [
-        (idx + 1, line.strip())
-        for idx, line in enumerate(lines)
-        if line.strip() and not line.strip().startswith("#")
+        (idx + 1, line)
+        for idx, line in enumerate(map(str.strip, lines))
+        if line and not line.startswith("#")
     ]
     if not content:
         raise MatrixParseError(1, "no content lines found")

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
@@ -180,18 +181,14 @@ def _validate_p_tensor(p: np.ndarray, k: np.ndarray, size: int):
         raise SchemeValidationError(
             "valencies", int(np.sum(k)), f"valencies sum to {int(np.sum(k))}, expected |X| = {size}"
         )
-    for h in range(dp1):
-        for j in range(dp1):
-            if p[h, 0, j] != (1 if h == j else 0):
-                raise SchemeValidationError(
-                    "identity_relation", (h, 0, j), "p^h_0j must be the Kronecker delta"
-                )
-    for i in range(dp1):
-        for j in range(dp1):
-            if p[0, i, j] != (k[i] if i == j else 0):
-                raise SchemeValidationError(
-                    "diagonal_counts", (0, i, j), "p^0_ij must be delta_ij k_i"
-                )
+    bad = p[:, 0, :] != np.eye(dp1, dtype=p.dtype)
+    if bad.any():
+        h, j = np.argwhere(bad)[0]
+        raise SchemeValidationError("identity_relation", (int(h), 0, int(j)), "p^h_0j must be the Kronecker delta")
+    bad = p[0] != np.diag(k)
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise SchemeValidationError("diagonal_counts", (0, int(i), int(j)), "p^0_ij must be delta_ij k_i")
     if not np.array_equal(p, p.transpose(0, 2, 1)):
         h, i, j = np.argwhere(p != p.transpose(0, 2, 1))[0]
         raise SchemeValidationError(
@@ -223,15 +220,13 @@ def scheme_from_relations(mats) -> AssociationScheme:
     for i, m in enumerate(mats):
         if m.shape != (size, size):
             raise SchemeValidationError("shape", i, f"relation {i} has shape {m.shape}")
-        mi = np.rint(np.asarray(m, dtype=float)).astype(np.int8)
-        if not np.array_equal(np.asarray(m, dtype=float), mi) or np.any((mi != 0) & (mi != 1)):
+        mi = (m == 1).view(np.int8)
+        if not np.array_equal(mi, m):
             raise SchemeValidationError("binary", i, f"relation {i} has entries outside {{0, 1}}")
         cleaned.append(mi)
     if not np.array_equal(cleaned[0], np.eye(size, dtype=np.int8)):
         raise SchemeValidationError("identity_relation", 0, "relation 0 must be the identity")
-    total = np.zeros((size, size), dtype=np.int64)
-    for m in cleaned:
-        total += m
+    total = sum(cleaned, np.zeros((size, size), np.int8 if len(cleaned) < 128 else np.int64))
     if not np.all(total == 1):
         x, y = np.argwhere(total != 1)[0]
         raise SchemeValidationError(
@@ -267,22 +262,26 @@ def scheme_from_p_tensor(p, k) -> AssociationScheme:
 def builtin_scheme(name: str, n: int) -> AssociationScheme:
     """Built-in families: hypercube(n) (binary Hamming) and complete(n).
 
-    The hypercube scheme lives on {0, 1}^n with relations by Hamming
-    distance; complete(n) is the 1-class scheme on n points.  Sizes are
+    Both come from closed-form intersection numbers (Brouwer, Cohen and
+    Neumaier, *Distance-Regular Graphs*, 9.2) through scheme_from_p_tensor;
+    no relation matrix is formed.  On {0, 1}^n by Hamming distance, for x, y
+    at distance h, a z at distances i = a + b from x and j = h - a + b from y
+    differs from x in a of the h places where x and y differ and in b of the
+    other n - h.  complete(n) is the 1-class scheme on n points.  Sizes are
     capped at 4096 vertices.
     """
     if name == "hypercube":
         if n < 1 or 2**n > BUILTIN_SIZE_CAP:
             raise ValueError(f"hypercube size 2^{n} outside 2..{BUILTIN_SIZE_CAP}")
-        verts = np.arange(2**n, dtype=np.uint32)
-        dist = np.bitwise_count(verts[:, None] ^ verts[None, :])
-        mats = [(dist == r).astype(np.int8) for r in range(n + 1)]
-        return scheme_from_relations(mats)
+        binom = np.array([[comb(x, y) for y in range(n + 1)] for x in range(n + 1)], dtype=np.int64)
+        h, i, j = np.ogrid[: n + 1, : n + 1, : n + 1]
+        a2, b2 = h + i - j, i + j - h
+        counts = binom[h, np.maximum(a2, 0) // 2] * binom[n - h, np.maximum(b2, 0) // 2]
+        return scheme_from_p_tensor(np.where((a2 % 2 == 0) & (a2 >= 0) & (b2 >= 0), counts, 0), binom[n])
     if name == "complete":
         if n < 2 or n > BUILTIN_SIZE_CAP:
             raise ValueError(f"complete scheme size {n} outside 2..{BUILTIN_SIZE_CAP}")
-        eye = np.eye(n, dtype=np.int8)
-        return scheme_from_relations([eye, np.ones((n, n), dtype=np.int8) - eye])
+        return scheme_from_p_tensor([[[1, 0], [0, n - 1]], [[0, 1], [1, n - 2]]], [1, n - 1])
     raise ValueError(f"unknown builtin scheme {name!r}; expected 'hypercube' or 'complete'")
 
 
@@ -619,9 +618,9 @@ def read_scheme(source) -> AssociationScheme:
             with open(text, "r", encoding="utf-8") as fh:
                 raw = fh.read().splitlines()
     content = [
-        (idx + 1, line.strip())
-        for idx, line in enumerate(raw)
-        if line.strip() and not line.strip().startswith("#")
+        (idx + 1, line)
+        for idx, line in enumerate(map(str.strip, raw))
+        if line and not line.startswith("#")
     ]
     if not content:
         raise SchemeParseError(1, "no content lines found")

@@ -305,7 +305,7 @@ def suite_degenerate(seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> SuiteResult
 
 
 def _suite_scheme(seed: int, tol: Tolerance) -> SuiteResult:
-    """Hypercube battery at sizes 3 and 4: self-duality and known orderings."""
+    """Hypercube battery at sizes 3 and 4: triple counting, self-duality, known orderings."""
     from . import schemes
 
     result = SuiteResult("scheme")
@@ -313,6 +313,10 @@ def _suite_scheme(seed: int, tol: Tolerance) -> SuiteResult:
         scheme = schemes.builtin_scheme("hypercube", n)
         ed = schemes.eigendata(scheme, tol, seed=seed)
         result.cases += 1
+        dist = np.bitwise_count(np.arange(2**n)[:, None] ^ np.arange(2**n))
+        counted = schemes.scheme_from_relations([(dist == r).astype(np.int8) for r in range(n + 1)])
+        if not np.array_equal(counted.p, scheme.p):
+            result.fail(f"hypercube({n}): closed-form p differs from triple counting")
         dev_pq = float(np.max(np.abs(ed.P - ed.Q)))
         result.track("hypercube_P_minus_Q", dev_pq)
         if dev_pq > tol.residual_tol * scheme.size:

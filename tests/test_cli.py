@@ -186,6 +186,33 @@ def test_scheme_commands(capsys):
     assert report["result"]["structures"][0]["ordering"] == [0, 1, 2, 3]
 
 
+def test_scheme_hypercube12_closed_form(capsys):
+    # 4096 vertices: the builtin comes from its intersection numbers, so info
+    # and detection stay cheap; P is the Krawtchouk matrix K_j(i)
+    from math import comb
+
+    n = 12
+    code, out, _ = run(capsys, "scheme", f"builtin:hypercube({n})", "info", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    krawtchouk = [
+        [sum((-1) ** s * comb(i, s) * comb(n - i, j - s) for s in range(j + 1)) for j in range(n + 1)]
+        for i in range(n + 1)
+    ]
+    assert (result["size"], result["d"]) == (4096, n)
+    assert np.allclose(result["P"], krawtchouk, rtol=0, atol=1e-6)
+    assert np.allclose(result["Q"], krawtchouk, rtol=0, atol=1e-6)
+    # the distance ordering, and the one generated by distance n - 1
+    expect = [
+        {"generator": 1, "ordering": list(range(n + 1)), "last": n},
+        {"generator": n - 1, "ordering": [j if j % 2 == 0 else n - j for j in range(n + 1)], "last": n},
+    ]
+    for action in ("p-poly", "q-poly"):
+        code, out, _ = run(capsys, "scheme", f"builtin:hypercube({n})", action, "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["structures"] == expect, action
+
+
 def test_scheme_endpoint_checks(capsys):
     code, out, _ = run(capsys, "scheme", "builtin:hypercube(3)", "p-check", "1", "3")
     assert code == 0

@@ -13,7 +13,7 @@ from spectralpath.digraph import (
     is_irreducible_tridiagonal,
     shortest_path,
 )
-from spectralpath.linalg import Tolerance
+from spectralpath.linalg import DEFAULT_TOL, Tolerance
 
 
 def test_gamma_ignores_diagonal_by_default():
@@ -27,6 +27,23 @@ def test_gamma_threshold():
     A = np.array([[0.0, 1e-12], [1e-9, 0.0]])
     G = gamma(A, Tolerance(zero_tol=1e-10))
     assert list(G.arcs()) == [(1, 0)]
+
+
+def test_gamma_matches_row_by_row_reference():
+    # empty rows, full rows and a row holding only the diagonal
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 7, 25):
+        A = rng.choice([0.0, 1e-12, 0.5, -2.0], size=(n, n))
+        A[n // 2, :] = 0.0
+        A[0, :] = 1.0
+        for with_loops in (False, True):
+            mask = np.abs(A) > DEFAULT_TOL.zero_tol
+            if not with_loops:
+                np.fill_diagonal(mask, False)
+            ref = Digraph(n, tuple(tuple(np.flatnonzero(mask[i]).tolist()) for i in range(n)))
+            G = gamma(A, with_loops=with_loops)
+            assert G == ref
+            assert all(type(j) is int for row in G.out_adj for j in row)
 
 
 def test_from_arcs_validates_range():

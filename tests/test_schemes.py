@@ -32,6 +32,25 @@ CUBE3_P = np.array(
 )
 
 
+def hamming_relations(n):
+    """Relations of H(n, 2) by Hamming distance on {0, 1}^n; test-side builder."""
+    verts = np.arange(2**n)
+    dist = np.bitwise_count(verts[:, None] ^ verts[None, :])
+    return [(dist == r).astype(np.int8) for r in range(n + 1)]
+
+
+def complete_relations(n):
+    """Identity and all other pairs on n points; test-side builder."""
+    eye = np.eye(n, dtype=np.int8)
+    return [eye, 1 - eye]
+
+
+def relation_scheme(name, n):
+    """The builtin family `name` built from explicit relations by triple counting."""
+    mats = hamming_relations(n) if name == "hypercube" else complete_relations(n)
+    return scheme_from_relations(mats)
+
+
 def projectors_from_relations(scheme, ed):
     """Spectral projectors as explicit |X| x |X| matrices; test-side oracle."""
     mats = [np.asarray(m, dtype=float) for m in scheme.relations]
@@ -72,7 +91,7 @@ def test_complete_four_frozen_values():
 
 
 def test_complete_four_projectors():
-    scheme = builtin_scheme("complete", 4)
+    scheme = relation_scheme("complete", 4)
     ed = eigendata(scheme)
     E = projectors_from_relations(scheme, ed)
     # E_0 = J/4, E_1 = I - J/4
@@ -112,7 +131,7 @@ def rook_scheme(m, n):
 
 
 def test_krein_matches_trace_oracle():
-    schemes = [builtin_scheme(name, n) for name, n in (("complete", 5), ("hypercube", 3), ("hypercube", 4))]
+    schemes = [relation_scheme(name, n) for name, n in (("complete", 5), ("hypercube", 3), ("hypercube", 4))]
     for scheme in schemes + [rook_scheme(3, 4)]:
         ed = eigendata(scheme)
         ref = krein_by_trace(scheme, ed)
@@ -125,7 +144,7 @@ def test_krein_matches_trace_oracle():
 
 
 def test_bose_mesner_closure():
-    scheme = builtin_scheme("hypercube", 3)
+    scheme = relation_scheme("hypercube", 3)
     mats = [np.asarray(m, dtype=float) for m in scheme.relations]
     for i in range(scheme.d + 1):
         for j in range(scheme.d + 1):
@@ -176,7 +195,7 @@ def test_eigendata_deterministic_and_seedable():
 
 
 def test_ptensor_only_scheme_matches_relations_route():
-    rel = builtin_scheme("hypercube", 3)
+    rel = relation_scheme("hypercube", 3)
     bare = scheme_from_p_tensor(rel.p, rel.k)
     assert bare.relations is None
     ed_rel = eigendata(rel)
@@ -318,8 +337,8 @@ def johnson_relations(v, k):
 
 def test_triple_counting_matches_brute_force():
     cases = {
-        "hypercube(5)": builtin_scheme("hypercube", 5).relations,
-        "complete(7)": builtin_scheme("complete", 7).relations,
+        "hypercube(5)": hamming_relations(5),
+        "complete(7)": complete_relations(7),
         "rook(3, 4)": rook_scheme(3, 4).relations,
         "J(6, 3)": johnson_relations(6, 3),
     }
@@ -336,7 +355,7 @@ def test_regularity_witness_matches_brute_force():
     adj[0, 1] = adj[1, 0] = adj[1, 2] = adj[2, 1] = 1
     path3 = [eye3, adj, np.ones((3, 3), dtype=np.int8) - eye3 - adj]
 
-    cube = [m.copy() for m in builtin_scheme("hypercube", 4).relations]
+    cube = hamming_relations(4)
     for (x, y), src, dst in (((0, 1), 1, 2), ((5, 6), 2, 1)):
         assert cube[src][x, y] == 1
         for a, b in ((x, y), (y, x)):
@@ -361,7 +380,7 @@ def test_float32_counting_exact_on_hypercube9():
     from math import comb
 
     n = 9
-    scheme = builtin_scheme("hypercube", n)
+    scheme = scheme_from_relations(hamming_relations(n))
     assert scheme.size == 512
 
     def closed_form(h, i, j):
@@ -378,6 +397,30 @@ def test_float32_counting_exact_on_hypercube9():
     assert int(scheme.p.max()) == 126
 
 
+def test_builtin_closed_form_matches_triple_counting():
+    cases = [("hypercube", n) for n in range(1, 9)] + [("complete", n) for n in (2, 3, 64, 200)]
+    for name, n in cases:
+        built, counted = builtin_scheme(name, n), relation_scheme(name, n)
+        assert built.relations is None
+        assert (built.size, built.d) == (counted.size, counted.d), (name, n)
+        assert built.p.dtype == counted.p.dtype and built.k.dtype == counted.k.dtype
+        assert np.array_equal(built.p, counted.p), (name, n)
+        assert np.array_equal(built.k, counted.k), (name, n)
+
+
+def test_builtin_allocates_no_relation_matrix():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        scheme = builtin_scheme("hypercube", 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scheme.size == 4096 and scheme.relations is None
+    assert peak < scheme.size**2 // 16  # one int8 relation matrix takes |X|^2 bytes
+
+
 def test_p_tensor_validation_witnesses():
     cube = builtin_scheme("hypercube", 3)
     bad = cube.p.copy()
@@ -389,8 +432,53 @@ def test_p_tensor_validation_witnesses():
     assert info.value.axiom == "valencies"
 
 
+def test_p_tensor_delta_witnesses_are_first_in_row_major_order():
+    # loop references: the first failing (h, 0, j), then the first failing (0, i, j)
+    def first_identity_failure(p):
+        dp1 = p.shape[0]
+        return next((h, 0, j) for h in range(dp1) for j in range(dp1) if p[h, 0, j] != (h == j))
+
+    def first_diagonal_failure(p, k):
+        dp1 = p.shape[0]
+        return next((0, i, j) for i in range(dp1) for j in range(dp1) if p[0, i, j] != (k[i] if i == j else 0))
+
+    cube = builtin_scheme("hypercube", 3)
+    for spots in ([(1, 0, 2)], [(3, 0, 0), (1, 0, 1)], [(2, 0, 3), (0, 0, 1)]):
+        bad = cube.p.copy()
+        for spot in spots:
+            bad[spot] += 1
+        with pytest.raises(SchemeValidationError) as info:
+            scheme_from_p_tensor(bad, cube.k)
+        assert info.value.axiom == "identity_relation"
+        assert info.value.witness == first_identity_failure(bad)
+    for spots in ([(0, 2, 3)], [(0, 3, 3), (0, 1, 2)], [(0, 2, 1), (0, 1, 1)]):
+        bad = cube.p.copy()
+        for spot in spots:
+            bad[spot] += 1
+        with pytest.raises(SchemeValidationError) as info:
+            scheme_from_p_tensor(bad, cube.k)
+        assert info.value.axiom == "diagonal_counts"
+        assert info.value.witness == first_diagonal_failure(bad, cube.k)
+        assert str(info.value).endswith("p^0_ij must be delta_ij k_i")
+
+
+def test_relations_prelude_accepts_any_zero_one_dtype():
+    mats = hamming_relations(3)
+    want = scheme_from_relations(mats)
+    for dtype in (bool, np.uint8, np.int64, float):
+        got = scheme_from_relations([m.astype(dtype) for m in mats])
+        assert np.array_equal(got.p, want.p)
+        assert all(r.dtype == np.int8 for r in got.relations)
+    for value in (np.nan, 0.5, -1.0, 2.0):
+        bad = [m.astype(float) for m in mats]
+        bad[2][0, 3] = value
+        with pytest.raises(SchemeValidationError) as info:
+            scheme_from_relations(bad)
+        assert (info.value.axiom, info.value.witness) == ("binary", 2)
+
+
 def test_scheme_text_round_trip_relations(tmp_path):
-    scheme = builtin_scheme("hypercube", 3)
+    scheme = relation_scheme("hypercube", 3)
     text = write_scheme(scheme)
     assert text.startswith("SCHEME X=8 D=3 FORM=RELATIONS\n")
     back = read_scheme(text)

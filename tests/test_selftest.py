@@ -3,6 +3,7 @@
 import numpy as np
 
 from spectralpath.equivalence import analyze_matrix
+from spectralpath.linalg import DEFAULT_TOL
 from spectralpath.selftest import (
     MAX_RECORDED_FAILURES,
     SuiteResult,
@@ -67,3 +68,24 @@ def test_run_all_suites_force_fail():
     assert names[-1] == "forced_failure"
     assert not results[-1].passed
     assert all(r.passed for r in results[:-1])
+
+
+def test_scheme_suite_cross_checks_closed_form(monkeypatch):
+    from dataclasses import replace
+
+    from spectralpath import schemes
+    from spectralpath.selftest import _suite_scheme
+
+    assert _suite_scheme(seed=0, tol=DEFAULT_TOL).passed
+    counted = schemes.scheme_from_relations
+
+    def off_by_one(mats):
+        scheme = counted(mats)
+        p = scheme.p.copy()
+        p[1, 1, 2] += 1
+        return replace(scheme, p=p)
+
+    monkeypatch.setattr(schemes, "scheme_from_relations", off_by_one)
+    result = _suite_scheme(seed=0, tol=DEFAULT_TOL)
+    assert not result.passed
+    assert any("differs from triple counting" in msg for msg in result.failures)
