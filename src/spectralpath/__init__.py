@@ -59,10 +59,8 @@ from .schemes import (
     detect_q_polynomial,
     eigendata,
     intersection_matrix,
-    krein_matrix,
     krein_parameters,
     read_scheme,
-    rho_idempotent,
     scheme_from_p_tensor,
     scheme_from_relations,
     write_scheme,
@@ -140,13 +138,11 @@ __all__ = [
     "intersection_matrix",
     "is_hessenberg",
     "is_irreducible_tridiagonal",
-    "krein_matrix",
     "krein_parameters",
     "primitive_idempotents",
     "random_instance",
     "read_matrix",
     "read_scheme",
-    "rho_idempotent",
     "scheme_from_p_tensor",
     "scheme_from_relations",
     "shortest_path",

@@ -68,6 +68,11 @@ def _json_default(obj):
 
 
 def _emit(report: dict, as_json: bool, human_lines):
+    """Print `report` as JSON, or else the lines of `human_lines`.
+
+    Commands pass a generator, so the human text is formatted only when it
+    is printed.
+    """
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
     else:
@@ -156,31 +161,28 @@ def _cmd_analyze(args) -> int:
         "verdict": f"order-{n} matrix classified {spectral.kind.value}",
     }
 
-    lines = [
-        f"order: {n}   arcs: {analysis.graph.arc_count()}",
-        f"path order: {' -> '.join(map(str, analysis.path_order)) if analysis.path_order else 'not a bidirected path'}",
-        f"spectral class: {spectral.kind.value}",
-        "eigenvalues: " + ", ".join(f"{_fmt(v)} (x{m})" for v, m in spectral.eigenvalues),
-    ]
-    if isinstance(sym, Symmetrizer):
-        lines.append(f"symmetrizer weights: {_fmt_vec(sym.kappa)}")
-    else:
-        lines.append(f"not symmetrizable: {sym.reason} at {sym.witness}")
-    if spectral.kind is SpectralKind.MULTIPLICITY_FREE:
-        if constant_positions:
-            for item in constant_positions:
-                lines.append(
-                    f"constant profile at ({item['s']}, {item['t']}): {_fmt(item['value'])}"
-                )
+    def lines():
+        yield f"order: {n}   arcs: {analysis.graph.arc_count()}"
+        yield f"path order: {' -> '.join(map(str, analysis.path_order)) if analysis.path_order else 'not a bidirected path'}"
+        yield f"spectral class: {spectral.kind.value}"
+        yield "eigenvalues: " + ", ".join(f"{_fmt(v)} (x{m})" for v, m in spectral.eigenvalues)
+        if isinstance(sym, Symmetrizer):
+            yield f"symmetrizer weights: {_fmt_vec(sym.kappa)}"
         else:
-            lines.append("constant profile positions: none")
-    if requested is not None and requested["profile"] is not None:
-        p = requested["profile"]
-        lines.append(
-            f"profile ({args.s}, {args.t}): {_fmt_vec(p['values'])} "
-            f"spread {_fmt(p['spread'])} threshold {_fmt(p['threshold'])}"
-        )
-    _emit(report, args.json, lines)
+            yield f"not symmetrizable: {sym.reason} at {sym.witness}"
+        if spectral.kind is SpectralKind.MULTIPLICITY_FREE:
+            for item in constant_positions:
+                yield f"constant profile at ({item['s']}, {item['t']}): {_fmt(item['value'])}"
+            if not constant_positions:
+                yield "constant profile positions: none"
+        if requested is not None and requested["profile"] is not None:
+            p = requested["profile"]
+            yield (
+                f"profile ({args.s}, {args.t}): {_fmt_vec(p['values'])} "
+                f"spread {_fmt(p['spread'])} threshold {_fmt(p['threshold'])}"
+            )
+
+    _emit(report, args.json, lines())
     return EXIT_TRUE
 
 
@@ -211,22 +213,20 @@ def _cmd_check(args) -> int:
         },
         "verdict": verdict,
     }
-    lines = [
-        f"form: {rep.form}   position: ({rep.s}, {rep.t})",
-        f"pattern side: {rep.condition_i}   spectral side: {rep.condition_ii}",
-        f"spectral class: {rep.spectral_kind.value}   distance: {rep.distance}",
-    ]
-    if profile is not None:
-        lines.append(
-            f"profile: {_fmt_vec(profile['values'])}"
-            + (
+
+    def lines():
+        yield f"form: {rep.form}   position: ({rep.s}, {rep.t})"
+        yield f"pattern side: {rep.condition_i}   spectral side: {rep.condition_ii}"
+        yield f"spectral class: {rep.spectral_kind.value}   distance: {rep.distance}"
+        if profile is not None:
+            yield f"profile: {_fmt_vec(profile['values'])}" + (
                 f" constant {_fmt(profile['common_value'])}"
                 if profile["common_value"] is not None
                 else " (not a nonzero constant)"
             )
-        )
-    lines.append(f"verdict: {verdict}")
-    _emit(report, args.json, lines)
+        yield f"verdict: {verdict}"
+
+    _emit(report, args.json, lines())
     return code
 
 
@@ -271,14 +271,17 @@ def _report_structures(args, kind: str, scheme, structures, tol: Tolerance, seed
     }
     if seed is not None:
         report["seed"] = seed
-    lines = [f"|X| = {scheme.size}   d = {scheme.d}"]
-    for st in structures:
-        lines.append(
-            f"{name}: generator {st.generator}, ordering "
-            f"{' -> '.join(map(str, st.ordering))}, last {st.last}"
-        )
-    lines.append(f"verdict: {verdict}")
-    _emit(report, args.json, lines)
+
+    def lines():
+        yield f"|X| = {scheme.size}   d = {scheme.d}"
+        for st in structures:
+            yield (
+                f"{name}: generator {st.generator}, ordering "
+                f"{' -> '.join(map(str, st.ordering))}, last {st.last}"
+            )
+        yield f"verdict: {verdict}"
+
+    _emit(report, args.json, lines())
     return EXIT_TRUE if structures else EXIT_FALSE
 
 
@@ -320,17 +323,18 @@ def _cmd_scheme(args) -> int:
             },
             "verdict": f"scheme on {scheme.size} points with {scheme.d} classes",
         }
-        lines = [
-            f"|X| = {scheme.size}   d = {scheme.d}",
-            f"valencies k: {_fmt_vec(ed.k)}",
-            f"multiplicities m: {_fmt_vec(ed.m)}",
-            "P:",
-            _fmt_matrix(ed.P),
-            "Q:",
-            _fmt_matrix(ed.Q),
-            f"Krein parameter range: [{_fmt(kmin)}, {_fmt(kmax)}]",
-        ]
-        _emit(report, args.json, lines)
+
+        def lines():
+            yield f"|X| = {scheme.size}   d = {scheme.d}"
+            yield f"valencies k: {_fmt_vec(ed.k)}"
+            yield f"multiplicities m: {_fmt_vec(ed.m)}"
+            yield "P:"
+            yield _fmt_matrix(ed.P)
+            yield "Q:"
+            yield _fmt_matrix(ed.Q)
+            yield f"Krein parameter range: [{_fmt(kmin)}, {_fmt(kmax)}]"
+
+        _emit(report, args.json, lines())
         return EXIT_TRUE
 
     if action == "q-poly":
@@ -349,17 +353,18 @@ def _cmd_scheme(args) -> int:
         "result": _characterization_payload(rep),
         "verdict": verdict,
     }
-    lines = [
-        f"{action} generator {b} last {c}",
-        f"structure side: {rep.side_i}   eigenvalue side: {rep.side_ii}",
-        f"eigenvalue column: {_fmt_vec(rep.theta)}",
-    ]
-    if rep.expected is not None:
-        lines.append(f"expected ratios: {_fmt_vec(rep.expected)}")
-        lines.append(f"actual column:   {_fmt_vec(rep.actual)}")
-        lines.append(f"max deviation: {_fmt(rep.max_deviation)}")
-    lines.append(f"verdict: {verdict}")
-    _emit(report, args.json, lines)
+
+    def lines():
+        yield f"{action} generator {b} last {c}"
+        yield f"structure side: {rep.side_i}   eigenvalue side: {rep.side_ii}"
+        yield f"eigenvalue column: {_fmt_vec(rep.theta)}"
+        if rep.expected is not None:
+            yield f"expected ratios: {_fmt_vec(rep.expected)}"
+            yield f"actual column:   {_fmt_vec(rep.actual)}"
+            yield f"max deviation: {_fmt(rep.max_deviation)}"
+        yield f"verdict: {verdict}"
+
+    _emit(report, args.json, lines())
     return code
 
 
@@ -386,15 +391,17 @@ def _cmd_selftest(args) -> int:
         ],
         "verdict": "all suites passed" if all_passed else "suite failures",
     }
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        worst = " ".join(f"{k}={v:.3e}" for k, v in sorted(r.worst.items()))
-        lines.append(f"{status} {r.name}: cases={r.cases} {worst}".rstrip())
-        for msg in r.failures:
-            lines.append(f"    {msg}")
-    lines.append(f"verdict: {'all suites passed' if all_passed else 'suite failures'}")
-    _emit(report, args.json, lines)
+
+    def lines():
+        for r in results:
+            status = "PASS" if r.passed else "FAIL"
+            worst = " ".join(f"{k}={v:.3e}" for k, v in sorted(r.worst.items()))
+            yield f"{status} {r.name}: cases={r.cases} {worst}".rstrip()
+            for msg in r.failures:
+                yield f"    {msg}"
+        yield f"verdict: {report['verdict']}"
+
+    _emit(report, args.json, lines())
     return EXIT_TRUE if all_passed else EXIT_NUMERICAL
 
 

@@ -29,7 +29,7 @@ import numpy as np
 
 from .digraph import bidirected_path_endpoints, gamma
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectra import gap_product
+from .spectra import _gap_products
 
 __all__ = [
     "AssociationScheme",
@@ -43,8 +43,6 @@ __all__ = [
     "intersection_matrix",
     "eigendata",
     "krein_parameters",
-    "krein_matrix",
-    "rho_idempotent",
     "detect_p_polynomial",
     "detect_q_polynomial",
     "check_p_polynomial_characterization",
@@ -435,40 +433,35 @@ def _verify_eigendata(scheme, P, Q, m, q, tol: Tolerance) -> dict:
     return checks
 
 
-def krein_matrix(ed: SchemeEigendata, i: int) -> np.ndarray:
-    """Dual intersection matrix with (h, j) entry q^h_ij."""
-    if not (0 <= i <= ed.d):
-        raise ValueError(f"index {i} outside 0..{ed.d}")
-    return ed.q[:, i, :].copy()
+def _polynomial_orderings(stack: np.ndarray, tol: Tolerance):
+    """Shared path-shape scan behind both detection routines.
 
-
-def rho_idempotent(ed: SchemeEigendata, i: int) -> np.ndarray:
-    """Image of the i-th projector in the intersection-matrix representation.
-
-    Rank one: |X|^{-1} times the outer product of column i of Q with row i
-    of P.
+    `stack[i]` is the matrix of generator i: B_i, or its dual.  One array
+    pass keeps the generators whose off-diagonal pattern is symmetric, has
+    two rows of degree 1 (row 0 among them) and every other row of degree 2;
+    a bidirected path that ends at 0 needs all three.  Degree counts also
+    admit a path plus disjoint cycles, so each survivor is still walked by
+    bidirected_path_endpoints.  A non-finite matrix survives too, for gamma
+    to reject.
     """
-    if not (0 <= i <= ed.d):
-        raise ValueError(f"index {i} outside 0..{ed.d}")
-    return np.outer(ed.Q[:, i], ed.P[i, :]) / ed.size
-
-
-def _polynomial_orderings(matrices, tol: Tolerance):
-    """Shared path-shape scan behind both detection routines."""
+    d = stack.shape[0] - 1
+    mask = np.abs(stack) > tol.zero_tol
+    mask[:, np.arange(d + 1), np.arange(d + 1)] = False
+    deg = mask.sum(axis=2)
+    keep = (
+        (mask == mask.transpose(0, 2, 1)).all(axis=(1, 2))
+        & (deg[:, 0] == 1)
+        & ((deg == 1).sum(axis=1) == 2)
+        & ((deg == 2).sum(axis=1) == d - 1)
+    ) | ~np.isfinite(stack).all(axis=(1, 2))
     found = []
-    d = len(matrices) - 1
-    for i in range(1, d + 1):
-        G = gamma(matrices[i], tol)
-        order = bidirected_path_endpoints(G)
+    for i in (np.flatnonzero(keep[1:]) + 1).tolist():
+        order = bidirected_path_endpoints(gamma(stack[i], tol))
         if order is None:
             continue
-        if order[0] == 0:
-            path = order
-        elif order[-1] == 0:
-            path = tuple(reversed(order))
-        else:
-            continue  # index 0 must be an endpoint of a generating ordering
-        if d >= 1 and path[1] != i:
+        # deg[:, 0] == 1 above makes 0 an endpoint of every path found
+        path = order if order[0] == 0 else tuple(reversed(order))
+        if path[1] != i:
             raise RuntimeError(
                 f"ordering for generator {i} starts 0 -> {path[1]}; structural invariant broken"
             )
@@ -483,14 +476,12 @@ def detect_p_polynomial(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL)
     bidirected path; the ordering starts at 0 and its second entry is
     always i.
     """
-    mats = [intersection_matrix(scheme, i) for i in range(scheme.d + 1)]
-    return _polynomial_orderings(mats, tol)
+    return _polynomial_orderings(scheme.p.transpose(1, 0, 2), tol)
 
 
 def detect_q_polynomial(ed: SchemeEigendata, tol: Tolerance = DEFAULT_TOL):
     """All projector orderings under which the scheme is Q-polynomial."""
-    mats = [krein_matrix(ed, i) for i in range(ed.d + 1)]
-    return _polynomial_orderings(mats, tol)
+    return _polynomial_orderings(ed.q.transpose(1, 0, 2), tol)
 
 
 @dataclass(frozen=True)
@@ -537,8 +528,8 @@ def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
     max_dev = None
     side_ii = False
     if float(np.min(gaps)) > tol.eig_tol:
-        f0 = gap_product(theta, 0, tol)
-        expected = np.array([f0 / gap_product(theta, i, tol) for i in range(d + 1)])
+        g = _gap_products(theta, np.arange(d + 1), tol)
+        expected = g[0] / g
         max_dev = float(np.max(np.abs(actual - expected)))
         bound = tol.residual_tol * max(1.0, float(np.max(np.abs(expected))))
         side_ii = max_dev <= bound
@@ -647,14 +638,17 @@ def read_scheme(source) -> AssociationScheme:
             lineno, line = take()
             if line != f"REL {i}":
                 raise SchemeParseError(lineno, f"expected 'REL {i}', got {line!r}")
-            rows = []
-            for _ in range(size):
-                lineno, line = take()
-                if len(line) != size or line.strip("01"):
-                    raise SchemeParseError(lineno, f"expected {size} characters of 0/1")
-                rows.append(line)
-            block = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
-            mats.append((block == ord("1")).astype(np.int8).reshape(size, size))
+            rows = [text for _, text in body[pos : pos + size]]
+            block = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
+            # '0' and '1' are the only bytes b with b | 1 == ord("1")
+            bad = len(rows) < size or any(len(row) != size for row in rows)
+            if bad or np.any((block | 1) != ord("1")):
+                for _ in range(size):  # name the first bad line
+                    lineno, line = take()
+                    if len(line) != size or line.strip("01"):
+                        raise SchemeParseError(lineno, f"expected {size} characters of 0/1")
+            pos += size
+            mats.append((block == ord("1")).view(np.int8).reshape(size, size))
         if pos != len(body):
             raise SchemeParseError(body[pos][0], "unexpected trailing content")
         scheme = scheme_from_relations(mats)

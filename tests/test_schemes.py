@@ -4,7 +4,10 @@ polynomial structure detection, endpoint checks, file format."""
 import numpy as np
 import pytest
 
+from spectralpath.digraph import bidirected_path_endpoints, gamma
+from spectralpath.linalg import DEFAULT_TOL, Tolerance
 from spectralpath.schemes import (
+    PolyStructure,
     SchemeParseError,
     SchemeValidationError,
     builtin_scheme,
@@ -14,12 +17,11 @@ from spectralpath.schemes import (
     detect_q_polynomial,
     eigendata,
     intersection_matrix,
-    krein_matrix,
     read_scheme,
-    rho_idempotent,
     scheme_from_p_tensor,
     scheme_from_relations,
     write_scheme,
+    _polynomial_orderings,
 )
 
 CUBE3_P = np.array(
@@ -162,7 +164,7 @@ def test_valency_weights_symmetrize_intersection_matrices():
         for i in range(scheme.d + 1):
             B = intersection_matrix(scheme, i)
             assert np.max(np.abs(K @ B - B.T @ K)) <= 1e-9 * scheme.size
-            Bs = krein_matrix(ed, i)
+            Bs = ed.q[:, i, :]
             assert np.max(np.abs(M @ Bs - Bs.T @ M)) <= 1e-9 * scheme.size
 
 
@@ -170,7 +172,7 @@ def test_rho_idempotents_representation():
     scheme = builtin_scheme("hypercube", 3)
     ed = eigendata(scheme)
     dp1 = scheme.d + 1
-    rhos = [rho_idempotent(ed, i) for i in range(dp1)]
+    rhos = [np.outer(ed.Q[:, i], ed.P[i, :]) / ed.size for i in range(dp1)]
     total = sum(rhos)
     assert np.allclose(total, np.eye(dp1), atol=1e-9)
     for i in range(dp1):
@@ -217,6 +219,83 @@ def test_even_cube_second_structure():
     cube = builtin_scheme("hypercube", 4)
     structs = detect_p_polynomial(cube)
     assert set(structs) == {(1, (0, 1, 2, 3, 4), 4), (3, (0, 3, 2, 1, 4), 4)}
+
+
+def reference_orderings(stack, tol):
+    """One gamma + bidirected_path_endpoints walk per generator; the scan's reference."""
+    found = []
+    for i in range(1, len(stack)):
+        order = bidirected_path_endpoints(gamma(stack[i], tol))
+        if order is None or 0 not in (order[0], order[-1]):
+            continue
+        path = order if order[0] == 0 else tuple(reversed(order))
+        if path[1] != i:
+            raise RuntimeError(
+                f"ordering for generator {i} starts 0 -> {path[1]}; structural invariant broken"
+            )
+        found.append(PolyStructure(generator=i, ordering=path, last=path[-1]))
+    return tuple(found)
+
+
+def scan_outcome(scan, stack, tol):
+    try:
+        return scan(stack, tol)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def random_generator_matrix(rng, n, i, zero_tol):
+    """One generator's matrix: random, a planted path, or a near miss of one."""
+    M = np.diag(rng.uniform(-2.0, 2.0, n))
+    kind = int(rng.integers(6))
+    if kind == 0:  # random pattern
+        return M + rng.uniform(-2.0, 2.0, (n, n)) * (rng.random((n, n)) < rng.uniform(0.0, 0.6))
+    perm = rng.permutation(n).tolist()
+    if rng.random() < 0.7:  # 0 at an end, often followed by the generator
+        head = [0, i] if i and rng.random() < 0.7 else [0]
+        perm = head + [v for v in perm if v not in head]
+        if rng.random() < 0.5:
+            perm.reverse()
+    ends = [(perm[a], perm[a + 1]) for a in range(n - 1)]
+    if kind == 3 and n >= 5:  # path on perm[:cut] plus a cycle on the rest
+        cut = int(rng.integers(2, n - 2))
+        ends = ends[: cut - 1] + ends[cut:] + [(perm[cut], perm[-1])]
+    for a, b in ends:
+        M[a, b], M[b, a] = rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 2.0, 2)
+    if kind == 2 and ends:  # a one-way arc
+        a, b = ends[int(rng.integers(len(ends)))]
+        M[a, b] = 0.0
+    if kind == 4:  # entries at the threshold are zero, just above it not
+        a, b = rng.integers(n, size=2)
+        M[a, b] = M[b, a] = rng.choice([zero_tol, -zero_tol, np.nextafter(zero_tol, 1.0)])
+        if ends and rng.random() < 0.3:
+            a, b = ends[int(rng.integers(len(ends)))]
+            M[a, b] = M[b, a] = zero_tol
+    if kind == 5 and rng.random() < 0.1:
+        M[rng.integers(n), rng.integers(n)] = rng.choice([np.nan, np.inf])
+    return M
+
+
+def test_tensor_scan_matches_per_generator_walk():
+    rng = np.random.default_rng(20260801)
+    tol = Tolerance(zero_tol=1e-11)
+    kinds = {"found": 0, "none": 0, "raised": 0}
+    for _ in range(2000):
+        n = int(rng.integers(1, 9))  # d = 0 .. 7
+        stack = np.array([random_generator_matrix(rng, n, i, tol.zero_tol) for i in range(n)])
+        got = scan_outcome(_polynomial_orderings, stack, tol)
+        assert got == scan_outcome(reference_orderings, stack, tol), stack
+        kinds["none" if not got else "raised" if isinstance(got[0], type) else "found"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+    # every scheme the detection tests build, both sides
+    built = [builtin_scheme("hypercube", n) for n in range(1, 13)]
+    built += [builtin_scheme("complete", n) for n in (2, 4)] + [rook_scheme(3, 4)]
+    for scheme in built:
+        ed = eigendata(scheme)
+        p_mats = [intersection_matrix(scheme, i) for i in range(scheme.d + 1)]
+        assert detect_p_polynomial(scheme) == reference_orderings(p_mats, DEFAULT_TOL)
+        assert detect_q_polynomial(ed) == reference_orderings(ed.q.transpose(1, 0, 2), DEFAULT_TOL)
 
 
 def test_endpoint_check_cube3():
@@ -537,6 +616,12 @@ def test_scheme_parse_errors_carry_line_numbers():
         (edit(rel, {6: "0"}), 6, bad_row),
         # the first bad row wins over a later one of the other kind
         (edit(rel, {6: "0x", 7: "1"}), 6, bad_row),
+        # the last block after good ones; a short row; non-ASCII; a missing final row
+        (edit(rel, {7: "1x"}), 7, bad_row),
+        (edit(rel, {3: "1"}), 3, bad_row),
+        (edit(rel, {4: "0\uff11"}), 4, bad_row),
+        (edit(rel, {4: "0\udcff"}), 4, bad_row),
+        ("\n".join(rel[:-1]) + "\n", 6, "unexpected end of file"),
         (edit(ptensor, {8: "1 0.0"}), 8, "non-integer intersection number"),
         (edit(ptensor, {7: "x 1"}), 7, "non-integer intersection number"),
         (edit(ptensor, {4: "1 0 0"}), 4, "expected 2 integers"),
