@@ -78,7 +78,6 @@ from .spectra import (
     entry_product_profile,
     gap_product,
     primitive_idempotents,
-    spectrum_of,
 )
 from .symmetrize import (
     NotSymmetrizable,
@@ -146,7 +145,6 @@ __all__ = [
     "scheme_from_p_tensor",
     "scheme_from_relations",
     "shortest_path",
-    "spectrum_of",
     "tridiagonal_symmetrizer",
     "write_matrix",
     "write_scheme",

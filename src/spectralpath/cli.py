@@ -15,7 +15,6 @@ six significant digits.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
@@ -74,7 +73,7 @@ def _emit(report: dict, as_json: bool, human_lines):
     is printed.
     """
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True, default=_json_default))
+        print(json.dumps(report, sort_keys=True, default=_json_default))
     else:
         for line in human_lines:
             print(line)
@@ -108,12 +107,14 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true", help="emit a full-precision JSON report")
 
 
+# vars() rather than dataclasses.asdict, whose fields() builds a tuple from a
+# generator on every call (see digraph._out_lists); the fields are flat.
 def _profile_dict(profile):
-    return None if profile is None else dataclasses.asdict(profile)
+    return None if profile is None else dict(vars(profile))
 
 
 def _tol_dict(tol: Tolerance) -> dict:
-    return dataclasses.asdict(tol)
+    return dict(vars(tol))
 
 
 def _verdict(side_i: bool, side_ii: bool):

@@ -68,15 +68,20 @@ def gamma(A, tol: Tolerance = DEFAULT_TOL, with_loops: bool = False) -> Digraph:
     Arc i -> j is present when |A[i, j]| > zero_tol and i != j; with
     `with_loops` the diagonal contributes self-loops as well.
     """
-    A = as_matrix(A)
-    n = A.shape[0]
-    mask = np.abs(A) > tol.zero_tol
+    mask = np.abs(as_matrix(A)) > tol.zero_tol
     if not with_loops:
         np.fill_diagonal(mask, False)
+    return Digraph(len(mask), _out_lists(mask))
+
+
+def _out_lists(mask: np.ndarray) -> tuple:
+    """Ascending column indices of the True entries of each row of `mask`."""
     rows, cols = np.nonzero(mask)
-    ends = np.searchsorted(rows, np.arange(n + 1)).tolist()
+    ends = np.searchsorted(rows, np.arange(len(mask) + 1)).tolist()
     cols = cols.tolist()
-    return Digraph(n, tuple(tuple(cols[a:b]) for a, b in zip(ends, ends[1:])))
+    # From a list, not a generator: CPython resizes a tuple built from a
+    # generator, and once freed it sits on the free list of its final size.
+    return tuple([tuple(cols[a:b]) for a, b in zip(ends, ends[1:])])
 
 
 def _bfs(G: Digraph, s: int):
@@ -187,26 +192,10 @@ def is_irreducible_tridiagonal(A, tol: Tolerance = DEFAULT_TOL) -> bool:
     A 1x1 matrix counts (empty off-diagonals).
     """
     A = as_matrix(A)
-    n = A.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) > 1 and abs(A[i, j]) > tol.zero_tol:
-                return False
-    for i in range(n - 1):
-        if abs(A[i, i + 1]) <= tol.zero_tol or abs(A[i + 1, i]) <= tol.zero_tol:
-            return False
-    return True
+    return is_hessenberg(A, tol) and is_hessenberg(A.T, tol)
 
 
 def is_hessenberg(A, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when `A` is zero below the subdiagonal and nonzero on it."""
-    A = as_matrix(A)
-    n = A.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if i - j > 1 and abs(A[i, j]) > tol.zero_tol:
-                return False
-    for i in range(1, n):
-        if abs(A[i, i - 1]) <= tol.zero_tol:
-            return False
-    return True
+    nz = np.abs(as_matrix(A)) > tol.zero_tol
+    return bool(not np.tril(nz, -2).any() and np.diagonal(nz, -1).all())

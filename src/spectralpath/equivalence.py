@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, _bfs, bidirected_path_endpoints, gamma
+from .digraph import Digraph, bidirected_path_endpoints, directed_distance, gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .spectra import (
     EntryProfile,
@@ -77,7 +77,10 @@ class MatrixAnalysis:
     path_order: tuple | None
     symmetrizer: object
     spectral: SpectralClass
-    distances: np.ndarray
+
+    def distance(self, s: int, t: int) -> int | None:
+        """Directed distance from s to t in the pattern graph, or None if unreachable."""
+        return directed_distance(self.graph, s, t)
 
     def profile(self, s: int, t: int) -> EntryProfile | None:
         if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
@@ -92,16 +95,13 @@ class MatrixAnalysis:
 
 
 def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
-    """Analyze pattern, symmetrizability, spectrum and distances of `A`."""
+    """Analyze pattern, symmetrizability and spectrum of `A`."""
     A = clamp_nonnegative(A, tol)
     G = gamma(A, tol)
     order = bidirected_path_endpoints(G)
     sym = find_symmetrizer(A, tol)
     spectral = classify(A, tol, symmetrizer=sym)
-    dist = np.array([_bfs(G, s)[0] for s in range(G.n)], dtype=int)
-    return MatrixAnalysis(
-        A=A, tol=tol, graph=G, path_order=order, symmetrizer=sym, spectral=spectral, distances=dist
-    )
+    return MatrixAnalysis(A=A, tol=tol, graph=G, path_order=order, symmetrizer=sym, spectral=spectral)
 
 
 @dataclass(frozen=True)
@@ -160,7 +160,6 @@ def check_path_characterization(
     symmetrizable = isinstance(analysis.symmetrizer, Symmetrizer)
     spectral_ok, profile = _spectral_side(analysis, s, t)
     cond_ii = symmetrizable and spectral_ok
-    dist = analysis.distances[s, t]
     return EquivalenceReport(
         form="path",
         s=s,
@@ -170,7 +169,7 @@ def check_path_characterization(
         spectral_kind=analysis.spectral.kind,
         symmetrizable=symmetrizable,
         path_order=order,
-        distance=int(dist) if dist >= 0 else None,
+        distance=analysis.distance(s, t),
         profile=profile,
     )
 
@@ -187,7 +186,7 @@ def check_distance_characterization(
 
     kind = analysis.spectral.kind
     diagonalizable = kind in (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)
-    dist = analysis.distances[s, t]
+    dist = analysis.distance(s, t)
     cond_i = bool(diagonalizable and dist == n - 1)
     spectral_ok, profile = _spectral_side(analysis, s, t)
     return EquivalenceReport(
@@ -199,7 +198,7 @@ def check_distance_characterization(
         spectral_kind=kind,
         symmetrizable=isinstance(analysis.symmetrizer, Symmetrizer),
         path_order=analysis.path_order,
-        distance=int(dist) if dist >= 0 else None,
+        distance=dist,
         profile=profile,
     )
 

@@ -43,7 +43,6 @@ __all__ = [
     "EntryProfile",
     "classify",
     "primitive_idempotents",
-    "spectrum_of",
     "gap_product",
     "entry_product_profile",
     "constant_profile_positions",
@@ -260,23 +259,6 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
-def spectrum_of(A, theta, tol: Tolerance = DEFAULT_TOL) -> Spectrum:
-    """Bundle distinct real eigenvalues, sorted descending, with verified projectors.
-
-    The eigenvectors are the ones `np.linalg.eig` pairs with each theta_i.
-    The projector identities are checked once; a violation, as from values
-    that are not the spectrum, raises SpectralIdentityError.
-    """
-    A = as_matrix(A)
-    theta = np.asarray(theta, dtype=float)
-    n = A.shape[0]
-    if theta.shape != (n,):
-        raise ValueError(f"expected {n} eigenvalues, got shape {theta.shape}")
-    w, V = np.linalg.eig(A)
-    X = V[:, [int(np.argmin(np.abs(w - t))) for t in theta]].real
-    return _spectrum(A, theta, X, np.linalg.inv(X), tol)
-
-
 def _cluster_eigenvalues(values, eig_tol):
     """Group sorted values into (mean, multiplicity) clusters within eig_tol."""
     values = sorted(values, reverse=True)
@@ -286,7 +268,7 @@ def _cluster_eigenvalues(values, eig_tol):
             clusters[-1].append(v)
         else:
             clusters.append([v])
-    return tuple((sum(g) / len(g), len(g)) for g in clusters)
+    return tuple([(sum(g) / len(g), len(g)) for g in clusters])  # list: see digraph._out_lists
 
 
 def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
@@ -342,7 +324,7 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
         sp = _spectrum(A, w.real, X.real, Yt.real, tol)
         return SpectralClass(
             kind=SpectralKind.MULTIPLICITY_FREE,
-            eigenvalues=tuple((float(t), 1) for t in sp.theta),
+            eigenvalues=tuple([(float(t), 1) for t in sp.theta]),  # list: see digraph._out_lists
             spectrum=sp,
         )
     defects = []
@@ -392,7 +374,7 @@ def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None) -> SpectralClass
     sp = _spectrum(A, w, V / delta[:, None], V.T * delta[None, :], tol)
     return SpectralClass(
         kind=SpectralKind.MULTIPLICITY_FREE,
-        eigenvalues=tuple((float(t), 1) for t in sp.theta),
+        eigenvalues=tuple([(float(t), 1) for t in sp.theta]),  # list: see digraph._out_lists
         spectrum=sp,
     )
 

@@ -11,11 +11,11 @@ so restricting D to positive entries loses no generality.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import is_irreducible_tridiagonal
+from .digraph import _out_lists, is_irreducible_tridiagonal
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 
 __all__ = [
@@ -59,6 +59,12 @@ class NotSymmetrizable:
     witness: tuple
 
 
+def _first_pair(mask: np.ndarray):
+    """The first True entry of `mask` in row-major order, as a pair of ints, or None."""
+    hits = np.flatnonzero(mask)
+    return divmod(int(hits[0]), mask.shape[1]) if hits.size else None
+
+
 def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
     """Search for positive weights w with w_i A_ij = w_j A_ji.
 
@@ -66,20 +72,23 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
     support graph (w_j = w_i * A_ij / A_ji, root weight 1 per component)
     and then every pair is checked for consistency with a relative
     tolerance.  Returns a Symmetrizer on success and a NotSymmetrizable
-    witness otherwise.
+    witness otherwise; a witness is the first offending pair i < j in
+    row-major order.
     """
     A = as_matrix(A)
     n = A.shape[0]
     nz = np.abs(A) > tol.zero_tol
+    upper = np.arange(n)[:, None] < np.arange(n)  # the pairs i < j
+    asymmetric = nz != nz.T
+    pair = _first_pair(upper & (asymmetric | (nz & (A * A.T <= 0.0))))
+    if pair is not None:
+        reason = "asymmetric_pattern" if asymmetric[pair] else "nonpositive_ratio"
+        return NotSymmetrizable(reason, pair)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if nz[i, j] != nz[j, i]:
-                return NotSymmetrizable("asymmetric_pattern", (i, j))
-            if nz[i, j] and A[i, j] * A[j, i] <= 0.0:
-                return NotSymmetrizable("nonpositive_ratio", (i, j))
-
-    w = np.zeros(n)
+    np.fill_diagonal(nz, False)
+    adj = _out_lists(nz)
+    a = A.tolist()
+    w = [0.0] * n
     for root in range(n):
         if w[root] > 0.0:
             continue
@@ -87,19 +96,18 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
         queue = deque([root])
         while queue:
             i = queue.popleft()
-            for j in range(n):
-                if i != j and nz[i, j] and w[j] == 0.0:
-                    w[j] = w[i] * A[i, j] / A[j, i]
+            for j in adj[i]:
+                if w[j] == 0.0:
+                    w[j] = w[i] * a[i][j] / a[j][i]
                     queue.append(j)
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not nz[i, j]:
-                continue
-            lhs = w[i] * A[i, j]
-            rhs = w[j] * A[j, i]
-            if abs(lhs - rhs) > tol.residual_tol * max(abs(lhs), abs(rhs), 1.0):
-                return NotSymmetrizable("inconsistent_cycle", (i, j))
+    w = np.array(w)
+    lhs = w[:, None] * A  # lhs.T[i, j] = w_j A_ji
+    mag = np.abs(lhs)
+    bound = tol.residual_tol * np.maximum(np.maximum(mag, mag.T), 1.0)
+    pair = _first_pair(upper & nz & (np.abs(lhs - lhs.T) > bound))
+    if pair is not None:
+        return NotSymmetrizable("inconsistent_cycle", pair)
     return Symmetrizer(kappa=w)
 
 

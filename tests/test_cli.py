@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
+import contextlib
+import gc
+import io
 import json
 import os
 import shutil
@@ -91,6 +94,45 @@ def test_check_json_fields(capsys, path3_file):
     assert res["condition_i"] is True and res["condition_ii"] is True
     assert res["distance"] == 2
     assert res["profile"]["common_value"] == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "{path}"),
+        ("check", "{path}", "--form", "path", "--s", "0", "--t", "2"),
+        ("scheme", "builtin:hypercube(3)", "info"),
+    ],
+)
+def test_json_report_is_one_line(capsys, path3_file, argv):
+    code, out, _ = run(capsys, *(a.format(path=path3_file) for a in argv), "--json")
+    assert code == 0
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert isinstance(json.loads(out), dict)
+
+
+def test_json_report_leaves_no_cyclic_garbage(path3_file):
+    """One `main` call frees everything it allocates by reference counting alone."""
+    calls = [("analyze", path3_file, "--json"), ("scheme", "builtin:hypercube(3)", "info", "--json")]
+    for argv in calls:  # warm-up: caches and lazy imports
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(list(argv))
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in calls:
+            with contextlib.redirect_stdout(io.StringIO()):
+                main(list(argv))
+            gc.collect()
+            left = [type(obj).__name__ for obj in gc.garbage]
+            gc.garbage.clear()
+            assert left == [], argv
+    finally:
+        gc.set_debug(0)
+        if enabled:
+            gc.enable()
 
 
 def test_malformed_inputs_exit_two(capsys, tmp_path):

@@ -179,3 +179,24 @@ def test_hessenberg_predicate():
     A[2, 0] = 0.0
     A[1, 0] = 0.0  # reduced subdiagonal disqualifies
     assert not is_hessenberg(A)
+
+
+def test_band_predicates_match_entrywise_definition():
+    """Seeded banded matrices with stray entries, zero-tol entries of either sign included."""
+    rng = np.random.default_rng(2718)
+    z = DEFAULT_TOL.zero_tol
+    seen = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 8))
+        i, j = np.indices((n, n))
+        A = np.where(np.abs(i - j) <= 1, rng.uniform(0.1, 2.0, size=(n, n)), 0.0)
+        A[rng.random((n, n)) < 0.08] = rng.choice([0.0, z, -z, 2 * z, -2 * z, 1.0])
+        nz = np.abs(A) > z
+        tri = not nz[np.abs(i - j) > 1].any() and all(
+            nz[k, k + 1] and nz[k + 1, k] for k in range(n - 1)
+        )
+        hess = not nz[i - j > 1].any() and all(nz[k, k - 1] for k in range(1, n))
+        assert is_irreducible_tridiagonal(A) is tri
+        assert is_hessenberg(A) is hess
+        seen.add((tri, hess))
+    assert seen == {(True, True), (False, True), (False, False)}

@@ -118,7 +118,30 @@ def test_analysis_distances_match_pattern():
     n = analysis.graph.n
     # unreduced lower Hessenberg: every step down moves one index, so the
     # walk from the last vertex to vertex 0 has length exactly n-1
-    assert analysis.distances[n - 1, 0] == n - 1
+    assert analysis.distance(n - 1, 0) == n - 1
+
+
+def test_analysis_distance_matches_walk_powers():
+    """distance(s, t) is the first walk length whose pattern power reaches (s, t), else None."""
+    unreachable = 0
+    for kind, density in (("general_nonneg", 0.2), ("general_nonneg", 0.5), ("hessenberg", 0.3)):
+        for d in range(1, 8):
+            A = random_instance(kind, d, seed=[d, 5], density=density)
+            analysis = analyze_matrix(A)
+            n = d + 1
+            step = (np.abs(A) > analysis.tol.zero_tol).astype(int)
+            np.fill_diagonal(step, 0)
+            walk = np.eye(n, dtype=int)
+            first = np.where(walk > 0, 0, -1)
+            for k in range(1, n):
+                walk = (walk @ step > 0).astype(int)
+                first[(walk > 0) & (first < 0)] = k
+            for s in range(n):
+                for t in range(n):
+                    expect = int(first[s, t]) if first[s, t] >= 0 else None
+                    assert analysis.distance(s, t) == expect, (kind, d, s, t)
+                    unreachable += expect is None
+    assert unreachable > 0
 
 
 def test_random_instance_determinism_and_validation():

@@ -1,8 +1,11 @@
 """Diagonal symmetrization: weight propagation, witnesses, closed form."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
+from spectralpath.linalg import DEFAULT_TOL
 from spectralpath.symmetrize import (
     NotSymmetrizable,
     Symmetrizer,
@@ -122,3 +125,90 @@ def test_closed_form_rejects_bad_shapes():
     full = np.ones((3, 3))
     with pytest.raises(ValueError):
         tridiagonal_symmetrizer(full)
+
+
+def _loop_symmetrizer(A, tol=DEFAULT_TOL):
+    """Entry-by-entry reference: pattern and ratio tests, BFS propagation, consistency."""
+    A = np.array(A, dtype=float)
+    n = A.shape[0]
+    nz = np.abs(A) > tol.zero_tol
+    for i in range(n):
+        for j in range(i + 1, n):
+            if nz[i, j] != nz[j, i]:
+                return NotSymmetrizable("asymmetric_pattern", (i, j))
+            if nz[i, j] and A[i, j] * A[j, i] <= 0.0:
+                return NotSymmetrizable("nonpositive_ratio", (i, j))
+    w = np.zeros(n)
+    for root in range(n):
+        if w[root] > 0.0:
+            continue
+        w[root] = 1.0
+        queue = deque([root])
+        while queue:
+            i = queue.popleft()
+            for j in range(n):
+                if i != j and nz[i, j] and w[j] == 0.0:
+                    w[j] = w[i] * A[i, j] / A[j, i]
+                    queue.append(j)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not nz[i, j]:
+                continue
+            lhs = w[i] * A[i, j]
+            rhs = w[j] * A[j, i]
+            if abs(lhs - rhs) > tol.residual_tol * max(abs(lhs), abs(rhs), 1.0):
+                return NotSymmetrizable("inconsistent_cycle", (i, j))
+    return Symmetrizer(kappa=w)
+
+
+def _fuzz_matrix(rng, case: int) -> np.ndarray:
+    """One seeded matrix; `case` picks the kind of input."""
+    n = 1 if case == 0 else int(rng.integers(2, 13))
+    density = rng.uniform(0.1, 1.0)
+    S = np.triu(rng.uniform(0.1, 3.0, size=(n, n)) * (rng.random((n, n)) < density))
+    S = S + np.triu(S, 1).T
+    if case == 1:  # disconnected support: two diagonal blocks
+        k = int(rng.integers(0, n))
+        S[:k, k:] = 0.0
+        S[k:, :k] = 0.0
+    if case == 2:  # a path whose entry ratios drive the weights to overflow
+        A = np.diag(rng.uniform(0.0, 3.0, size=n))
+        k = np.arange(n - 1)
+        A[k, k + 1] = 10.0 ** rng.uniform(0.0, 150.0, size=n - 1)
+        A[k + 1, k] = 10.0 ** rng.uniform(-8.0, 0.0, size=n - 1)
+        return A
+    d = 10.0 ** rng.uniform(-2.0, 2.0, size=n)
+    A = (S * d[:, None]) / d[None, :]
+    i, j = rng.integers(0, n, size=2)
+    if case == 3:  # asymmetric pattern
+        A[i, j] = 0.0
+    elif case == 4:  # nonpositive ratio
+        A[i, j] = -abs(A[i, j]) - 0.5
+    elif case == 5:  # inconsistent cycle, large or near the residual bound
+        A[i, j] *= 1.0 + rng.choice([0.5, 3e-8, 1e-8, 3e-9]) * rng.choice([-1.0, 1.0])
+    elif case == 6:  # entries at and next to the zero threshold, either sign
+        z = DEFAULT_TOL.zero_tol
+        near = [z, -z, np.nextafter(z, 1.0), -np.nextafter(z, 1.0), np.nextafter(z, 0.0)]
+        mask = rng.random((n, n)) < 0.3
+        A[mask] = rng.choice(near, size=int(mask.sum()))
+    return A
+
+
+def test_find_symmetrizer_matches_loop_reference():
+    """Same class, bitwise kappa, same reason and witness as the entry-by-entry loop."""
+    rng = np.random.default_rng(4242)
+    seen = set()
+    with np.errstate(all="ignore"):
+        for trial in range(2100):
+            A = _fuzz_matrix(rng, trial % 7)
+            got, ref = find_symmetrizer(A), _loop_symmetrizer(A)
+            assert type(got) is type(ref), trial
+            if isinstance(ref, Symmetrizer):
+                assert got.kappa.dtype == ref.kappa.dtype
+                assert got.kappa.tobytes() == ref.kappa.tobytes(), trial
+                seen.add("symmetrizable")
+            else:
+                assert (got.reason, got.witness) == (ref.reason, ref.witness), trial
+                assert all(type(x) is int for x in got.witness)
+                seen.add(ref.reason)
+    assert seen == {"symmetrizable", "asymmetric_pattern", "nonpositive_ratio", "inconsistent_cycle"}
