@@ -66,6 +66,29 @@ def as_matrix(A) -> np.ndarray:
     return M
 
 
+def _content_lines(source, blank_is_text: bool = False):
+    """The stripped lines of a text source that are neither blank nor '#' comments.
+
+    `source` is a file object, a string of text (any string with a newline,
+    and a blank one when `blank_is_text`) or a path.  Returns the lines with
+    a function from a position among them to its 1-based line number, for
+    error messages.  The index list behind it is built only when the text
+    has a blank line or a '#' somewhere.
+    """
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = str(source)
+        if "\n" not in text and not (blank_is_text and text.strip() == ""):
+            with open(text, "r", encoding="utf-8") as fh:
+                text = fh.read()
+    lines = list(map(str.strip, text.splitlines()))
+    if "#" not in text and "" not in lines:
+        return lines, lambda pos: pos + 1
+    keep = [idx for idx, line in enumerate(lines) if line and line[0] != "#"]
+    return [lines[idx] for idx in keep], lambda pos: keep[pos] + 1
+
+
 def read_matrix(source) -> np.ndarray:
     """Parse a matrix from text.
 
@@ -74,50 +97,36 @@ def read_matrix(source) -> np.ndarray:
     are comments.  `source` may be a path, a string of text, or a file
     object.  Raises MatrixParseError with a line number on malformed input.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        text = str(source)
-        if "\n" in text or text.strip() == "":
-            lines = text.splitlines()
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-
-    content = [
-        (idx + 1, line)
-        for idx, line in enumerate(map(str.strip, lines))
-        if line and not line.startswith("#")
-    ]
+    content, lineno = _content_lines(source, blank_is_text=True)
     if not content:
         raise MatrixParseError(1, "no content lines found")
 
-    lineno, head = content[0]
+    head = content[0]
     try:
         n = int(head)
     except ValueError:
-        raise MatrixParseError(lineno, f"expected matrix order, got {head!r}") from None
+        raise MatrixParseError(lineno(0), f"expected matrix order, got {head!r}") from None
     if n < 1:
-        raise MatrixParseError(lineno, f"matrix order must be positive, got {n}")
+        raise MatrixParseError(lineno(0), f"matrix order must be positive, got {n}")
     if len(content) - 1 < n:
         raise MatrixParseError(
-            content[-1][0], f"expected {n} matrix rows, found {len(content) - 1}"
+            lineno(len(content) - 1), f"expected {n} matrix rows, found {len(content) - 1}"
         )
     if len(content) - 1 > n:
-        raise MatrixParseError(content[n + 1][0], f"unexpected extra row beyond {n}")
+        raise MatrixParseError(lineno(n + 1), f"unexpected extra row beyond {n}")
 
     rows = []
-    for lineno, line in content[1 : n + 1]:
+    for r, line in enumerate(content[1 : n + 1], 1):
         parts = line.split()
         if len(parts) != n:
-            raise MatrixParseError(lineno, f"expected {n} entries, found {len(parts)}")
+            raise MatrixParseError(lineno(r), f"expected {n} entries, found {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
-            raise MatrixParseError(lineno, f"non-numeric entry in row: {line!r}") from None
+            raise MatrixParseError(lineno(r), f"non-numeric entry in row: {line!r}") from None
     A = np.array(rows)
     if not np.all(np.isfinite(A)):
-        raise MatrixParseError(content[1][0], "matrix entries must be finite")
+        raise MatrixParseError(lineno(1), "matrix entries must be finite")
     return A
 
 

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .digraph import bidirected_path_endpoints, gamma
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _content_lines
 from .spectra import _gap_products
 
 __all__ = [
@@ -119,41 +119,41 @@ class PolyStructure(NamedTuple):
     last: int
 
 
-def _relations_p_tensor(mats, size: int):
+def _relations_p_tensor(mats, labels: np.ndarray, first: np.ndarray):
     """Intersection tensor by exact triple counting, with regularity check.
 
     p^h_ij is the value of A_i A_j on R_h, which must be the same at every
-    pair of R_h.  The caller has checked that every relation is symmetric,
-    so A_j A_i = (A_i A_j)^T, every R_h is symmetric, and the (j, i) product
-    is regular exactly when the (i, j) one is, with p^h_ji = p^h_ij; and
-    A_0 = I makes the i = 0 and j = 0 slices Kronecker deltas.  Only the
-    d(d+1)/2 products with 1 <= i <= j <= d are formed, in the order the
-    full loop over (i, j) would meet them, so a failing scheme reports the
-    same (h, i, j) witness.
+    pair of R_h; `labels` holds h at every pair of R_h and `first[h]` is the
+    flat index of the first pair of R_h.  The caller has checked that every
+    relation is symmetric, so A_j A_i = (A_i A_j)^T, every R_h is symmetric,
+    and the (j, i) product is regular exactly when the (i, j) one is, with
+    p^h_ji = p^h_ij; and A_0 = I makes the i = 0 and j = 0 slices Kronecker
+    deltas.  Only the products with 1 <= i <= j < d are formed.  The (i, i)
+    ones make every row sum of A_i the constant k_i, so sum_j A_j = J gives
+    A_i A_d = k_i J - sum_{j<d} A_i A_j: the j = d slice follows from the
+    others and is regular when they are (Brouwer, Cohen and Neumaier,
+    *Distance-Regular Graphs*, 2.1).  Hence the first failing (i, j) of the
+    full loop over 1 <= i <= j <= d always has j < d, and a failing scheme
+    reports the same (h, i, j) witness.
 
     Every entry of a product, and every partial sum of it, is an integer
     count between 0 and |X|.  float32 holds every integer below 2**24
-    exactly, so the products are exact whatever order BLAS sums in
-    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 2.1).
+    exactly, so the products are exact whatever order BLAS sums in.
     |X| < 2**24 always holds here: a larger |X| x |X| relation matrix would
     need at least 2**48 bytes.
     """
     dp1 = len(mats)
-    F = [None] + [m.astype(np.float32) for m in mats[1:]]
-    labels = np.zeros((size, size), dtype=np.min_scalar_type(dp1 - 1))
-    for h in range(1, dp1):
-        np.putmask(labels, mats[h], h)
-    # representative pair of R_h: its first pair in row-major order
-    first = np.array([int(np.argmax(m)) for m in mats])
+    d, size = dp1 - 1, labels.shape[0]
+    F = [None] + [m.astype(np.float32) for m in mats[1:d]]
     eye = np.eye(dp1, dtype=np.int64)
     p = np.zeros((dp1, dp1, dp1), dtype=np.int64)
     p[:, 0, :] = eye
     p[:, :, 0] = eye
-    for i in range(1, dp1):
-        for j in range(i, dp1):
+    for i in range(1, d):
+        for j in range(i, d):
             M = F[i] @ F[j]
             vals = M.ravel()[first]
-            bad = M != vals[labels]
+            bad = M != np.take(vals, labels)
             if bad.any():
                 h = int(labels[bad].min())
                 x, y = divmod(int(np.argmax(bad & (labels == h))), size)
@@ -163,6 +163,11 @@ def _relations_p_tensor(mats, size: int):
                     f"triple count at pair ({x}, {y}) differs from {int(vals[h])}",
                 )
             p[:, i, j] = p[:, j, i] = vals
+    if d:
+        k = p[0].diagonal()[:d]  # k_0 .. k_{d-1}; k_d = |X| - sum(k)
+        p[:, :d, d] = k - p[:, :d, :d].sum(axis=2)
+        p[:, d, :d] = p[:, :d, d]
+        p[:, d, d] = size - k.sum() - p[:, d, :d].sum(axis=1)
     return p
 
 
@@ -224,32 +229,44 @@ def scheme_from_relations(mats) -> AssociationScheme:
         cleaned.append(mi)
     if not np.array_equal(cleaned[0], np.eye(size, dtype=np.int8)):
         raise SchemeValidationError("identity_relation", 0, "relation 0 must be the identity")
-    total = sum(cleaned, np.zeros((size, size), np.int8 if len(cleaned) < 128 else np.int64))
+    dp1 = len(cleaned)
+    total = np.zeros((size, size), np.min_scalar_type(dp1))
+    labels = np.zeros((size, size), np.min_scalar_type(dp1 - 1))  # sum_h h A_h
+    for h, m in enumerate(cleaned):
+        total += m.view(bool)
+        labels += m.view(np.uint8) * labels.dtype.type(h)
     if not np.all(total == 1):
         x, y = np.argwhere(total != 1)[0]
         raise SchemeValidationError(
             "partition", (int(x), int(y)), f"pair covered {int(total[x, y])} times"
         )
-    for i, m in enumerate(cleaned):
-        if not np.array_equal(m, m.T):
-            x, y = np.argwhere(m != m.T)[0]
-            raise SchemeValidationError("symmetry", (i, int(x), int(y)), "relation not symmetric")
-        if not np.any(m):
-            raise SchemeValidationError("nonempty", i, "relation is empty")
+    # the relations partition X x X, so they are all symmetric exactly when
+    # the labels are, and R_h is empty exactly when its argmax is not in R_h
+    first = np.array([int(np.argmax(m)) for m in cleaned]) if size else None
+    if first is None or not np.array_equal(labels, labels.T) or np.any(labels.ravel()[first] != np.arange(dp1)):
+        for i, m in enumerate(cleaned):  # the first failing relation
+            if not np.array_equal(m, m.T):
+                x, y = np.argwhere(m != m.T)[0]
+                raise SchemeValidationError("symmetry", (i, int(x), int(y)), "relation not symmetric")
+            if not np.any(m):
+                raise SchemeValidationError("nonempty", i, "relation is empty")
 
-    p = _relations_p_tensor(cleaned, size)
-    k = np.array([int(p[0, i, i]) for i in range(len(cleaned))], dtype=np.int64)
+    p = _relations_p_tensor(cleaned, labels, first)
+    k = p[0].diagonal().copy()
     _validate_p_tensor(p, k, size)
-    return AssociationScheme(
-        size=size, d=len(cleaned) - 1, k=k, p=p, relations=tuple(cleaned)
-    )
+    return AssociationScheme(size=size, d=dp1 - 1, k=k, p=p, relations=tuple(cleaned))
 
 
 def scheme_from_p_tensor(p, k) -> AssociationScheme:
     """Build and validate a scheme from its intersection tensor and valencies."""
     p = np.asarray(p)
-    pi = np.rint(np.asarray(p, dtype=float)).astype(np.int64)
-    if p.ndim != 3 or not np.array_equal(np.asarray(p, dtype=float), pi):
+    if np.can_cast(p.dtype, np.int64):  # integers already: no float round trip
+        pi, exact = p.astype(np.int64), True
+    else:
+        pf = np.asarray(p, dtype=float)
+        pi = np.rint(pf).astype(np.int64)
+        exact = np.array_equal(pf, pi)
+    if p.ndim != 3 or not exact:
         raise SchemeValidationError("tensor_shape", np.shape(p), "expected an integer cubic tensor")
     k = np.rint(np.asarray(k, dtype=float)).astype(np.int64)
     size = int(np.sum(k))
@@ -344,36 +361,33 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed=0) -
     eigenvalues trigger a retry with a derived seed, up to five attempts.
     """
     dp1 = scheme.d + 1
-    B = [intersection_matrix(scheme, i) for i in range(dp1)]
+    B = scheme.p.transpose(1, 0, 2).astype(float, order="C")  # B[i] = intersection_matrix(scheme, i)
     delta = np.sqrt(scheme.k.astype(float))
     base_seed = abs(int(seed)) if seed is not None else 0
     last_gap = None
     for attempt in range(5):
         rng = np.random.default_rng([base_seed, attempt])
         coeffs = rng.uniform(1.0, 2.0, size=dp1)
-        C = sum(c * Bi for c, Bi in zip(coeffs, B))
+        C = np.add.reduce(coeffs[:, None, None] * B, axis=0)  # summed in index order
         S = C * delta[:, None] / delta[None, :]
         w, V = np.linalg.eigh(0.5 * (S + S.T))
         w, V = w[::-1], V[:, ::-1]
         if dp1 > 1:
-            gap = float(np.min(w[:-1] - w[1:]))
+            gap = float((w[:-1] - w[1:]).min())
             last_gap = gap
-            if gap <= tol.eig_tol * max(1.0, float(np.max(np.abs(C)))):
+            if gap <= tol.eig_tol * max(1.0, float(abs(C).max())):
                 continue
         U = delta[:, None] * V  # columns are left eigenvectors of C, transposed
-        if float(np.min(np.abs(U[0, :]))) < 1e-12:
+        if float(abs(U[0, :]).min()) < 1e-12:
             continue
         rows = (U / U[0, :]).T
         # eigenvalue of the positive combination is maximal exactly on the
-        # valency row, so the descending sort puts it first
-        P = np.vstack(
-            [rows[0]]
-            + sorted(
-                (rows[i] for i in range(1, dp1)),
-                key=lambda r: tuple(np.round(r[1:], 9)) if dp1 > 1 else (),
-                reverse=True,
-            )
-        )
+        # valency row, so the descending sort puts it first; the others sort
+        # descending by their entries from column 1 on, rounded to 9 places
+        order = np.zeros(dp1, dtype=np.intp)
+        if dp1 > 1:
+            order[1:] = np.lexsort(-np.round(rows[1:, :0:-1].T, 9)) + 1
+        P = rows[order]
         Q = np.linalg.solve(P, scheme.size * np.eye(dp1))
         m = Q[0, :].copy()
         q = krein_parameters(P, Q, scheme.size)
@@ -392,44 +406,31 @@ def _verify_eigendata(scheme, P, Q, m, q, tol: Tolerance) -> dict:
     scale = max(1.0, float(size))
     checks = {}
 
-    checks["valency_row"] = float(np.max(np.abs(P[0, :] - scheme.k)))
-    checks["P_column0"] = float(np.max(np.abs(P[:, 0] - 1.0)))
-    checks["Q_column0"] = float(np.max(np.abs(Q[:, 0] - 1.0)))
-    checks["PQ_identity"] = float(np.max(np.abs(P @ Q - size * np.eye(dp1))))
-    checks["QP_identity"] = float(np.max(np.abs(Q @ P - size * np.eye(dp1))))
-    checks["multiplicity_sum"] = abs(float(np.sum(m)) - size)
-    checks["krein_symmetry"] = float(np.max(np.abs(q - q.transpose(0, 2, 1))))
+    checks["valency_row"] = float(abs(P[0, :] - scheme.k).max())
+    checks["P_column0"] = float(abs(P[:, 0] - 1.0).max())
+    checks["Q_column0"] = float(abs(Q[:, 0] - 1.0).max())
+    checks["PQ_identity"] = float(abs(P @ Q - size * np.eye(dp1)).max())
+    checks["QP_identity"] = float(abs(Q @ P - size * np.eye(dp1)).max())
+    checks["multiplicity_sum"] = abs(float(m.sum()) - size)
+    checks["krein_symmetry"] = float(abs(q - q.transpose(0, 2, 1)).max())
     # E_i o E_0 = E_i / |X| gives q^h_i0 = delta_hi; summing the entries of
     # E_i o E_j gives q^0_ij = delta_ij m_i
-    checks["krein_identity_column"] = float(np.max(np.abs(q[:, :, 0] - np.eye(dp1))))
-    checks["krein_top_slice"] = float(np.max(np.abs(q[0, :, :] - np.diag(m))))
+    checks["krein_identity_column"] = float(abs(q[:, :, 0] - np.eye(dp1)).max())
+    checks["krein_top_slice"] = float(abs(q[0, :, :] - np.diag(m)).max())
     weighted = m.reshape(dp1, 1, 1) * q  # m_h q^h_ij symmetric under the (h, j) swap
-    checks["krein_balance"] = float(np.max(np.abs(weighted - weighted.transpose(2, 1, 0))))
-    checks["krein_min"] = -min(0.0, float(np.min(q)))
+    checks["krein_balance"] = float(abs(weighted - weighted.transpose(2, 1, 0)).max())
+    checks["krein_min"] = -min(0.0, float(q.min()))
 
     bound = tol.residual_tol * scale
-    for name in (
-        "valency_row",
-        "P_column0",
-        "Q_column0",
-        "PQ_identity",
-        "QP_identity",
-        "multiplicity_sum",
-    ):
+    for name in ("valency_row", "P_column0", "Q_column0", "PQ_identity", "QP_identity", "multiplicity_sum"):
         if checks[name] > bound:
             raise EigendataResidualError(name, checks[name], bound)
-    kre_scale = tol.residual_tol * max(1.0, float(np.max(np.abs(q)))) * scale
-    for name in (
-        "krein_symmetry",
-        "krein_identity_column",
-        "krein_top_slice",
-        "krein_balance",
-        "krein_min",
-    ):
+    kre_scale = tol.residual_tol * max(1.0, float(abs(q).max())) * scale
+    for name in ("krein_symmetry", "krein_identity_column", "krein_top_slice", "krein_balance", "krein_min"):
         if checks[name] > kre_scale:
             raise EigendataResidualError(name, checks[name], kre_scale)
-    if np.any(m <= 0.0):
-        raise EigendataResidualError("nonpositive_multiplicity", -float(np.min(m)), 0.0)
+    if (m <= 0.0).any():
+        raise EigendataResidualError("nonpositive_multiplicity", -float(m.min()), 0.0)
     return checks
 
 
@@ -572,15 +573,16 @@ def check_q_polynomial_characterization(
 def _load_p_tensor(lines, n: int):
     """The n x n x n tensor of a PTENSOR body read by one np.loadtxt, or None.
 
-    `lines` are the (lineno, text) lines after the K line.  None unless they
-    are exactly the blocks `P 0` .. `P n-1` of n rows each and loadtxt reads
+    `lines` are the content lines after the K line.  None unless they are
+    exactly the blocks `P 0` .. `P n-1` of n rows each and loadtxt reads
     every row as n int64 values.  On None, read_scheme parses line by line,
     which gives int()'s value for a token loadtxt rejects (such as "0_0") or
     the error of the first bad line.
     """
-    if len(lines) != n * (n + 1) or any(lines[h * (n + 1)][1] != f"P {h}" for h in range(n)):
+    if len(lines) != n * (n + 1) or lines[:: n + 1] != [f"P {h}" for h in range(n)]:
         return None
-    rows = [line for r, (_, line) in enumerate(lines) if r % (n + 1)]
+    rows = lines[:]
+    del rows[:: n + 1]
     try:
         p = np.loadtxt(rows, dtype=np.int64, ndmin=2, comments=None)
     except ValueError:
@@ -599,90 +601,72 @@ def read_scheme(source) -> AssociationScheme:
     line plus d+1 `P <h>` blocks of (d+1)x(d+1) integers.  '#' lines are
     comments.  The result is fully validated.
     """
-    if hasattr(source, "read"):
-        raw = source.read().splitlines()
-    else:
-        text = str(source)
-        if "\n" in text:
-            raw = text.splitlines()
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                raw = fh.read().splitlines()
-    content = [
-        (idx + 1, line)
-        for idx, line in enumerate(map(str.strip, raw))
-        if line and not line.startswith("#")
-    ]
+    content, lineno = _content_lines(source)
     if not content:
         raise SchemeParseError(1, "no content lines found")
 
-    lineno, head = content[0]
-    match = _HEADER_RE.match(head)
+    match = _HEADER_RE.match(content[0])
     if not match:
-        raise SchemeParseError(lineno, f"bad header {head!r}")
+        raise SchemeParseError(lineno(0), f"bad header {content[0]!r}")
     size, d, form = int(match.group(1)), int(match.group(2)), match.group(3)
-    body = content[1:]
-    pos = 0
+    pos = 1
 
     def take():
         nonlocal pos
-        if pos >= len(body):
-            raise SchemeParseError(content[-1][0], "unexpected end of file")
-        item = body[pos]
+        if pos >= len(content):
+            raise SchemeParseError(lineno(len(content) - 1), "unexpected end of file")
         pos += 1
-        return item
+        return content[pos - 1]
 
     if form == "RELATIONS":
         mats = []
         for i in range(d + 1):
-            lineno, line = take()
+            line = take()
             if line != f"REL {i}":
-                raise SchemeParseError(lineno, f"expected 'REL {i}', got {line!r}")
-            rows = [text for _, text in body[pos : pos + size]]
+                raise SchemeParseError(lineno(pos - 1), f"expected 'REL {i}', got {line!r}")
+            rows = content[pos : pos + size]
             block = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
             # '0' and '1' are the only bytes b with b | 1 == ord("1")
-            bad = len(rows) < size or any(len(row) != size for row in rows)
-            if bad or np.any((block | 1) != ord("1")):
+            if len(rows) < size or set(map(len, rows)) != {size} or np.any((block | 1) != ord("1")):
                 for _ in range(size):  # name the first bad line
-                    lineno, line = take()
+                    line = take()
                     if len(line) != size or line.strip("01"):
-                        raise SchemeParseError(lineno, f"expected {size} characters of 0/1")
+                        raise SchemeParseError(lineno(pos - 1), f"expected {size} characters of 0/1")
             pos += size
             mats.append((block == ord("1")).view(np.int8).reshape(size, size))
-        if pos != len(body):
-            raise SchemeParseError(body[pos][0], "unexpected trailing content")
+        if pos != len(content):
+            raise SchemeParseError(lineno(pos), "unexpected trailing content")
         scheme = scheme_from_relations(mats)
     else:
-        lineno, line = take()
+        line = take()
         parts = line.split()
         if parts[:1] != ["K"] or len(parts) != d + 2:
-            raise SchemeParseError(lineno, f"expected 'K' line with {d + 1} valencies")
+            raise SchemeParseError(lineno(pos - 1), f"expected 'K' line with {d + 1} valencies")
         try:
             k = np.array([int(x) for x in parts[1:]], dtype=np.int64)
         except ValueError:
-            raise SchemeParseError(lineno, "non-integer valency") from None
-        p = _load_p_tensor(body[pos:], d + 1)
+            raise SchemeParseError(lineno(pos - 1), "non-integer valency") from None
+        p = _load_p_tensor(content[pos:], d + 1)
         if p is None:
             p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
             for h in range(d + 1):
-                lineno, line = take()
+                line = take()
                 if line != f"P {h}":
-                    raise SchemeParseError(lineno, f"expected 'P {h}', got {line!r}")
+                    raise SchemeParseError(lineno(pos - 1), f"expected 'P {h}', got {line!r}")
                 for i in range(d + 1):
-                    lineno, line = take()
-                    parts = line.split()
+                    parts = take().split()
                     if len(parts) != d + 1:
-                        raise SchemeParseError(lineno, f"expected {d + 1} integers")
+                        raise SchemeParseError(lineno(pos - 1), f"expected {d + 1} integers")
                     try:
                         p[h, i, :] = [int(x) for x in parts]
                     except ValueError:
-                        raise SchemeParseError(lineno, "non-integer intersection number") from None
-            if pos != len(body):
-                raise SchemeParseError(body[pos][0], "unexpected trailing content")
+                        raise SchemeParseError(lineno(pos - 1), "non-integer intersection number") from None
+            if pos != len(content):
+                raise SchemeParseError(lineno(pos), "unexpected trailing content")
         scheme = scheme_from_p_tensor(p, k)
     if scheme.size != size or scheme.d != d:
         raise SchemeParseError(
-            content[0][0],
+            lineno(0),
             f"header says X={size} D={d}, content gives X={scheme.size} D={scheme.d}",
         )
     return scheme

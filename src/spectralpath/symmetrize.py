@@ -10,8 +10,8 @@ so restricting D to positive entries loses no generality.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -73,7 +73,8 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
     and then every pair is checked for consistency with a relative
     tolerance.  Returns a Symmetrizer on success and a NotSymmetrizable
     witness otherwise; a witness is the first offending pair i < j in
-    row-major order.
+    row-major order.  Raises RuntimeError, naming the vertex, when a
+    propagated weight underflows to 0 or overflows to inf.
     """
     A = as_matrix(A)
     n = A.shape[0]
@@ -88,17 +89,21 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
     np.fill_diagonal(nz, False)
     adj = _out_lists(nz)
     a = A.tolist()
-    w = [0.0] * n
+    w = [1.0] * n
+    seen = [False] * n
     for root in range(n):
-        if w[root] > 0.0:
+        if seen[root]:
             continue
-        w[root] = 1.0
-        queue = deque([root])
-        while queue:
-            i = queue.popleft()
+        seen[root] = True
+        queue = [root]
+        for i in queue:  # first in, first out: the loop reaches every vertex appended
+            wi, ai = w[i], a[i]
             for j in adj[i]:
-                if w[j] == 0.0:
-                    w[j] = w[i] * a[i][j] / a[j][i]
+                if not seen[j]:
+                    seen[j] = True
+                    w[j] = wj = wi * ai[j] / a[j][i]
+                    if not 0.0 < wj < inf:
+                        raise RuntimeError(f"symmetrizer weight of vertex {j} is {wj!r}, out of float range")
                     queue.append(j)
 
     w = np.array(w)

@@ -323,7 +323,7 @@ def test_seed_flag_overrides_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 3
 
 
-def _run_module(*argv):
+def _run_module(*argv, timeout=SUBPROCESS_TIMEOUT):
     """Run `python -m spectralpath` in a child process on the code under test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
@@ -332,8 +332,22 @@ def _run_module(*argv):
         capture_output=True,
         text=True,
         env=env,
-        timeout=SUBPROCESS_TIMEOUT,
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_symmetrizer_weight_underflow_exits_three(tmp_path, n):
+    # a bidirected path with superdiagonal 1e-9 and subdiagonal 1e150: the
+    # propagated weights 1e-159, 1e-318, ... underflow to 0 at vertex 3.
+    # Taking 0 for "not yet visited", the search looped forever on the 5 x 5
+    # file and reported a false inconsistent cycle on the 4 x 4 one.
+    A = np.diag(np.full(n - 1, 1e-9), 1) + np.diag(np.full(n - 1, 1e150), -1)
+    path = tmp_path / f"tri{n}.txt"
+    path.write_text(f"{n}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in A.tolist()))
+    proc = _run_module("analyze", str(path), timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert "weight of vertex 3 is 0.0" in proc.stderr
 
 
 def test_console_entry_point(path3_file, tmp_path):

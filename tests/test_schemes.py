@@ -426,6 +426,20 @@ def test_triple_counting_matches_brute_force():
         assert scheme.p.dtype == np.int64
         assert np.array_equal(scheme.p, triple_count_oracle(mats)), name
     assert scheme.size == 20 and scheme.k.tolist() == [1, 9, 9, 1]
+    # the products with the last relation come from sum_j A_j = J, so each
+    # relation takes the last number d in turn
+    for name in ("rook(3, 4)", "J(6, 3)"):
+        mats = cases[name]
+        d = len(mats) - 1
+        for r in range(1, d + 1):
+            renumbered = [mats[h] for h in [0, *(h for h in range(1, d + 1) if h != r), r]]
+            assert np.array_equal(scheme_from_relations(renumbered).p, triple_count_oracle(renumbered)), (name, r)
+    # d = 1 forms no product at all; the 1-point scheme has only R_0
+    for mats in (complete_relations(5), [np.ones((1, 1), dtype=np.int8)]):
+        scheme = scheme_from_relations(mats)
+        assert np.array_equal(scheme.p, triple_count_oracle(mats))
+        assert scheme.k.tolist() == [int(m.sum(axis=1)[0]) for m in mats]
+    assert (scheme.size, scheme.d, scheme.p.tolist()) == (1, 0, [[[1]]])
 
 
 def test_regularity_witness_matches_brute_force():
@@ -445,7 +459,16 @@ def test_regularity_witness_matches_brute_force():
     labels = upper + upper.T
     random3 = [(labels == h).astype(np.int8) for h in range(4)]
 
-    for mats in (path3, cube, random3):
+    # one pair of R_{d-1} and one of R_d trade relations: the valencies stay
+    # the same, so only regularity fails, and the witness must be the full
+    # loop's first failure although no product with A_d is formed
+    johnson = johnson_relations(6, 3)
+    for (x, y), src, dst in (((0, 7), 2, 3), ((0, 19), 3, 2)):
+        assert johnson[src][x, y] == 1
+        for a, b in ((x, y), (y, x)):
+            johnson[src][a, b], johnson[dst][a, b] = 0, 1
+
+    for mats in (path3, cube, random3, johnson):
         with pytest.raises(SchemeValidationError) as want:
             triple_count_oracle(mats)
         with pytest.raises(SchemeValidationError) as got:
@@ -453,6 +476,17 @@ def test_regularity_witness_matches_brute_force():
         assert got.value.axiom == want.value.axiom == "regularity"
         assert got.value.witness == want.value.witness
         assert str(got.value) == str(want.value)
+
+
+def test_eigenmatrix_rows_sort_like_rounded_tuples():
+    # rook(3, 4) has P column 1 = (3, 3, -1, -1): ties after the valency row
+    # and between the last two rows, which the later columns break
+    scheme = rook_scheme(3, 4)
+    for seed in range(6):
+        ed = eigendata(scheme, seed=seed)
+        assert sorted(np.round(ed.P[1:, 1], 9).tolist()) == [-1.0, -1.0, 3.0]
+        want = sorted(ed.P[1:], key=lambda r: tuple(np.round(r[1:], 9)), reverse=True)
+        assert np.array_equal(ed.P[1:], np.array(want)), seed
 
 
 def test_float32_counting_exact_on_hypercube9():

@@ -117,6 +117,16 @@ def test_weights_unique_up_to_scale_on_connected_support():
     assert np.max(ratio) / np.min(ratio) - 1.0 <= 1e-12
 
 
+def test_weights_out_of_float_range_raise_naming_the_vertex():
+    # entry ratios of 1e-159 give weights 1e-159, 1e-318 (subnormal, still
+    # positive) and 0; ratios of 1e159 give 1e159 and inf.  Neither 0 nor inf
+    # may pass as a weight.
+    for sup, sub, message in ((1e-9, 1e150, "vertex 3 is 0.0"), (1e150, 1e-9, "vertex 2 is inf")):
+        A = np.diag([sup] * 4, 1) + np.diag([sub] * 4, -1)
+        with pytest.raises(RuntimeError, match=f"weight of {message}"):
+            find_symmetrizer(A)
+
+
 def test_closed_form_rejects_bad_shapes():
     with pytest.raises(ValueError):
         tridiagonal_symmetrizer(np.array([[0.0, -1.0], [1.0, 0.0]]))
@@ -138,17 +148,21 @@ def _loop_symmetrizer(A, tol=DEFAULT_TOL):
                 return NotSymmetrizable("asymmetric_pattern", (i, j))
             if nz[i, j] and A[i, j] * A[j, i] <= 0.0:
                 return NotSymmetrizable("nonpositive_ratio", (i, j))
-    w = np.zeros(n)
+    w = np.ones(n)
+    visited = np.zeros(n, dtype=bool)
     for root in range(n):
-        if w[root] > 0.0:
+        if visited[root]:
             continue
-        w[root] = 1.0
+        visited[root] = True
         queue = deque([root])
         while queue:
             i = queue.popleft()
             for j in range(n):
-                if i != j and nz[i, j] and w[j] == 0.0:
+                if i != j and nz[i, j] and not visited[j]:
+                    visited[j] = True
                     w[j] = w[i] * A[i, j] / A[j, i]
+                    if not (0.0 < w[j] < np.inf):
+                        raise RuntimeError(f"symmetrizer weight of vertex {j} is {float(w[j])!r}, out of float range")
                     queue.append(j)
     for i in range(n):
         for j in range(i + 1, n):
@@ -195,13 +209,22 @@ def _fuzz_matrix(rng, case: int) -> np.ndarray:
 
 
 def test_find_symmetrizer_matches_loop_reference():
-    """Same class, bitwise kappa, same reason and witness as the entry-by-entry loop."""
+    """Same class, bitwise kappa, same reason and witness as the entry-by-entry loop,
+    and the same error when a weight leaves the floating-point range."""
     rng = np.random.default_rng(4242)
     seen = set()
     with np.errstate(all="ignore"):
         for trial in range(2100):
             A = _fuzz_matrix(rng, trial % 7)
-            got, ref = find_symmetrizer(A), _loop_symmetrizer(A)
+            try:
+                ref = _loop_symmetrizer(A)
+            except RuntimeError as exc:
+                with pytest.raises(RuntimeError) as info:
+                    find_symmetrizer(A)
+                assert str(info.value) == str(exc), trial
+                seen.add("out_of_range")
+                continue
+            got = find_symmetrizer(A)
             assert type(got) is type(ref), trial
             if isinstance(ref, Symmetrizer):
                 assert got.kappa.dtype == ref.kappa.dtype
@@ -211,4 +234,4 @@ def test_find_symmetrizer_matches_loop_reference():
                 assert (got.reason, got.witness) == (ref.reason, ref.witness), trial
                 assert all(type(x) is int for x in got.witness)
                 seen.add(ref.reason)
-    assert seen == {"symmetrizable", "asymmetric_pattern", "nonpositive_ratio", "inconsistent_cycle"}
+    assert seen == {"symmetrizable", "asymmetric_pattern", "nonpositive_ratio", "inconsistent_cycle", "out_of_range"}
