@@ -15,7 +15,6 @@ conditions on eigenvalue tables.
 """
 
 from .digraph import (
-    Digraph,
     OrderingVerificationError,
     bidirected_path_endpoints,
     directed_distance,
@@ -23,7 +22,6 @@ from .digraph import (
     hessenberg_ordering,
     is_hessenberg,
     is_irreducible_tridiagonal,
-    shortest_path,
 )
 from .equivalence import (
     INSTANCE_KINDS,
@@ -92,7 +90,6 @@ __all__ = [
     "AssociationScheme",
     "DEFAULT_TOL",
     "DegenerateSpectrumError",
-    "Digraph",
     "EigendataResidualError",
     "EigenvalueCollisionError",
     "EntryProfile",
@@ -144,7 +141,6 @@ __all__ = [
     "read_scheme",
     "scheme_from_p_tensor",
     "scheme_from_relations",
-    "shortest_path",
     "tridiagonal_symmetrizer",
     "write_matrix",
     "write_scheme",

@@ -127,10 +127,13 @@ def _verdict(side_i: bool, side_ii: bool):
 
 
 def _cmd_analyze(args) -> int:
+    if (args.s is None) != (args.t is None):
+        raise ValueError("--s and --t must be given together")
     tol = _tol_from_args(args)
     A = read_matrix(args.matrix)
     analysis = analyze_matrix(A, tol)
-    n = analysis.graph.n
+    n = len(analysis.A)
+    arc_count = int(analysis.pattern.sum())
     sym = analysis.symmetrizer
     spectral = analysis.spectral
 
@@ -139,7 +142,7 @@ def _cmd_analyze(args) -> int:
     ]
 
     requested = None
-    if args.s is not None and args.t is not None:
+    if args.s is not None:
         requested = {"s": args.s, "t": args.t, "profile": _profile_dict(analysis.profile(args.s, args.t))}
 
     report = {
@@ -147,7 +150,7 @@ def _cmd_analyze(args) -> int:
         "tolerances": _tol_dict(tol),
         "result": {
             "order": n,
-            "arc_count": analysis.graph.arc_count(),
+            "arc_count": arc_count,
             "path_order": list(analysis.path_order) if analysis.path_order else None,
             "spectral_kind": spectral.kind.value,
             "eigenvalues": [[v, m] for v, m in spectral.eigenvalues],
@@ -163,7 +166,7 @@ def _cmd_analyze(args) -> int:
     }
 
     def lines():
-        yield f"order: {n}   arcs: {analysis.graph.arc_count()}"
+        yield f"order: {n}   arcs: {arc_count}"
         yield f"path order: {' -> '.join(map(str, analysis.path_order)) if analysis.path_order else 'not a bidirected path'}"
         yield f"spectral class: {spectral.kind.value}"
         yield "eigenvalues: " + ", ".join(f"{_fmt(v)} (x{m})" for v, m in spectral.eigenvalues)

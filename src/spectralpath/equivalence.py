@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, bidirected_path_endpoints, directed_distance, gamma
+from .digraph import bidirected_path_endpoints, directed_distance, gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .spectra import (
     EntryProfile,
@@ -39,6 +39,7 @@ __all__ = [
     "analyze_matrix",
     "check_path_characterization",
     "check_distance_characterization",
+    "clamp_nonnegative",
     "random_instance",
     "INSTANCE_KINDS",
     "NegativeEntryError",
@@ -68,21 +69,30 @@ class MatrixAnalysis:
     """One-shot structural and spectral analysis of a nonnegative matrix.
 
     Shared by both equivalence checks so that sweeping over many (s, t)
-    positions costs one classification, not one per position.
+    positions costs one classification, not one per position.  `pattern`
+    is the boolean mask of the pattern graph, from `gamma`.
     """
 
     A: np.ndarray
     tol: Tolerance
-    graph: Digraph
+    pattern: np.ndarray
     path_order: tuple | None
     symmetrizer: object
     spectral: SpectralClass
 
+    def _check_position(self, s: int, t: int):
+        n = len(self.A)
+        if not (0 <= s < n and 0 <= t < n):
+            raise ValueError(f"entry position ({s}, {t}) outside 0..{n - 1}")
+
     def distance(self, s: int, t: int) -> int | None:
         """Directed distance from s to t in the pattern graph, or None if unreachable."""
-        return directed_distance(self.graph, s, t)
+        self._check_position(s, t)
+        return directed_distance(self.pattern, s, t)
 
     def profile(self, s: int, t: int) -> EntryProfile | None:
+        """Entry-product profile at (s, t); None when `A` is not multiplicity-free."""
+        self._check_position(s, t)
         if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
             return None
         return entry_product_profile(self.A, s, t, self.tol, self.spectral.spectrum)
@@ -97,11 +107,11 @@ class MatrixAnalysis:
 def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
     """Analyze pattern, symmetrizability and spectrum of `A`."""
     A = clamp_nonnegative(A, tol)
-    G = gamma(A, tol)
-    order = bidirected_path_endpoints(G)
+    pattern = gamma(A, tol)
+    (order,) = bidirected_path_endpoints(pattern[None])
     sym = find_symmetrizer(A, tol)
     spectral = classify(A, tol, symmetrizer=sym)
-    return MatrixAnalysis(A=A, tol=tol, graph=G, path_order=order, symmetrizer=sym, spectral=spectral)
+    return MatrixAnalysis(A=A, tol=tol, pattern=pattern, path_order=order, symmetrizer=sym, spectral=spectral)
 
 
 @dataclass(frozen=True)
@@ -151,10 +161,6 @@ def check_path_characterization(
     """
     if analysis is None:
         analysis = analyze_matrix(A, tol)
-    n = analysis.graph.n
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"entry position ({s}, {t}) outside 0..{n - 1}")
-
     order = analysis.path_order
     cond_i = order is not None and {order[0], order[-1]} == {s, t}
     symmetrizable = isinstance(analysis.symmetrizer, Symmetrizer)
@@ -180,14 +186,10 @@ def check_distance_characterization(
     """Directed distance d from s to t plus diagonalizability vs profile."""
     if analysis is None:
         analysis = analyze_matrix(A, tol)
-    n = analysis.graph.n
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"entry position ({s}, {t}) outside 0..{n - 1}")
-
     kind = analysis.spectral.kind
     diagonalizable = kind in (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)
     dist = analysis.distance(s, t)
-    cond_i = bool(diagonalizable and dist == n - 1)
+    cond_i = bool(diagonalizable and dist == len(analysis.A) - 1)
     spectral_ok, profile = _spectral_side(analysis, s, t)
     return EquivalenceReport(
         form="distance",

@@ -197,10 +197,10 @@ def _validate_p_tensor(p: np.ndarray, k: np.ndarray, size: int):
         raise SchemeValidationError(
             "commutativity", (int(h), int(i), int(j)), "p^h_ij != p^h_ji"
         )
-    sums = p.sum(axis=2)  # sum_j p^h_ij must equal k_i for every h
-    expected = np.broadcast_to(k, (dp1, dp1))
-    if not np.array_equal(sums, expected):
-        h, i = np.argwhere(sums != expected)[0]
+    sums = np.einsum("hij->hi", p)  # sum_j p^h_ij must equal k_i for every h
+    bad = sums != k
+    if bad.any():
+        h, i = np.argwhere(bad)[0]
         raise SchemeValidationError(
             "row_sums", (int(h), int(i)), f"sum_j p^h_ij = {int(sums[h, i])}, expected k_i = {int(k[i])}"
         )
@@ -437,30 +437,14 @@ def _verify_eigendata(scheme, P, Q, m, q, tol: Tolerance) -> dict:
 def _polynomial_orderings(stack: np.ndarray, tol: Tolerance):
     """Shared path-shape scan behind both detection routines.
 
-    `stack[i]` is the matrix of generator i: B_i, or its dual.  One array
-    pass keeps the generators whose off-diagonal pattern is symmetric, has
-    two rows of degree 1 (row 0 among them) and every other row of degree 2;
-    a bidirected path that ends at 0 needs all three.  Degree counts also
-    admit a path plus disjoint cycles, so each survivor is still walked by
-    bidirected_path_endpoints.  A non-finite matrix survives too, for gamma
-    to reject.
+    `stack[i]` is the matrix of generator i: B_i, or its dual.  Generator i
+    qualifies when the pattern of its matrix is a bidirected path with 0 at
+    one end.
     """
-    d = stack.shape[0] - 1
-    mask = np.abs(stack) > tol.zero_tol
-    mask[:, np.arange(d + 1), np.arange(d + 1)] = False
-    deg = mask.sum(axis=2)
-    keep = (
-        (mask == mask.transpose(0, 2, 1)).all(axis=(1, 2))
-        & (deg[:, 0] == 1)
-        & ((deg == 1).sum(axis=1) == 2)
-        & ((deg == 2).sum(axis=1) == d - 1)
-    ) | ~np.isfinite(stack).all(axis=(1, 2))
     found = []
-    for i in (np.flatnonzero(keep[1:]) + 1).tolist():
-        order = bidirected_path_endpoints(gamma(stack[i], tol))
-        if order is None:
+    for i, order in enumerate(bidirected_path_endpoints(gamma(stack, tol)[1:]), 1):
+        if order is None or 0 not in (order[0], order[-1]):
             continue
-        # deg[:, 0] == 1 above makes 0 an endpoint of every path found
         path = order if order[0] == 0 else tuple(reversed(order))
         if path[1] != i:
             raise RuntimeError(

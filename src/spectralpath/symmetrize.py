@@ -15,7 +15,7 @@ from math import inf
 
 import numpy as np
 
-from .digraph import _out_lists, is_irreducible_tridiagonal
+from .digraph import _out_lists, gamma, is_irreducible_tridiagonal
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 
 __all__ = [
@@ -78,7 +78,7 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
     """
     A = as_matrix(A)
     n = A.shape[0]
-    nz = np.abs(A) > tol.zero_tol
+    nz = gamma(A, tol)
     upper = np.arange(n)[:, None] < np.arange(n)  # the pairs i < j
     asymmetric = nz != nz.T
     pair = _first_pair(upper & (asymmetric | (nz & (A * A.T <= 0.0))))
@@ -86,7 +86,6 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
         reason = "asymmetric_pattern" if asymmetric[pair] else "nonpositive_ratio"
         return NotSymmetrizable(reason, pair)
 
-    np.fill_diagonal(nz, False)
     adj = _out_lists(nz)
     a = A.tolist()
     w = [1.0] * n

@@ -157,6 +157,28 @@ def test_out_of_range_position_exit_two(capsys, path3_file):
     assert "error:" in err
 
 
+def test_analyze_position_out_of_range_exits_two(capsys, tmp_path, path3_file):
+    # the identity is not multiplicity-free, so no profile is formed; the
+    # position is still checked, as it is on a multiplicity-free matrix
+    ident = tmp_path / "identity.txt"
+    ident.write_text("2\n1 0\n0 1\n")
+    for matrix in (str(ident), path3_file):
+        for s, t in (("99", "0"), ("0", "-1")):
+            code, out, err = run(capsys, "analyze", matrix, "--s", s, "--t", t, "--json")
+            assert (code, out) == (2, "")
+            assert f"entry position ({s}, {t}) outside" in err
+    code, out, _ = run(capsys, "analyze", str(ident), "--s", "1", "--t", "0", "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["requested"] == {"s": 1, "t": 0, "profile": None}
+
+
+@pytest.mark.parametrize("half", [("--s", "0"), ("--t", "1")])
+def test_analyze_half_given_position_exits_two(capsys, path3_file, half):
+    code, out, err = run(capsys, "analyze", path3_file, *half, "--json")
+    assert (code, out) == (2, "")
+    assert "--s and --t must be given together" in err
+
+
 def _hamming_p_tensor(n):
     """Intersection numbers of the binary Hamming scheme H(n, 2) in closed form."""
     from math import comb

@@ -1,70 +1,102 @@
-"""Pattern digraph checks: arcs, distances, path recognition, relabelings."""
+"""Pattern graph checks: masks, distances, path recognition, relabelings."""
 
 import numpy as np
 import pytest
 
 from spectralpath.digraph import (
-    Digraph,
+    OrderingVerificationError,
     bidirected_path_endpoints,
     directed_distance,
     gamma,
     hessenberg_ordering,
     is_hessenberg,
     is_irreducible_tridiagonal,
-    shortest_path,
 )
 from spectralpath.linalg import DEFAULT_TOL, Tolerance
 
 
+def reference_path_order(mask):
+    """Ordering of one mask as a bidirected path, or None: a walk over Python sets.
+
+    Independent of the stacked test in `bidirected_path_endpoints`; the
+    diagonal is ignored and the walk starts at the smaller-labeled endpoint.
+    """
+    n = len(mask)
+    nbrs = [set(np.flatnonzero(mask[i]).tolist()) - {i} for i in range(n)]
+    for i in range(n):
+        for j in nbrs[i]:
+            if i not in nbrs[j]:
+                return None  # one-way arc: not bidirected
+    if n == 1:
+        return (0,)
+    degrees = [len(s) for s in nbrs]
+    ends = [v for v in range(n) if degrees[v] == 1]
+    if len(ends) != 2 or any(degrees[v] != 2 for v in range(n) if v not in ends):
+        return None
+    order = [min(ends)]
+    prev = -1
+    while len(order) < n:
+        nxt = [w for w in nbrs[order[-1]] if w != prev]
+        if len(nxt) != 1:
+            return None
+        prev = order[-1]
+        order.append(nxt[0])
+    # degree counts alone admit a path plus disjoint cycles
+    if len(set(order)) != n:
+        return None
+    return tuple(order)
+
+
+def mask_of(n, arcs):
+    mask = np.zeros((n, n), dtype=bool)
+    for i, j in arcs:
+        mask[i, j] = True
+    return mask
+
+
+def path_order(n, arcs):
+    (order,) = bidirected_path_endpoints(mask_of(n, arcs)[None])
+    assert order == reference_path_order(mask_of(n, arcs))
+    return order
+
+
 def test_gamma_ignores_diagonal_by_default():
-    G = gamma(np.array([[5.0, 1.0], [0.0, 2.0]]))
-    assert list(G.arcs()) == [(0, 1)]
-    G_loops = gamma(np.array([[5.0, 1.0], [0.0, 2.0]]), with_loops=True)
-    assert list(G_loops.arcs()) == [(0, 0), (0, 1), (1, 1)]
+    mask = gamma(np.array([[5.0, 1.0], [0.0, 2.0]]))
+    assert mask.dtype == bool
+    assert mask.tolist() == [[False, True], [False, False]]
 
 
 def test_gamma_threshold():
     A = np.array([[0.0, 1e-12], [1e-9, 0.0]])
-    G = gamma(A, Tolerance(zero_tol=1e-10))
-    assert list(G.arcs()) == [(1, 0)]
+    assert np.argwhere(gamma(A, Tolerance(zero_tol=1e-10))).tolist() == [[1, 0]]
 
 
 def test_gamma_matches_row_by_row_reference():
-    # empty rows, full rows and a row holding only the diagonal
+    # empty rows, full rows and a row holding only the diagonal; one matrix and a stack
     rng = np.random.default_rng(5)
     for n in (1, 2, 7, 25):
-        A = rng.choice([0.0, 1e-12, 0.5, -2.0], size=(n, n))
-        A[n // 2, :] = 0.0
-        A[0, :] = 1.0
-        for with_loops in (False, True):
-            mask = np.abs(A) > DEFAULT_TOL.zero_tol
-            if not with_loops:
-                np.fill_diagonal(mask, False)
-            ref = Digraph(n, tuple(tuple(np.flatnonzero(mask[i]).tolist()) for i in range(n)))
-            G = gamma(A, with_loops=with_loops)
-            assert G == ref
-            assert all(type(j) is int for row in G.out_adj for j in row)
+        stack = rng.choice([0.0, 1e-12, 0.5, -2.0], size=(3, n, n))
+        stack[:, n // 2, :] = 0.0
+        stack[:, 0, :] = 1.0
+        ref = np.array([[[abs(a) > DEFAULT_TOL.zero_tol and i != j for j, a in enumerate(row)]
+                         for i, row in enumerate(A)] for A in stack])
+        assert np.array_equal(gamma(stack), ref)
+        assert np.array_equal(gamma(stack[1].tolist()), ref[1])
 
 
-def test_from_arcs_validates_range():
-    with pytest.raises(ValueError):
-        Digraph.from_arcs(2, [(0, 3)])
-    with pytest.raises(ValueError):
-        Digraph.from_arcs(0, [])
+def test_gamma_rejects_non_finite_and_non_square():
+    for bad in (np.array([[0.0, np.nan], [1.0, 0.0]]), np.full((2, 3, 3), np.inf), np.zeros((2, 3))):
+        with pytest.raises(ValueError):
+            gamma(bad)
 
 
 def test_directed_distance_and_unreachable():
-    G = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-    assert directed_distance(G, 0, 2) == 2
-    assert directed_distance(G, 2, 0) is None
-    assert directed_distance(G, 1, 1) == 0
-
-
-def test_shortest_path_is_deterministic():
-    # two shortest routes 0-1-3 and 0-2-3; ascending expansion picks vertex 1
-    G = Digraph.from_arcs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert shortest_path(G, 0, 3) == [0, 1, 3]
-    assert shortest_path(G, 3, 0) is None
+    mask = mask_of(3, [(0, 1), (1, 2)])
+    assert directed_distance(mask, 0, 2) == 2
+    assert directed_distance(mask, 2, 0) is None
+    assert directed_distance(mask, 1, 1) == 0
+    with pytest.raises(ValueError):
+        directed_distance(mask, 0, 3)
 
 
 def test_distance_matches_boolean_walk_powers():
@@ -74,7 +106,6 @@ def test_distance_matches_boolean_walk_powers():
         for _ in range(10):
             M = (rng.random((n, n)) < 0.3)
             np.fill_diagonal(M, False)
-            G = Digraph.from_arcs(n, [tuple(a) for a in np.argwhere(M)])
             reach = np.eye(n, dtype=bool)
             power = np.eye(n, dtype=bool)
             first = np.full((n, n), -1)
@@ -87,25 +118,21 @@ def test_distance_matches_boolean_walk_powers():
             for s in range(n):
                 for t in range(n):
                     expect = int(first[s, t]) if first[s, t] >= 0 else None
-                    assert directed_distance(G, s, t) == expect
+                    assert directed_distance(M, s, t) == expect
 
 
 def test_bidirected_path_recognition_with_relabeling():
     # arcs 0<->2 and 2<->1: the path is 0, 2, 1
-    G = Digraph.from_arcs(3, [(0, 2), (2, 0), (2, 1), (1, 2)])
-    assert bidirected_path_endpoints(G) == (0, 2, 1)
+    assert path_order(3, [(0, 2), (2, 0), (2, 1), (1, 2)]) == (0, 2, 1)
 
 
 def test_bidirected_path_rejects_one_way_arcs():
-    G = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2)])
-    assert bidirected_path_endpoints(G) is None
+    assert path_order(3, [(0, 1), (1, 0), (1, 2)]) is None
 
 
 def test_bidirected_path_rejects_cycles_and_forks():
-    cyc = Digraph.from_arcs(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)])
-    assert bidirected_path_endpoints(cyc) is None
-    star = Digraph.from_arcs(4, [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)])
-    assert bidirected_path_endpoints(star) is None
+    assert path_order(3, [(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)]) is None
+    assert path_order(4, [(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)]) is None
 
 
 def test_bidirected_path_rejects_path_plus_cycle():
@@ -113,20 +140,51 @@ def test_bidirected_path_rejects_path_plus_cycle():
     arcs = [(0, 1), (1, 0)]
     for a, b in [(2, 3), (3, 4), (4, 2)]:
         arcs += [(a, b), (b, a)]
-    G = Digraph.from_arcs(5, arcs)
-    assert bidirected_path_endpoints(G) is None
+    assert path_order(5, arcs) is None
 
 
 def test_bidirected_path_single_vertex_and_loops():
-    assert bidirected_path_endpoints(Digraph.from_arcs(1, [])) == (0,)
-    assert bidirected_path_endpoints(Digraph.from_arcs(1, [(0, 0)])) == (0,)
-    two = Digraph.from_arcs(2, [(0, 1), (1, 0), (0, 0)])
-    assert bidirected_path_endpoints(two) == (0, 1)
+    assert path_order(1, []) == (0,)
+    assert path_order(1, [(0, 0)]) == (0,)
+    assert path_order(2, [(0, 1), (1, 0), (0, 0)]) == (0, 1)
+    assert bidirected_path_endpoints(np.zeros((0, 1, 1), dtype=bool)) == []
 
 
 def test_bidirected_path_starts_at_smaller_endpoint():
-    G = Digraph.from_arcs(3, [(2, 1), (1, 2), (1, 0), (0, 1)])
-    assert bidirected_path_endpoints(G) == (0, 1, 2)
+    assert path_order(3, [(2, 1), (1, 2), (1, 0), (0, 1)]) == (0, 1, 2)
+
+
+def random_pattern(rng, n):
+    """A seeded mask: a relabeled path, a path plus a cycle, a star, a one-way
+    arc or a random pattern, with a few diagonal entries set."""
+    perm = rng.permutation(n).tolist()
+    kind = int(rng.integers(5))
+    edges = [(perm[a], perm[a + 1]) for a in range(n - 1)]
+    if kind == 1 and n >= 5:  # path on perm[:cut] plus a cycle on the rest
+        cut = int(rng.integers(2, n - 2))
+        edges = edges[: cut - 1] + edges[cut:] + [(perm[cut], perm[-1])]
+    elif kind == 2:  # a star around perm[0]
+        edges = [(perm[0], v) for v in perm[1:]]
+    mask = mask_of(n, edges + [(b, a) for a, b in edges])
+    if kind == 3 and edges:  # one arc of the path made one-way
+        a, b = edges[int(rng.integers(len(edges)))]
+        mask[a, b] = False
+    if kind == 4:
+        mask = rng.random((n, n)) < rng.uniform(0.1, 0.5)
+    mask[np.diag_indices(n)] = rng.random(n) < 0.3
+    return mask
+
+
+def test_stacked_path_test_matches_set_walk():
+    rng = np.random.default_rng(20261018)
+    found = 0
+    for n in range(1, 10):
+        for _ in range(40):
+            stack = np.array([random_pattern(rng, n) for _ in range(int(rng.integers(1, 5)))])
+            got = bidirected_path_endpoints(stack)
+            assert got == [reference_path_order(mask) for mask in stack], stack
+            found += sum(order is not None for order in got)
+    assert found >= 100, found
 
 
 def test_hessenberg_ordering_round_trip():
@@ -145,18 +203,28 @@ def test_hessenberg_ordering_round_trip():
                         A[i, j] = rng.uniform(0.5, 2.0)
             perm = rng.permutation(n)
             B = A[np.ix_(perm, perm)]
-            G = gamma(B)
             s = int(np.where(perm == n - 1)[0][0])
             t = int(np.where(perm == 0)[0][0])
-            order = hessenberg_ordering(G, s, t)
+            order = hessenberg_ordering(gamma(B), s, t)
             assert order is not None
             C = B[np.ix_(order, order)]
             assert is_hessenberg(C)
 
 
 def test_hessenberg_ordering_requires_full_distance():
-    G = Digraph.from_arcs(3, [(0, 1), (0, 2)])
-    assert hessenberg_ordering(G, 0, 2) is None  # distance 1, not n-1
+    mask = mask_of(3, [(0, 1), (0, 2)])
+    assert hessenberg_ordering(mask, 0, 2) is None  # distance 1, not n-1
+    assert hessenberg_ordering(mask, 2, 0) is None  # unreachable
+    assert hessenberg_ordering(np.zeros((1, 1), dtype=bool), 0, 0) == (0,)
+
+
+def test_hessenberg_ordering_verifies_itself(monkeypatch):
+    # a search that misses the shortcut 0 -> 2 must not yield an ordering
+    from spectralpath import digraph
+
+    monkeypatch.setattr(digraph, "_bfs", lambda mask, s, t: ([0, 1, 2], [-1, 0, 1]))
+    with pytest.raises(OrderingVerificationError):
+        hessenberg_ordering(mask_of(3, [(0, 1), (1, 2), (0, 2)]), 0, 2)
 
 
 def test_irreducible_tridiagonal_predicate():
@@ -179,6 +247,8 @@ def test_hessenberg_predicate():
     A[2, 0] = 0.0
     A[1, 0] = 0.0  # reduced subdiagonal disqualifies
     assert not is_hessenberg(A)
+    with pytest.raises(ValueError):  # one matrix, not a stack
+        is_hessenberg(np.zeros((2, 3, 3)))
 
 
 def test_band_predicates_match_entrywise_definition():

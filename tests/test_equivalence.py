@@ -115,7 +115,7 @@ def test_position_validation():
 def test_analysis_distances_match_pattern():
     A = random_instance("hessenberg", 5, seed=10, density=0.3)
     analysis = analyze_matrix(A)
-    n = analysis.graph.n
+    n = len(analysis.pattern)
     # unreduced lower Hessenberg: every step down moves one index, so the
     # walk from the last vertex to vertex 0 has length exactly n-1
     assert analysis.distance(n - 1, 0) == n - 1

@@ -1,7 +1,9 @@
-"""Every name in a module's `__all__` resolves to an object."""
+"""Every name in a module's `__all__` resolves to an object, and every name the
+package root exports is exported by the module that defines it."""
 
 import importlib
 import pkgutil
+import types
 
 import pytest
 
@@ -17,3 +19,18 @@ def test_all_names_resolve(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_root_exports_are_exported_where_defined():
+    """A name removed from its module's `__all__` must leave the root's too."""
+    stale = []
+    for name in spectralpath.__all__:
+        obj = getattr(spectralpath, name)
+        if isinstance(obj, (type, types.FunctionType)):
+            homes = [obj.__module__]
+        else:  # a constant: every module that binds the same object
+            homes = [f"spectralpath.{m}" for m in MODULES]
+            homes = [h for h in homes if getattr(importlib.import_module(h), name, None) is obj]
+        if not any(name in importlib.import_module(h).__all__ for h in homes):
+            stale.append(name)
+    assert stale == []

@@ -4,7 +4,7 @@ polynomial structure detection, endpoint checks, file format."""
 import numpy as np
 import pytest
 
-from spectralpath.digraph import bidirected_path_endpoints, gamma
+from spectralpath.digraph import gamma
 from spectralpath.linalg import DEFAULT_TOL, Tolerance
 from spectralpath.schemes import (
     PolyStructure,
@@ -23,6 +23,7 @@ from spectralpath.schemes import (
     write_scheme,
     _polynomial_orderings,
 )
+from test_digraph import reference_path_order
 
 CUBE3_P = np.array(
     [
@@ -222,10 +223,11 @@ def test_even_cube_second_structure():
 
 
 def reference_orderings(stack, tol):
-    """One gamma + bidirected_path_endpoints walk per generator; the scan's reference."""
+    """The scan's reference: the set walk of `reference_path_order` per generator."""
+    masks = gamma(np.asarray(stack), tol)
     found = []
     for i in range(1, len(stack)):
-        order = bidirected_path_endpoints(gamma(stack[i], tol))
+        order = reference_path_order(masks[i])
         if order is None or 0 not in (order[0], order[-1]):
             continue
         path = order if order[0] == 0 else tuple(reversed(order))
