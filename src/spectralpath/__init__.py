@@ -36,19 +36,16 @@ from .equivalence import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    MatrixParseError,
+    ParseError,
     Tolerance,
     read_matrix,
     write_matrix,
 )
 from .schemes import (
     AssociationScheme,
-    EigendataResidualError,
-    EigenvalueCollisionError,
     PolyStructure,
     SchemeCharacterizationReport,
     SchemeEigendata,
-    SchemeParseError,
     SchemeValidationError,
     builtin_scheme,
     check_p_polynomial_characterization,
@@ -90,21 +87,18 @@ __all__ = [
     "AssociationScheme",
     "DEFAULT_TOL",
     "DegenerateSpectrumError",
-    "EigendataResidualError",
-    "EigenvalueCollisionError",
     "EntryProfile",
     "EquivalenceReport",
     "INSTANCE_KINDS",
     "MatrixAnalysis",
-    "MatrixParseError",
     "MultiplicityFreeRequiredError",
     "NegativeEntryError",
     "NotSymmetrizable",
     "OrderingVerificationError",
+    "ParseError",
     "PolyStructure",
     "SchemeCharacterizationReport",
     "SchemeEigendata",
-    "SchemeParseError",
     "SchemeValidationError",
     "SpectralClass",
     "SpectralIdentityError",

@@ -15,6 +15,8 @@ six significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import enum
 import functools
 import json
 import os
@@ -57,12 +59,23 @@ def _fmt_matrix(M, indent="  ") -> str:
 
 
 def _json_default(obj):
+    """Encode what `json` does not: arrays, numpy scalars, enums and the package's dataclasses.
+
+    A dataclass encodes as vars(obj), its fields, rather than through
+    dataclasses.asdict, whose fields() builds a tuple from a generator on
+    every call (see digraph._out_lists); `json` calls this hook again for
+    the fields it cannot encode itself.
+    """
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, np.integer):
         return int(obj)
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj):
+        return vars(obj)
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
@@ -107,16 +120,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true", help="emit a full-precision JSON report")
 
 
-# vars() rather than dataclasses.asdict, whose fields() builds a tuple from a
-# generator on every call (see digraph._out_lists); the fields are flat.
-def _profile_dict(profile):
-    return None if profile is None else dict(vars(profile))
-
-
-def _tol_dict(tol: Tolerance) -> dict:
-    return dict(vars(tol))
-
-
 def _verdict(side_i: bool, side_ii: bool):
     """Verdict text and exit code of a two-sided check."""
     if side_i and side_ii:
@@ -143,11 +146,11 @@ def _cmd_analyze(args) -> int:
 
     requested = None
     if args.s is not None:
-        requested = {"s": args.s, "t": args.t, "profile": _profile_dict(analysis.profile(args.s, args.t))}
+        requested = {"s": args.s, "t": args.t, "profile": analysis.profile(args.s, args.t)}
 
     report = {
         "command": "analyze",
-        "tolerances": _tol_dict(tol),
+        "tolerances": tol,
         "result": {
             "order": n,
             "arc_count": arc_count,
@@ -156,9 +159,7 @@ def _cmd_analyze(args) -> int:
             "eigenvalues": [[v, m] for v, m in spectral.eigenvalues],
             "symmetrizable": isinstance(sym, Symmetrizer),
             "kappa": sym.kappa if isinstance(sym, Symmetrizer) else None,
-            "not_symmetrizable": None
-            if isinstance(sym, Symmetrizer)
-            else {"reason": sym.reason, "witness": list(sym.witness)},
+            "not_symmetrizable": None if isinstance(sym, Symmetrizer) else sym,
             "constant_profile_positions": constant_positions,
             "requested": requested,
         },
@@ -182,8 +183,8 @@ def _cmd_analyze(args) -> int:
         if requested is not None and requested["profile"] is not None:
             p = requested["profile"]
             yield (
-                f"profile ({args.s}, {args.t}): {_fmt_vec(p['values'])} "
-                f"spread {_fmt(p['spread'])} threshold {_fmt(p['threshold'])}"
+                f"profile ({args.s}, {args.t}): {_fmt_vec(p.values)} "
+                f"spread {_fmt(p.spread)} threshold {_fmt(p.threshold)}"
             )
 
     _emit(report, args.json, lines())
@@ -197,24 +198,12 @@ def _cmd_check(args) -> int:
         check_path_characterization if args.form == "path" else check_distance_characterization
     )
     rep = checker(A, args.s, args.t, tol)
-    profile = _profile_dict(rep.profile)
+    profile = rep.profile
     verdict, code = _verdict(rep.condition_i, rep.condition_ii)
     report = {
         "command": "check",
-        "tolerances": _tol_dict(tol),
-        "result": {
-            "form": rep.form,
-            "s": rep.s,
-            "t": rep.t,
-            "condition_i": rep.condition_i,
-            "condition_ii": rep.condition_ii,
-            "equivalent": rep.equivalent,
-            "spectral_kind": rep.spectral_kind.value,
-            "symmetrizable": rep.symmetrizable,
-            "path_order": list(rep.path_order) if rep.path_order else None,
-            "distance": rep.distance,
-            "profile": profile,
-        },
+        "tolerances": tol,
+        "result": {**vars(rep), "equivalent": rep.equivalent},
         "verdict": verdict,
     }
 
@@ -223,9 +212,9 @@ def _cmd_check(args) -> int:
         yield f"pattern side: {rep.condition_i}   spectral side: {rep.condition_ii}"
         yield f"spectral class: {rep.spectral_kind.value}   distance: {rep.distance}"
         if profile is not None:
-            yield f"profile: {_fmt_vec(profile['values'])}" + (
-                f" constant {_fmt(profile['common_value'])}"
-                if profile["common_value"] is not None
+            yield f"profile: {_fmt_vec(profile.values)}" + (
+                f" constant {_fmt(profile.common_value)}"
+                if profile.common_value is not None
                 else " (not a nonzero constant)"
             )
         yield f"verdict: {verdict}"
@@ -244,32 +233,14 @@ def _load_scheme(source: str) -> schemes.AssociationScheme:
     return schemes.read_scheme(source)
 
 
-def _characterization_payload(rep):
-    return {
-        "kind": rep.kind,
-        "generator": rep.generator,
-        "last": rep.last,
-        "side_i": rep.side_i,
-        "side_ii": rep.side_ii,
-        "equivalent": rep.equivalent,
-        "theta": rep.theta,
-        "expected": rep.expected,
-        "actual": rep.actual,
-        "max_deviation": rep.max_deviation,
-    }
-
-
 def _report_structures(args, kind: str, scheme, structures, tol: Tolerance, seed=None) -> int:
     """Emit the detected P- or Q-polynomial structures; `kind` is "p" or "q"."""
     name = f"{kind.upper()}-polynomial"
-    payload = [
-        {"generator": st.generator, "ordering": list(st.ordering), "last": st.last}
-        for st in structures
-    ]
+    payload = [st._asdict() for st in structures]
     verdict = f"{len(structures)} {name} structure(s)" if structures else f"no {name} structure"
     report = {
         "command": f"scheme {kind}-poly",
-        "tolerances": _tol_dict(tol),
+        "tolerances": tol,
         "result": {"size": scheme.size, "d": scheme.d, "structures": payload},
         "verdict": verdict,
     }
@@ -312,7 +283,7 @@ def _cmd_scheme(args) -> int:
         kmax = float(np.max(ed.q))
         report = {
             "command": "scheme info",
-            "tolerances": _tol_dict(tol),
+            "tolerances": tol,
             "seed": seed,
             "result": {
                 "size": scheme.size,
@@ -352,9 +323,9 @@ def _cmd_scheme(args) -> int:
     verdict, code = _verdict(rep.side_i, rep.side_ii)
     report = {
         "command": f"scheme {action}",
-        "tolerances": _tol_dict(tol),
+        "tolerances": tol,
         "seed": seed,
-        "result": _characterization_payload(rep),
+        "result": {**vars(rep), "equivalent": rep.equivalent},
         "verdict": verdict,
     }
 
@@ -375,13 +346,11 @@ def _cmd_scheme(args) -> int:
 def _cmd_selftest(args) -> int:
     tol = _tol_from_args(args)
     seed = _resolve_seed(args)
-    results = selftest.run_all_suites(
-        trials=args.trials, d_max=args.d_max, seed=seed, tol=tol, force_fail=args.force_fail
-    )
+    results = selftest.run_all_suites(trials=args.trials, d_max=args.d_max, seed=seed, tol=tol)
     all_passed = all(r.passed for r in results)
     report = {
         "command": "selftest",
-        "tolerances": _tol_dict(tol),
+        "tolerances": tol,
         "seed": seed,
         "result": [
             {
@@ -444,7 +413,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="randomized property suites")
     p_self.add_argument("--trials", type=int, default=25)
     p_self.add_argument("--d-max", type=int, default=6)
-    p_self.add_argument("--force-fail", action="store_true", help=argparse.SUPPRESS)
     _add_common(p_self)
     p_self.set_defaults(func=_cmd_selftest)
     return parser

@@ -21,7 +21,7 @@ __all__ = [
     "as_matrix",
     "read_matrix",
     "write_matrix",
-    "MatrixParseError",
+    "ParseError",
 ]
 
 
@@ -48,8 +48,8 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-class MatrixParseError(ValueError):
-    """Raised on malformed matrix text, carrying the 1-based line number."""
+class ParseError(ValueError):
+    """Malformed matrix or scheme text, carrying the 1-based line number."""
 
     def __init__(self, lineno: int, message: str):
         self.lineno = lineno
@@ -66,11 +66,11 @@ def as_matrix(A) -> np.ndarray:
     return M
 
 
-def _content_lines(source, blank_is_text: bool = False):
+def _content_lines(source):
     """The stripped lines of a text source that are neither blank nor '#' comments.
 
     `source` is a file object, a string of text (any string with a newline,
-    and a blank one when `blank_is_text`) or a path.  Returns the lines with
+    and a blank one) or a path.  Returns the lines with
     a function from a position among them to its 1-based line number, for
     error messages.  The index list behind it is built only when the text
     has a blank line or a '#' somewhere.
@@ -79,7 +79,7 @@ def _content_lines(source, blank_is_text: bool = False):
         text = source.read()
     else:
         text = str(source)
-        if "\n" not in text and not (blank_is_text and text.strip() == ""):
+        if "\n" not in text and text.strip():
             with open(text, "r", encoding="utf-8") as fh:
                 text = fh.read()
     lines = list(map(str.strip, text.splitlines()))
@@ -95,38 +95,38 @@ def read_matrix(source) -> np.ndarray:
     The first content line holds the order n; the next n lines hold n
     whitespace-separated decimal literals each.  Lines starting with '#'
     are comments.  `source` may be a path, a string of text, or a file
-    object.  Raises MatrixParseError with a line number on malformed input.
+    object.  Raises ParseError with a line number on malformed input.
     """
-    content, lineno = _content_lines(source, blank_is_text=True)
+    content, lineno = _content_lines(source)
     if not content:
-        raise MatrixParseError(1, "no content lines found")
+        raise ParseError(1, "no content lines found")
 
     head = content[0]
     try:
         n = int(head)
     except ValueError:
-        raise MatrixParseError(lineno(0), f"expected matrix order, got {head!r}") from None
+        raise ParseError(lineno(0), f"expected matrix order, got {head!r}") from None
     if n < 1:
-        raise MatrixParseError(lineno(0), f"matrix order must be positive, got {n}")
+        raise ParseError(lineno(0), f"matrix order must be positive, got {n}")
     if len(content) - 1 < n:
-        raise MatrixParseError(
+        raise ParseError(
             lineno(len(content) - 1), f"expected {n} matrix rows, found {len(content) - 1}"
         )
     if len(content) - 1 > n:
-        raise MatrixParseError(lineno(n + 1), f"unexpected extra row beyond {n}")
+        raise ParseError(lineno(n + 1), f"unexpected extra row beyond {n}")
 
     rows = []
     for r, line in enumerate(content[1 : n + 1], 1):
         parts = line.split()
         if len(parts) != n:
-            raise MatrixParseError(lineno(r), f"expected {n} entries, found {len(parts)}")
+            raise ParseError(lineno(r), f"expected {n} entries, found {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError:
-            raise MatrixParseError(lineno(r), f"non-numeric entry in row: {line!r}") from None
+            raise ParseError(lineno(r), f"non-numeric entry in row: {line!r}") from None
     A = np.array(rows)
     if not np.all(np.isfinite(A)):
-        raise MatrixParseError(lineno(1), "matrix entries must be finite")
+        raise ParseError(lineno(1), "matrix entries must be finite")
     return A
 
 
@@ -144,7 +144,11 @@ def write_matrix(A, target=None) -> str:
     for row in A:
         out.write(" ".join(f"{x:.17g}" for x in row))
         out.write("\n")
-    text = out.getvalue()
+    return _write_text(out.getvalue(), target)
+
+
+def _write_text(text: str, target) -> str:
+    """Write `text` to `target` (path or file object) unless it is None; return `text`."""
     if target is not None:
         if hasattr(target, "write"):
             target.write(text)

@@ -28,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .digraph import bidirected_path_endpoints, gamma
-from .linalg import DEFAULT_TOL, Tolerance, _content_lines
-from .spectra import _gap_products
+from .linalg import DEFAULT_TOL, ParseError, Tolerance, _content_lines, _write_text
+from .spectra import DegenerateSpectrumError, SpectralIdentityError, _gap_products
 
 __all__ = [
     "AssociationScheme",
@@ -50,9 +50,6 @@ __all__ = [
     "read_scheme",
     "write_scheme",
     "SchemeValidationError",
-    "SchemeParseError",
-    "EigenvalueCollisionError",
-    "EigendataResidualError",
 ]
 
 BUILTIN_SIZE_CAP = 4096
@@ -65,33 +62,6 @@ class SchemeValidationError(ValueError):
         self.axiom = axiom
         self.witness = witness
         super().__init__(f"{axiom} violated at {witness}: {message}")
-
-
-class SchemeParseError(ValueError):
-    """Malformed scheme text, carrying the 1-based line number."""
-
-    def __init__(self, lineno: int, message: str):
-        self.lineno = lineno
-        super().__init__(f"line {lineno}: {message}")
-
-
-class EigenvalueCollisionError(RuntimeError):
-    """Random positive combinations kept producing colliding eigenvalues."""
-
-
-class EigendataResidualError(RuntimeError):
-    """Computed eigendata failed one of its verified identities.
-
-    A numerical failure, unlike SchemeValidationError: the input passed the
-    scheme axioms, but P, Q, m or the Krein parameters came out beyond the
-    residual bound.
-    """
-
-    def __init__(self, identity: str, residual: float, bound: float):
-        self.identity = identity
-        self.residual = residual
-        self.bound = bound
-        super().__init__(f"{identity} residual {residual:.3g} > {bound:.3g}")
 
 
 @dataclass(frozen=True)
@@ -395,7 +365,7 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed=0) -
         return SchemeEigendata(
             scheme=scheme, P=P, Q=Q, m=m, q=q, seed=seed, residuals=residuals
         )
-    raise EigenvalueCollisionError(
+    raise DegenerateSpectrumError(
         f"five random combinations produced colliding eigenvalues (last gap {last_gap:.3e})"
     )
 
@@ -424,13 +394,13 @@ def _verify_eigendata(scheme, P, Q, m, q, tol: Tolerance) -> dict:
     bound = tol.residual_tol * scale
     for name in ("valency_row", "P_column0", "Q_column0", "PQ_identity", "QP_identity", "multiplicity_sum"):
         if checks[name] > bound:
-            raise EigendataResidualError(name, checks[name], bound)
+            raise SpectralIdentityError(name, checks[name], bound)
     kre_scale = tol.residual_tol * max(1.0, float(abs(q).max())) * scale
     for name in ("krein_symmetry", "krein_identity_column", "krein_top_slice", "krein_balance", "krein_min"):
         if checks[name] > kre_scale:
-            raise EigendataResidualError(name, checks[name], kre_scale)
+            raise SpectralIdentityError(name, checks[name], kre_scale)
     if (m <= 0.0).any():
-        raise EigendataResidualError("nonpositive_multiplicity", -float(m.min()), 0.0)
+        raise SpectralIdentityError("nonpositive_multiplicity", -float(m.min()), 0.0)
     return checks
 
 
@@ -488,7 +458,6 @@ class SchemeCharacterizationReport:
     expected: np.ndarray | None
     actual: np.ndarray
     max_deviation: float | None
-    structures: tuple
 
     @property
     def equivalent(self) -> bool:
@@ -528,7 +497,6 @@ def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
         expected=expected,
         actual=actual.copy(),
         max_deviation=max_dev,
-        structures=structures,
     )
 
 
@@ -574,6 +542,16 @@ def _load_p_tensor(lines, n: int):
     return p.reshape(n, n, n) if p.shape == (n * n, n) else None
 
 
+def _int64_row(parts, line: int, what: str) -> np.ndarray:
+    """The tokens of text line `line` as int64 values, else a ParseError naming it."""
+    try:
+        return np.array([int(x) for x in parts], dtype=np.int64)
+    except ValueError:
+        raise ParseError(line, f"non-integer {what}") from None
+    except OverflowError:
+        raise ParseError(line, f"{what} outside the int64 range") from None
+
+
 _HEADER_RE = re.compile(r"^SCHEME\s+X=(\d+)\s+D=(\d+)\s+FORM=(RELATIONS|PTENSOR)$")
 
 
@@ -587,18 +565,18 @@ def read_scheme(source) -> AssociationScheme:
     """
     content, lineno = _content_lines(source)
     if not content:
-        raise SchemeParseError(1, "no content lines found")
+        raise ParseError(1, "no content lines found")
 
     match = _HEADER_RE.match(content[0])
     if not match:
-        raise SchemeParseError(lineno(0), f"bad header {content[0]!r}")
+        raise ParseError(lineno(0), f"bad header {content[0]!r}")
     size, d, form = int(match.group(1)), int(match.group(2)), match.group(3)
     pos = 1
 
     def take():
         nonlocal pos
         if pos >= len(content):
-            raise SchemeParseError(lineno(len(content) - 1), "unexpected end of file")
+            raise ParseError(lineno(len(content) - 1), "unexpected end of file")
         pos += 1
         return content[pos - 1]
 
@@ -607,7 +585,7 @@ def read_scheme(source) -> AssociationScheme:
         for i in range(d + 1):
             line = take()
             if line != f"REL {i}":
-                raise SchemeParseError(lineno(pos - 1), f"expected 'REL {i}', got {line!r}")
+                raise ParseError(lineno(pos - 1), f"expected 'REL {i}', got {line!r}")
             rows = content[pos : pos + size]
             block = np.frombuffer("".join(rows).encode("ascii", "replace"), dtype=np.uint8)
             # '0' and '1' are the only bytes b with b | 1 == ord("1")
@@ -615,41 +593,36 @@ def read_scheme(source) -> AssociationScheme:
                 for _ in range(size):  # name the first bad line
                     line = take()
                     if len(line) != size or line.strip("01"):
-                        raise SchemeParseError(lineno(pos - 1), f"expected {size} characters of 0/1")
+                        raise ParseError(lineno(pos - 1), f"expected {size} characters of 0/1")
             pos += size
             mats.append((block == ord("1")).view(np.int8).reshape(size, size))
         if pos != len(content):
-            raise SchemeParseError(lineno(pos), "unexpected trailing content")
+            raise ParseError(lineno(pos), "unexpected trailing content")
         scheme = scheme_from_relations(mats)
     else:
         line = take()
         parts = line.split()
         if parts[:1] != ["K"] or len(parts) != d + 2:
-            raise SchemeParseError(lineno(pos - 1), f"expected 'K' line with {d + 1} valencies")
-        try:
-            k = np.array([int(x) for x in parts[1:]], dtype=np.int64)
-        except ValueError:
-            raise SchemeParseError(lineno(pos - 1), "non-integer valency") from None
+            raise ParseError(lineno(pos - 1), f"expected 'K' line with {d + 1} valencies")
+        k = _int64_row(parts[1:], lineno(pos - 1), "valency")
         p = _load_p_tensor(content[pos:], d + 1)
         if p is None:
-            p = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)
+            rows = []  # the tensor is allocated only once every row has been read
             for h in range(d + 1):
                 line = take()
                 if line != f"P {h}":
-                    raise SchemeParseError(lineno(pos - 1), f"expected 'P {h}', got {line!r}")
+                    raise ParseError(lineno(pos - 1), f"expected 'P {h}', got {line!r}")
                 for i in range(d + 1):
                     parts = take().split()
                     if len(parts) != d + 1:
-                        raise SchemeParseError(lineno(pos - 1), f"expected {d + 1} integers")
-                    try:
-                        p[h, i, :] = [int(x) for x in parts]
-                    except ValueError:
-                        raise SchemeParseError(lineno(pos - 1), "non-integer intersection number") from None
+                        raise ParseError(lineno(pos - 1), f"expected {d + 1} integers")
+                    rows.append(_int64_row(parts, lineno(pos - 1), "intersection number"))
             if pos != len(content):
-                raise SchemeParseError(lineno(pos), "unexpected trailing content")
+                raise ParseError(lineno(pos), "unexpected trailing content")
+            p = np.array(rows).reshape(d + 1, d + 1, d + 1)
         scheme = scheme_from_p_tensor(p, k)
     if scheme.size != size or scheme.d != d:
-        raise SchemeParseError(
+        raise ParseError(
             lineno(0),
             f"header says X={size} D={d}, content gives X={scheme.size} D={scheme.d}",
         )
@@ -672,11 +645,4 @@ def write_scheme(scheme: AssociationScheme, target=None) -> str:
             lines.append(f"P {h}")
             for i in range(scheme.d + 1):
                 lines.append(" ".join(str(int(x)) for x in scheme.p[h, i, :]))
-    text = "\n".join(lines) + "\n"
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    return text
+    return _write_text("\n".join(lines) + "\n", target)

@@ -347,11 +347,15 @@ def _suite_scheme(seed: int, tol: Tolerance) -> SuiteResult:
     return result
 
 
-def run_all_suites(
-    trials: int = 25, d_max: int = 6, seed: int = 0, tol: Tolerance = DEFAULT_TOL, force_fail: bool = False
-):
-    """Run every suite; returns the list of SuiteResult."""
-    results = [
+def run_all_suites(trials: int = 25, d_max: int = 6, seed: int = 0, tol: Tolerance = DEFAULT_TOL):
+    """Run every suite; returns the list of SuiteResult.
+
+    Raises ValueError when `trials` or `d_max` is below 1, at which some
+    suite would run no case or fail on a modulus of zero.
+    """
+    if trials < 1 or d_max < 1:
+        raise ValueError(f"trials and d_max must be at least 1, got {trials} and {d_max}")
+    return [
         suite_path_equivalence(trials=trials, d_max=d_max, seed=seed, tol=tol),
         suite_distance_equivalence(trials=trials, d_max=min(d_max, 7), seed=seed, tol=tol),
         suite_hessenberg_powers(trials=trials, d_max=min(d_max, 8), seed=seed, tol=tol),
@@ -359,9 +363,3 @@ def run_all_suites(
         suite_degenerate(seed=seed, tol=tol),
         _suite_scheme(seed=seed, tol=tol),
     ]
-    if force_fail:
-        forced = SuiteResult("forced_failure")
-        forced.cases = 1
-        forced.fail("failure injected for harness sanity checking")
-        results.append(forced)
-    return results

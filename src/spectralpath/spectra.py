@@ -62,7 +62,11 @@ class SpectralKind(enum.Enum):
 
 
 class SpectralIdentityError(RuntimeError):
-    """Spectral projector identities failed verification."""
+    """A verified identity failed: a matrix's spectral projectors, or a scheme's eigendata.
+
+    A numerical failure: the input was valid, but the computed spectral
+    objects came out beyond the residual bound.
+    """
 
     def __init__(self, which: str, residual: float, bound: float):
         self.which = which
@@ -74,7 +78,11 @@ class SpectralIdentityError(RuntimeError):
 
 
 class DegenerateSpectrumError(RuntimeError):
-    """Eigenvalues too close to tell apart or to merge at working precision."""
+    """Eigenvalues too close to tell apart or to merge at working precision.
+
+    Also raised when random combinations of a scheme's intersection matrices
+    keep producing colliding eigenvalues.
+    """
 
 
 class MultiplicityFreeRequiredError(ValueError):

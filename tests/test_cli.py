@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import spectralpath
+from spectralpath import selftest
 from spectralpath.cli import main
 
 # Directory holding the imported package, so child processes run this copy.
@@ -111,6 +112,61 @@ def test_json_report_is_one_line(capsys, path3_file, argv):
     assert isinstance(json.loads(out), dict)
 
 
+TOLERANCE_KEYS = {"zero_tol", "eig_tol", "residual_tol"}
+PROFILE_KEYS = {"values", "is_constant", "common_value", "constant_zero", "spread", "threshold"}
+ANALYZE_KEYS = {
+    "order", "arc_count", "path_order", "spectral_kind", "eigenvalues", "symmetrizable", "kappa",
+    "not_symmetrizable", "constant_profile_positions", "requested",
+}
+CHECK_KEYS = {
+    "form", "s", "t", "condition_i", "condition_ii", "equivalent", "spectral_kind", "symmetrizable",
+    "path_order", "distance", "profile",
+}
+INFO_KEYS = {"size", "d", "valencies", "multiplicities", "P", "Q", "krein_min", "krein_max", "residuals"}
+POLY_KEYS = {"size", "d", "structures"}
+SCHEME_CHECK_KEYS = {
+    "kind", "generator", "last", "side_i", "side_ii", "equivalent", "theta", "expected", "actual",
+    "max_deviation",
+}
+STRUCTURE_KEYS = {"generator", "ordering", "last"}
+SUITE_KEYS = {"suite", "cases", "passed", "failures", "worst_residuals"}
+CUBE = "builtin:hypercube(3)"
+
+
+@pytest.mark.parametrize(
+    "argv, keys, nested",
+    [
+        (("analyze", "{path}", "--s", "0", "--t", "2"), ANALYZE_KEYS, {("requested", "profile"): PROFILE_KEYS}),
+        (("analyze", "{nonsym}"), ANALYZE_KEYS, {("not_symmetrizable",): {"reason", "witness"}}),
+        (("check", "{path}", "--form", "path", "--s", "0", "--t", "2"), CHECK_KEYS, {("profile",): PROFILE_KEYS}),
+        (("check", "{path}", "--form", "distance", "--s", "0", "--t", "1"), CHECK_KEYS, {("profile",): PROFILE_KEYS}),
+        (("scheme", CUBE, "info"), INFO_KEYS, {}),
+        (("scheme", CUBE, "p-poly"), POLY_KEYS, {("structures", 0): STRUCTURE_KEYS}),
+        (("scheme", CUBE, "q-poly"), POLY_KEYS, {("structures", 0): STRUCTURE_KEYS}),
+        (("scheme", CUBE, "p-check", "1", "3"), SCHEME_CHECK_KEYS, {}),
+        (("scheme", CUBE, "q-check", "1", "2"), SCHEME_CHECK_KEYS, {}),
+        (("selftest", "--trials", "1", "--d-max", "2"), SUITE_KEYS, {}),
+    ],
+    ids=["analyze", "analyze-nonsym", "check-path", "check-distance", "info", "p-poly", "q-poly",
+         "p-check", "q-check", "selftest"],
+)
+def test_json_result_keys_are_pinned(capsys, tmp_path, path3_file, argv, keys, nested):
+    # reports encode dataclasses field by field, so a new field must show here
+    nonsym = tmp_path / "nonsym.txt"
+    nonsym.write_text("2\n1 1\n0 2\n")
+    argv = [a.format(path=path3_file, nonsym=nonsym) for a in argv]
+    report = json.loads(run(capsys, *argv, "--json")[1])
+    assert set(report["tolerances"]) == TOLERANCE_KEYS
+    result = report["result"]
+    for item in result if isinstance(result, list) else [result]:
+        assert set(item) == keys
+    for path, inner in nested.items():
+        value = result
+        for key in path:
+            value = value[key]
+        assert set(value) == inner, path
+
+
 def test_json_report_leaves_no_cyclic_garbage(path3_file):
     """One `main` call frees everything it allocates by reference counting alone."""
     calls = [("analyze", path3_file, "--json"), ("scheme", "builtin:hypercube(3)", "info", "--json")]
@@ -149,6 +205,11 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     good.write_text(PATH3_TEXT)
     code, _, err = run(capsys, "analyze", str(good), "--zero-tol", "-1")
     assert code == 2
+    huge = tmp_path / "huge.scheme"  # a P row entry beyond int64
+    huge.write_text("SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\nP 0\n0 99999999999999999999999\n")
+    code, _, err = run(capsys, "scheme", str(huge), "info")
+    assert code == 2
+    assert "line 4" in err
 
 
 def test_out_of_range_position_exit_two(capsys, path3_file):
@@ -309,13 +370,24 @@ def test_scheme_file_source(capsys, tmp_path):
     assert report["result"]["multiplicities"] == pytest.approx([1.0, 3.0], abs=1e-9)
 
 
-def test_selftest_exit_codes(capsys):
+def test_selftest_exit_codes(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--trials", "2", "--d-max", "3")
     assert code == 0
     assert "verdict: all suites passed" in out
-    code, out, _ = run(capsys, "selftest", "--trials", "2", "--d-max", "3", "--force-fail")
+    failing = selftest.SuiteResult("injected", cases=1)
+    failing.fail("injected failure")
+    monkeypatch.setattr(selftest, "run_all_suites", lambda **kwargs: [failing])
+    code, out, _ = run(capsys, "selftest")
     assert code == 3
-    assert "forced_failure" in out
+    assert "FAIL injected: cases=1\n    injected failure\nverdict: suite failures" in out
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--d-max"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_selftest_rejects_sizes_below_one(capsys, flag, value):
+    code, out, err = run(capsys, "selftest", flag, value)
+    assert (code, out) == (2, "")
+    assert "must be at least 1" in err
 
 
 def test_selftest_json_structure(capsys):

@@ -10,13 +10,13 @@ import pytest
 
 from spectralpath.linalg import (
     DEFAULT_TOL,
-    MatrixParseError,
+    ParseError,
     Tolerance,
     as_matrix,
     read_matrix,
     write_matrix,
 )
-from spectralpath.schemes import SchemeParseError, builtin_scheme, eigendata, read_scheme
+from spectralpath.schemes import builtin_scheme, eigendata, read_scheme
 from spectralpath.spectra import SpectralKind, classify
 
 # second eigenmatrix of the 3-cube; squares to 8 I
@@ -150,28 +150,28 @@ def test_read_matrix_from_file_and_file_object(tmp_path):
 
 
 def test_read_matrix_error_line_numbers():
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix("")
     assert info.value.lineno == 1
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix("x\n1\n")
     assert info.value.lineno == 1
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix("0\n")
     assert info.value.lineno == 1
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix("2\n1 2\n")  # one row missing
     assert info.value.lineno == 2
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix("1\n5\n6\n")  # one row too many
     assert info.value.lineno == 3
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix("2\n1 2 3\n4 5\n")
     assert info.value.lineno == 2
-    with pytest.raises(MatrixParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_matrix("2\n1 2\n3 four\n")
     assert info.value.lineno == 3
-    with pytest.raises(MatrixParseError):
+    with pytest.raises(ParseError):
         read_matrix("1\n1e999\n")  # overflows to inf
 
 
@@ -183,26 +183,34 @@ _PT = "SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\n\nP 0\n1 0\n0 1\n# slice 1\n"
 
 
 @pytest.mark.parametrize(
-    "reader, error, body, lineno, message",
+    "reader, body, lineno, message",
     [
-        (read_matrix, MatrixParseError, "2\n# row 0\n1 2\n3\n", 8, "expected 2 entries, found 1"),
-        (read_matrix, MatrixParseError, "2\n1 2\n\n3 x\n", 8, "non-numeric entry in row: '3 x'"),
-        (read_matrix, MatrixParseError, "2\n1 2\n\n3 4\n5 6\n", 9, "unexpected extra row beyond 2"),
-        (read_matrix, MatrixParseError, "2\n\n1 2\n", 7, "expected 2 matrix rows, found 1"),
-        (read_scheme, SchemeParseError, _REL + "0\n10\n", 12, "expected 2 characters of 0/1"),
-        (read_scheme, SchemeParseError, _REL + "01\n12\n", 13, "expected 2 characters of 0/1"),
-        (read_scheme, SchemeParseError, _REL + "01\n10\n\nREL 2\n", 15, "unexpected trailing content"),
-        (read_scheme, SchemeParseError, _PT + "0 1\n1 0\n", 12, "expected 'P 1', got '0 1'"),
-        (read_scheme, SchemeParseError, _PT + "P 1\n0 1\n1 0.5\n", 14, "non-integer intersection number"),
-        (read_scheme, SchemeParseError, _PT + "P 1\n0 1\n1 0\n# end\nP 2\n", 16, "unexpected trailing content"),
+        (read_matrix, "2\n# row 0\n1 2\n3\n", 8, "expected 2 entries, found 1"),
+        (read_matrix, "2\n1 2\n\n3 x\n", 8, "non-numeric entry in row: '3 x'"),
+        (read_matrix, "2\n1 2\n\n3 4\n5 6\n", 9, "unexpected extra row beyond 2"),
+        (read_matrix, "2\n\n1 2\n", 7, "expected 2 matrix rows, found 1"),
+        (read_scheme, _REL + "0\n10\n", 12, "expected 2 characters of 0/1"),
+        (read_scheme, _REL + "01\n12\n", 13, "expected 2 characters of 0/1"),
+        (read_scheme, _REL + "01\n10\n\nREL 2\n", 15, "unexpected trailing content"),
+        (read_scheme, _PT + "0 1\n1 0\n", 12, "expected 'P 1', got '0 1'"),
+        (read_scheme, _PT + "P 1\n0 1\n1 0.5\n", 14, "non-integer intersection number"),
+        (read_scheme, _PT + "P 1\n0 1\n1 0\n# end\nP 2\n", 16, "unexpected trailing content"),
     ],
     ids=["short-row", "bad-entry", "matrix-extra", "matrix-missing", "short-rel-row", "bad-digit",
          "rel-extra", "missing-P-header", "non-integer", "ptensor-extra"],
 )
-def test_readers_number_lines_alike(reader, error, body, lineno, message):
-    with pytest.raises(error) as info:
+def test_readers_number_lines_alike(reader, body, lineno, message):
+    with pytest.raises(ParseError) as info:
         reader(_LEAD + body)
     assert (info.value.lineno, str(info.value)) == (lineno, f"line {lineno}: {message}")
+
+
+@pytest.mark.parametrize("reader", [read_matrix, read_scheme])
+@pytest.mark.parametrize("text", ["", "   "])
+def test_blank_string_is_text_not_a_path(reader, text):
+    with pytest.raises(ParseError) as info:
+        reader(text)
+    assert str(info.value) == "line 1: no content lines found"
 
 
 def test_write_matrix_round_trip_exact():

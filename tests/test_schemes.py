@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from spectralpath.digraph import gamma
-from spectralpath.linalg import DEFAULT_TOL, Tolerance
+from spectralpath.linalg import DEFAULT_TOL, ParseError, Tolerance
 from spectralpath.schemes import (
     PolyStructure,
-    SchemeParseError,
     SchemeValidationError,
     builtin_scheme,
     check_p_polynomial_characterization,
@@ -23,6 +22,7 @@ from spectralpath.schemes import (
     write_scheme,
     _polynomial_orderings,
 )
+from spectralpath.spectra import SpectralIdentityError
 from test_digraph import reference_path_order
 
 CUBE3_P = np.array(
@@ -195,6 +195,12 @@ def test_eigendata_deterministic_and_seedable():
     assert np.allclose(a.P, c.P, atol=1e-9)  # convention pins the result
     none_seed = eigendata(scheme, seed=None)
     assert np.array_equal(a.P, none_seed.P)
+
+
+def test_eigendata_residual_failure_is_a_spectral_identity_error():
+    with pytest.raises(SpectralIdentityError) as info:
+        eigendata(builtin_scheme("hypercube", 3), Tolerance(residual_tol=0.0))
+    assert info.value.residual > info.value.bound == 0.0
 
 
 def test_ptensor_only_scheme_matches_relations_route():
@@ -615,25 +621,25 @@ def test_scheme_text_round_trip_ptensor():
 
 
 def test_scheme_parse_errors_carry_line_numbers():
-    with pytest.raises(SchemeParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_scheme("JUNK\n")
     assert info.value.lineno == 1
-    with pytest.raises(SchemeParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_scheme("SCHEME X=2 D=1 FORM=RELATIONS\nREL 0\n10\n01\nREL 9\n")
     assert info.value.lineno == 5
-    with pytest.raises(SchemeParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_scheme("SCHEME X=2 D=1 FORM=RELATIONS\nREL 0\n10\n0x\nREL 1\n01\n10\n")
     assert info.value.lineno == 4
     good = "SCHEME X=2 D=1 FORM=RELATIONS\nREL 0\n10\n01\nREL 1\n01\n10\n"
-    with pytest.raises(SchemeParseError):
+    with pytest.raises(ParseError):
         read_scheme(good + "EXTRA\n")
     # header contradicting the content
-    with pytest.raises(SchemeParseError):
+    with pytest.raises(ParseError):
         read_scheme(good.replace("X=2", "X=3"))
-    with pytest.raises(SchemeParseError) as info:
+    with pytest.raises(ParseError) as info:
         read_scheme("SCHEME X=2 D=1 FORM=PTENSOR\nK 1 x\n")
     assert info.value.lineno == 2
-    with pytest.raises(SchemeParseError):
+    with pytest.raises(ParseError):
         read_scheme("SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\nP 0\n1 0\n0 1\n")
     rel = good.splitlines()  # line 6 is the first row of REL 1
     ptensor = "SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\nP 0\n1 0\n0 1\nP 1\n0 1\n1 0\n".splitlines()
@@ -667,15 +673,28 @@ def test_scheme_parse_errors_carry_line_numbers():
         (edit(ptensor, {5: "0 y"}) + "EXTRA\n", 5, "non-integer intersection number"),
         (edit(ptensor[:7], {5: "0 y"}), 5, "non-integer intersection number"),
         (edit(ptensor, {6: "P 0"}), 6, "expected 'P 1', got 'P 0'"),
+        # integers beyond int64, on the K line and in a P row
+        (edit(ptensor, {2: "K 1 99999999999999999999999"}), 2, "valency outside the int64 range"),
+        (edit(ptensor, {4: "0 99999999999999999999999"}), 4, "intersection number outside the int64 range"),
         # a '#' after the start of a line does not begin a comment
         (edit(ptensor, {4: "1 0 #", 5: "0 1 #", 7: "0 1 #", 8: "1 0 #"}), 4, "expected 2 integers"),
     ]
     for text, lineno, message in cases:
-        with pytest.raises(SchemeParseError) as info:
+        with pytest.raises(ParseError) as info:
             read_scheme(text)
         assert (info.value.lineno, str(info.value)) == (lineno, f"line {lineno}: {message}"), text
     # int() accepts digit-group underscores
     assert read_scheme(edit(ptensor, {4: "1 0_0"})).p[0, 0].tolist() == [1, 0]
+
+
+def test_ptensor_reader_reads_every_row_before_allocating():
+    # a K line matching D=100000 over a short body: the (d+1)^3 tensor would
+    # take 7 PiB, so the body's first bad line must be named before it is made
+    d = 100_000
+    text = f"SCHEME X={d + 1} D={d} FORM=PTENSOR\nK {' '.join(['1'] * (d + 1))}\nP 0\n1 0\n"
+    with pytest.raises(ParseError) as info:
+        read_scheme(text)
+    assert str(info.value) == f"line 4: expected {d + 1} integers"
 
 
 def test_scheme_file_comments_and_blank_lines():

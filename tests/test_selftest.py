@@ -7,7 +7,6 @@ from spectralpath.linalg import DEFAULT_TOL
 from spectralpath.selftest import (
     MAX_RECORDED_FAILURES,
     SuiteResult,
-    run_all_suites,
     spectrum_identity_residuals,
     suite_degenerate,
     suite_distance_equivalence,
@@ -60,14 +59,6 @@ def test_suites_are_deterministic():
     b = suite_path_equivalence(trials=3, d_max=3, seed=9)
     assert a.cases == b.cases
     assert a.worst == b.worst
-
-
-def test_run_all_suites_force_fail():
-    results = run_all_suites(trials=2, d_max=3, seed=0, force_fail=True)
-    names = [r.name for r in results]
-    assert names[-1] == "forced_failure"
-    assert not results[-1].passed
-    assert all(r.passed for r in results[:-1])
 
 
 def test_scheme_suite_cross_checks_closed_form(monkeypatch):
