@@ -110,16 +110,6 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--zero-tol", type=float, default=1e-10, help="structural zero threshold")
-    parser.add_argument("--eig-tol", type=float, default=1e-8, help="eigenvalue distinctness threshold")
-    parser.add_argument(
-        "--residual-tol", type=float, default=1e-8, help="verified identity residual bound"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="random seed (default: $SPECTRALPATH_SEED or 0)")
-    parser.add_argument("--json", action="store_true", help="emit a full-precision JSON report")
-
-
 def _verdict(side_i: bool, side_ii: bool):
     """Verdict text and exit code of a two-sided check."""
     if side_i and side_ii:
@@ -378,6 +368,39 @@ def _cmd_selftest(args) -> int:
     return EXIT_TRUE if all_passed else EXIT_NUMERICAL
 
 
+# One table for build_parser and _fast_args: per command, its handler, help
+# and arguments as (flag, add_argument keywords), positionals first.
+_COMMON = (
+    ("--zero-tol", {"type": float, "default": 1e-10, "help": "structural zero threshold"}),
+    ("--eig-tol", {"type": float, "default": 1e-8, "help": "eigenvalue distinctness threshold"}),
+    ("--residual-tol", {"type": float, "default": 1e-8, "help": "verified identity residual bound"}),
+    ("--seed", {"type": int, "default": None, "help": "random seed (default: $SPECTRALPATH_SEED or 0)"}),
+    ("--json", {"action": "store_true", "default": False, "help": "emit a full-precision JSON report"}),
+)
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "analyze a matrix file", (
+        ("matrix", {"help": "matrix file (first line order n, then n rows)"}),
+        ("--s", {"type": int, "default": None, "help": "row of a position to profile"}),
+        ("--t", {"type": int, "default": None, "help": "column of a position to profile"}),
+    ) + _COMMON),
+    "check": (_cmd_check, "two-sided equivalence check at one position", (
+        ("matrix", {}),
+        ("--form", {"choices": ("path", "distance"), "required": True}),
+        ("--s", {"type": int, "required": True}),
+        ("--t", {"type": int, "required": True}),
+    ) + _COMMON),
+    "scheme": (_cmd_scheme, "association scheme operations", (
+        ("source", {"help": "scheme file or builtin:<name>(<n>)"}),
+        ("action", {"choices": ("info", "p-poly", "q-poly", "p-check", "q-check")}),
+        ("indices", {"nargs": "*", "type": int, "help": "generator and last index for *-check"}),
+    ) + _COMMON),
+    "selftest": (_cmd_selftest, "randomized property suites", (
+        ("--trials", {"type": int, "default": 25}),
+        ("--d-max", {"type": int, "default": 6}),
+    ) + _COMMON),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -385,42 +408,60 @@ def build_parser() -> argparse.ArgumentParser:
         description="Structure checks linking matrix nonzero patterns to spectral projector profiles.",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="analyze a matrix file")
-    p_analyze.add_argument("matrix", help="matrix file (first line order n, then n rows)")
-    p_analyze.add_argument("--s", type=int, default=None, help="row of a position to profile")
-    p_analyze.add_argument("--t", type=int, default=None, help="column of a position to profile")
-    _add_common(p_analyze)
-    p_analyze.set_defaults(func=_cmd_analyze)
-
-    p_check = sub.add_parser("check", help="two-sided equivalence check at one position")
-    p_check.add_argument("matrix")
-    p_check.add_argument("--form", choices=("path", "distance"), required=True)
-    p_check.add_argument("--s", type=int, required=True)
-    p_check.add_argument("--t", type=int, required=True)
-    _add_common(p_check)
-    p_check.set_defaults(func=_cmd_check)
-
-    p_scheme = sub.add_parser("scheme", help="association scheme operations")
-    p_scheme.add_argument("source", help="scheme file or builtin:<name>(<n>)")
-    p_scheme.add_argument(
-        "action", choices=("info", "p-poly", "q-poly", "p-check", "q-check")
-    )
-    p_scheme.add_argument("indices", nargs="*", type=int, help="generator and last index for *-check")
-    _add_common(p_scheme)
-    p_scheme.set_defaults(func=_cmd_scheme)
-
-    p_self = sub.add_parser("selftest", help="randomized property suites")
-    p_self.add_argument("--trials", type=int, default=25)
-    p_self.add_argument("--d-max", type=int, default=6)
-    _add_common(p_self)
-    p_self.set_defaults(func=_cmd_selftest)
+    for name, (func, help_text, arguments) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, spec in arguments:
+            command.add_argument(flag, **spec)
+        command.set_defaults(func=func)
     return parser
 
 
+def _fast_args(argv: list):
+    """The Namespace argparse builds for a plain argv, or None to leave it to argparse.
+
+    Plain: the command, its positionals, then options in full, each once and
+    with its own value (switches aside); no token empty or starting with '-'
+    but the options; every type, choices and required rule met.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    plain = [tok[:1] not in ("-", "") for tok in argv] + [False]
+    pos = plain.index(False)
+    tokens, given, specs = argv[1:pos], {}, dict(arguments)
+    while pos < len(argv):
+        flag = argv[pos]
+        switch = specs.get(flag, {}).get("action") == "store_true"
+        if plain[pos] or flag not in specs or flag in given or not (switch or plain[pos + 1]):
+            return None
+        given[flag], pos = (True, pos + 1) if switch else (argv[pos + 1], pos + 2)
+    values = {"cmd": argv[0], "func": func}
+    for flag, spec in arguments:  # positionals first, in order; a starred one takes the rest
+        dest = flag.lstrip("-").replace("-", "_")
+        if spec.get("nargs") == "*":
+            text, tokens = tokens, []
+        elif flag[0] != "-" and tokens:
+            text, tokens = tokens[0], tokens[1:]
+        elif flag in given:
+            text = given[flag]
+        elif flag[0] != "-" or spec.get("required"):
+            return None
+        else:
+            values[dest] = spec.get("default")
+            continue
+        convert = spec.get("type", lambda x: x)
+        try:
+            value = list(map(convert, text)) if isinstance(text, list) else convert(text)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        values[dest] = value
+    return None if tokens else argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _fast_args(sys.argv[1:] if argv is None else argv) or build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _NUMERICAL_ERRORS as exc:

@@ -56,12 +56,11 @@ def _out_lists(mask: np.ndarray) -> tuple:
     return tuple([tuple(cols[a:b]) for a, b in zip(ends, ends[1:])])
 
 
-def _bfs(mask: np.ndarray, s: int, t: int):
-    """Parents and distances from `s`, neighbors expanded in ascending order."""
-    n = len(mask)
+def _bfs(adj: tuple, s: int, t: int):
+    """Distances and parents from `s` over the adjacency lists `adj`, neighbors in ascending order."""
+    n = len(adj)
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"vertices ({s}, {t}) outside range 0..{n - 1}")
-    adj = _out_lists(mask)
     dist = [-1] * n
     parent = [-1] * n
     dist[s] = 0
@@ -77,11 +76,11 @@ def _bfs(mask: np.ndarray, s: int, t: int):
 
 def directed_distance(mask: np.ndarray, s: int, t: int):
     """Length of a shortest directed path s -> t in the pattern `mask`, or None."""
-    dist, _ = _bfs(mask, s, t)
+    dist, _ = _bfs(_out_lists(mask), s, t)
     return dist[t] if dist[t] >= 0 else None
 
 
-def bidirected_path_endpoints(masks) -> list:
+def bidirected_path_endpoints(masks, _adj=None) -> list:
     """Vertex ordering of each mask of an (m, n, n) stack as a bidirected path, or None.
 
     A mask qualifies when it is symmetric, the diagonal aside, and its
@@ -89,7 +88,7 @@ def bidirected_path_endpoints(masks) -> list:
     keeps the masks with two vertices of degree 1 and every other of
     degree 2; degree counts also admit a path plus disjoint cycles, so each
     survivor is then walked from its smaller-labeled endpoint.  For n = 1
-    every ordering is (0,).
+    every ordering is (0,).  `_adj` gives the out-lists of a one-mask stack.
     """
     masks = np.array(masks, dtype=bool)  # a copy: its diagonals are cleared
     m, n = masks.shape[0], masks.shape[-1]
@@ -105,7 +104,7 @@ def bidirected_path_endpoints(masks) -> list:
     )
     orders = [None] * m
     for g in np.flatnonzero(keep).tolist():
-        adj = _out_lists(masks[g])
+        adj = _out_lists(masks[g]) if _adj is None else _adj
         start = int(np.argmax(deg[g] == 1))
         order = [start, adj[start][0]]
         while len(adj[order[-1]]) == 2:
@@ -125,7 +124,7 @@ def hessenberg_ordering(mask: np.ndarray, s: int, t: int):
     is verified before being returned.
     """
     n = len(mask)
-    dist, parent = _bfs(mask, s, t)
+    dist, parent = _bfs(_out_lists(mask), s, t)
     if dist[t] != n - 1:
         return None
     order = [t]

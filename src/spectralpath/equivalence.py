@@ -17,11 +17,11 @@ they disagree is a numerical diagnostic, never silently repaired.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import bidirected_path_endpoints, directed_distance, gamma
+from .digraph import _bfs, _out_lists, bidirected_path_endpoints, gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .spectra import (
     EntryProfile,
@@ -70,7 +70,7 @@ class MatrixAnalysis:
 
     Shared by both equivalence checks so that sweeping over many (s, t)
     positions costs one classification, not one per position.  `pattern`
-    is the boolean mask of the pattern graph, from `gamma`.
+    is the boolean mask of the pattern graph, from `gamma`; `_adj` its out-lists.
     """
 
     A: np.ndarray
@@ -79,6 +79,7 @@ class MatrixAnalysis:
     path_order: tuple | None
     symmetrizer: object
     spectral: SpectralClass
+    _adj: tuple = field(repr=False)
 
     def _check_position(self, s: int, t: int):
         n = len(self.A)
@@ -88,7 +89,8 @@ class MatrixAnalysis:
     def distance(self, s: int, t: int) -> int | None:
         """Directed distance from s to t in the pattern graph, or None if unreachable."""
         self._check_position(s, t)
-        return directed_distance(self.pattern, s, t)
+        dist = _bfs(self._adj, s, t)[0][t]
+        return dist if dist >= 0 else None
 
     def profile(self, s: int, t: int) -> EntryProfile | None:
         """Entry-product profile at (s, t); None when `A` is not multiplicity-free."""
@@ -105,13 +107,14 @@ class MatrixAnalysis:
 
 
 def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
-    """Analyze pattern, symmetrizability and spectrum of `A`."""
+    """Analyze pattern, symmetrizability and spectrum of `A`, from one mask and its out-lists."""
     A = clamp_nonnegative(A, tol)
     pattern = gamma(A, tol)
-    (order,) = bidirected_path_endpoints(pattern[None])
-    sym = find_symmetrizer(A, tol)
-    spectral = classify(A, tol, symmetrizer=sym)
-    return MatrixAnalysis(A=A, tol=tol, pattern=pattern, path_order=order, symmetrizer=sym, spectral=spectral)
+    adj = _out_lists(pattern)
+    (order,) = bidirected_path_endpoints(pattern[None], _adj=adj)
+    sym = find_symmetrizer(A, tol, _pattern=(pattern, adj))
+    spectral = classify(A, tol, symmetrizer=sym, _checked=True)
+    return MatrixAnalysis(A, tol, pattern, order, sym, spectral, adj)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ needed, in :mod:`spectralpath.spectra` and :mod:`spectralpath.schemes`.
 from __future__ import annotations
 
 import io
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,16 +116,19 @@ def read_matrix(source) -> np.ndarray:
     if len(content) - 1 > n:
         raise ParseError(lineno(n + 1), f"unexpected extra row beyond {n}")
 
-    rows = []
-    for r, line in enumerate(content[1 : n + 1], 1):
-        parts = line.split()
-        if len(parts) != n:
-            raise ParseError(lineno(r), f"expected {n} entries, found {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ParseError(lineno(r), f"non-numeric entry in row: {line!r}") from None
-    A = np.array(rows)
+    rows = [line.split() for line in content[1:]]
+    try:  # the whole body in one float() pass
+        if set(map(len, rows)) != {n}:
+            raise ValueError
+        A = np.fromiter(map(float, chain.from_iterable(rows)), float, n * n).reshape(n, n)
+    except ValueError:
+        for r, parts in enumerate(rows, 1):  # name the first bad line
+            if len(parts) != n:
+                raise ParseError(lineno(r), f"expected {n} entries, found {len(parts)}") from None
+            try:
+                list(map(float, parts))
+            except ValueError:
+                raise ParseError(lineno(r), f"non-numeric entry in row: {content[r]!r}") from None
     if not np.all(np.isfinite(A)):
         raise ParseError(lineno(1), "matrix entries must be finite")
     return A

@@ -150,10 +150,9 @@ def _validate_p_tensor(p: np.ndarray, k: np.ndarray, size: int):
         raise SchemeValidationError("nonnegativity", (int(h), int(i), int(j)), "negative count")
     if np.any(k <= 0) or k[0] != 1:
         raise SchemeValidationError("valencies", tuple(int(x) for x in k), "need k_0 = 1, all k_i > 0")
-    if int(np.sum(k)) != size:
-        raise SchemeValidationError(
-            "valencies", int(np.sum(k)), f"valencies sum to {int(np.sum(k))}, expected |X| = {size}"
-        )
+    total = sum(k.tolist())  # Python ints: no int64 wrap
+    if total != size:
+        raise SchemeValidationError("valencies", total, f"valencies sum to {total}, expected |X| = {size}")
     bad = p[:, 0, :] != np.eye(dp1, dtype=p.dtype)
     if bad.any():
         h, j = np.argwhere(bad)[0]
@@ -227,21 +226,24 @@ def scheme_from_relations(mats) -> AssociationScheme:
     return AssociationScheme(size=size, d=dp1 - 1, k=k, p=p, relations=tuple(cleaned))
 
 
+def _int64(x):
+    """`x` as an int64 array, and whether that is exact; integers take no float round trip."""
+    x = np.asarray(x)
+    if np.can_cast(x.dtype, np.int64):
+        return x.astype(np.int64), True
+    xi = np.rint(x.astype(float)).astype(np.int64)
+    return xi, np.array_equal(x, xi)
+
+
 def scheme_from_p_tensor(p, k) -> AssociationScheme:
     """Build and validate a scheme from its intersection tensor and valencies."""
-    p = np.asarray(p)
-    if np.can_cast(p.dtype, np.int64):  # integers already: no float round trip
-        pi, exact = p.astype(np.int64), True
-    else:
-        pf = np.asarray(p, dtype=float)
-        pi = np.rint(pf).astype(np.int64)
-        exact = np.array_equal(pf, pi)
-    if p.ndim != 3 or not exact:
+    pi, exact = _int64(p)
+    if pi.ndim != 3 or not exact:
         raise SchemeValidationError("tensor_shape", np.shape(p), "expected an integer cubic tensor")
-    k = np.rint(np.asarray(k, dtype=float)).astype(np.int64)
-    size = int(np.sum(k))
-    _validate_p_tensor(pi, k, size)
-    return AssociationScheme(size=size, d=pi.shape[0] - 1, k=k, p=pi, relations=None)
+    ki = _int64(k)[0]
+    size = sum(ki.tolist())  # Python ints: no int64 wrap
+    _validate_p_tensor(pi, ki, size)
+    return AssociationScheme(size=size, d=pi.shape[0] - 1, k=ki, p=pi, relations=None)
 
 
 def builtin_scheme(name: str, n: int) -> AssociationScheme:

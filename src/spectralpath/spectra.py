@@ -319,10 +319,18 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
     """Classification by LAPACK `eig` for matrices without a symmetrizer."""
     n = A.shape[0]
     w, X = np.linalg.eig(A)
-    # X^-1 unless LAPACK returned eigenvectors dependent to working precision
-    # (it does for some repeated eigenvalues): the pseudo-inverse drops those
+    # X^-1 by LU while ||X||_F ||X^-1||_F >= cond(X) is below 1e13: pinv's cutoff
+    # 1e-15 sigma_max drops nothing there.  Past it the eigenvectors are dependent to
+    # working precision (as for some repeated eigenvalues), and pinv drops those
     # directions instead of flooding every condition number with them
-    Yt = np.linalg.pinv(X)
+    try:
+        Yt = np.linalg.inv(X)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm fails the test
+            separated = np.linalg.norm(X) * np.linalg.norm(Yt) < 1e13
+    except np.linalg.LinAlgError:
+        separated = False
+    if not separated:
+        Yt = np.linalg.pinv(X)
     groups = _eigenvalue_groups(A, w, X, Yt, tol)
     real = [(float(c.real), len(g)) for g, c, r in groups if abs(c.imag) <= r]
     eigenvalues = tuple(sorted(real, key=lambda p: -p[0]))
@@ -353,7 +361,7 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
     return SpectralClass(kind=kind, eigenvalues=eigenvalues, rank_defects=tuple(defects))
 
 
-def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None) -> SpectralClass:
+def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None, _checked=False) -> SpectralClass:
     """Classify the spectrum of a square real matrix.
 
     A positive-diagonal symmetrizer D, when one exists, reduces the problem
@@ -362,15 +370,16 @@ def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None) -> SpectralClass
     a group of eigenvalues whose mean is off the real axis by more than its
     radius makes the spectrum complex, and repeated real groups are probed
     with a rank test for missing eigenvector directions.  LAPACK failures
-    surface as numpy.linalg.LinAlgError.
+    surface as numpy.linalg.LinAlgError.  `_checked`: `A` is already validated.
     """
-    A = as_matrix(A)
+    A = A if _checked else as_matrix(A)
     n = A.shape[0]
     sym = symmetrizer if symmetrizer is not None else find_symmetrizer(A, tol)
     if not isinstance(sym, Symmetrizer):
         return _classify_general(A, tol)
 
-    S = sym.conjugate(A)
+    delta = sym.delta
+    S = (A * delta[:, None]) / delta[None, :]  # D A D^-1, as Symmetrizer.conjugate
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     w, V = w[::-1], V[:, ::-1]
     if n > 1 and float(np.min(w[:-1] - w[1:])) <= tol.eig_tol:
@@ -378,7 +387,6 @@ def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None) -> SpectralClass
             kind=SpectralKind.DIAGONALIZABLE_NOT_MF,
             eigenvalues=_cluster_eigenvalues(w, tol.eig_tol),
         )
-    delta = sym.delta
     sp = _spectrum(A, w, V / delta[:, None], V.T * delta[None, :], tol)
     return SpectralClass(
         kind=SpectralKind.MULTIPLICITY_FREE,

@@ -65,7 +65,7 @@ def _first_pair(mask: np.ndarray):
     return divmod(int(hits[0]), mask.shape[1]) if hits.size else None
 
 
-def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
+def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL, _pattern=None):
     """Search for positive weights w with w_i A_ij = w_j A_ji.
 
     Weights are propagated along a breadth-first spanning forest of the
@@ -74,11 +74,14 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
     tolerance.  Returns a Symmetrizer on success and a NotSymmetrizable
     witness otherwise; a witness is the first offending pair i < j in
     row-major order.  Raises RuntimeError, naming the vertex, when a
-    propagated weight underflows to 0 or overflows to inf.
+    propagated weight underflows to 0 or overflows to inf.  `_pattern` is the
+    (mask, out-lists or None) pair of an already validated `A` under `tol`.
     """
-    A = as_matrix(A)
+    if _pattern is None:
+        A = as_matrix(A)
+        _pattern = gamma(A, tol), None
+    nz, adj = _pattern
     n = A.shape[0]
-    nz = gamma(A, tol)
     upper = np.arange(n)[:, None] < np.arange(n)  # the pairs i < j
     asymmetric = nz != nz.T
     pair = _first_pair(upper & (asymmetric | (nz & (A * A.T <= 0.0))))
@@ -86,7 +89,7 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
         reason = "asymmetric_pattern" if asymmetric[pair] else "nonpositive_ratio"
         return NotSymmetrizable(reason, pair)
 
-    adj = _out_lists(nz)
+    adj = _out_lists(nz) if adj is None else adj
     a = A.tolist()
     w = [1.0] * n
     seen = [False] * n

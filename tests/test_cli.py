@@ -5,9 +5,11 @@ import gc
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +212,20 @@ def test_malformed_inputs_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "scheme", str(huge), "info")
     assert code == 2
     assert "line 4" in err
+
+
+def test_valency_near_int64_limit_is_named_exactly(capsys, tmp_path):
+    # the valencies stay int64 (no float round trip) and sum in Python ints
+    path = tmp_path / "big.scheme"
+    path.write_text(
+        "SCHEME X=2 D=1 FORM=PTENSOR\nK 1 9223372036854775807\n"
+        "P 0\n1 0\n0 9223372036854775807\nP 1\n0 1\n1 0\n"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, _, err = run(capsys, "scheme", str(path), "info")
+    assert code == 2
+    assert "9223372036854775807" in err and "-9223372036854775808" not in err
 
 
 def test_out_of_range_position_exit_two(capsys, path3_file):
@@ -497,3 +513,122 @@ def test_console_script_declared_in_pyproject():
     with open(pyproject, "rb") as fh:
         config = tomllib.load(fh)
     assert config["project"]["scripts"]["spectralpath"] == "spectralpath.cli:console_main"
+
+
+# A grammar of argv for the four commands: each command's positionals, then
+# its options with values drawn per option.  Mutations add the forms the
+# fast path must leave to argparse.
+_VALUES = {
+    "--s": ["0", "2", "10", "٣", "1_0", "x", "1.5", " 4", "-1"],
+    "--t": ["0", "1", "2", "-2", "0x1"],
+    "--form": ["path", "distance", "Path", "dist"],
+    "--zero-tol": ["1e-10", "0", "nan", "-1", "1e", "inf"],
+    "--eig-tol": ["1e-8", "2", ".5", "-.5"],
+    "--residual-tol": ["1e-7", "1_0.5", "x"],
+    "--seed": ["7", "0", "-3", "3.0", ""],
+    "--trials": ["3", "1", "-2", "q"],
+    "--d-max": ["4", "0", "-1"],
+}
+_POSITIONALS = {
+    "analyze": [["m.txt"]],
+    "check": [["m.txt"]],
+    "scheme": [
+        ["builtin:hypercube(3)", action, *idx]
+        for action in ("info", "p-poly", "q-poly", "p-check", "q-check", "bogus")
+        for idx in ([], ["1", "3"], ["1", "x"])
+    ],
+    "selftest": [[]],
+}
+_OPTIONS = {
+    "analyze": ["--s", "--t"],
+    "check": ["--form", "--s", "--t"],
+    "scheme": [],
+    "selftest": ["--trials", "--d-max"],
+}
+_COMMON_OPTIONS = ["--zero-tol", "--eig-tol", "--residual-tol", "--seed", "--json"]
+_MUTATIONS = [
+    lambda argv: argv + ["--s=3"],
+    lambda argv: argv + ["--jso"],  # abbreviation
+    lambda argv: argv + ["--se", "2"],  # abbreviation
+    lambda argv: argv + ["--json", "--json"],  # repeated
+    lambda argv: argv + ["--seed", "1", "--seed", "2"],
+    lambda argv: argv + ["--", "x"],
+    lambda argv: argv + ["-h"],
+    lambda argv: argv + ["--help"],
+    lambda argv: argv + ["stray"],
+    lambda argv: argv[:1] + ["-1"] + argv[1:],
+    lambda argv: argv + ["--seed"],  # missing value
+    lambda argv: argv + ["--seed", "--json"],
+    lambda argv: [t for t in argv if t not in ("--form", "path", "distance")],
+    lambda argv: argv[:1] + argv[2:],  # a positional dropped
+    lambda argv: ["chek"] + argv[1:],
+    lambda argv: ["--json"] + argv,
+    lambda argv: argv + ["", "--json"],
+    lambda argv: argv[:1] + argv[1:][::-1],
+    lambda argv: argv[:2] + ["--json"] + argv[2:],  # an option between positionals
+]
+
+
+def _grammar_argvs(count: int, seed: int):
+    rng = random.Random(seed)
+    out = [[]]
+    for _ in range(count):
+        cmd = rng.choice(sorted(_POSITIONALS))
+        argv = [cmd, *rng.choice(_POSITIONALS[cmd])]
+        options = _OPTIONS[cmd] + _COMMON_OPTIONS
+        for flag in rng.sample(options, rng.randrange(len(options) + 1)):
+            argv += [flag] if flag == "--json" else [flag, rng.choice(_VALUES[flag])]
+        if cmd == "check" and rng.random() < 0.8:  # its required options, valid
+            for flag, value in (("--form", "path"), ("--s", "0"), ("--t", "2")):
+                if flag not in argv:
+                    argv += [flag, value]
+        if rng.random() < 0.3:
+            argv = rng.choice(_MUTATIONS)(argv)
+        out.append(argv)
+    return out
+
+
+def _parse_with_argparse(argv):
+    """(namespace dict or None, exit code, stdout, stderr) of argparse alone."""
+    from spectralpath.cli import build_parser
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(build_parser().parse_args(argv)), None, out.getvalue(), err.getvalue()
+        except SystemExit as exc:
+            return None, exc.code, out.getvalue(), err.getvalue()
+
+
+def test_fast_argv_path_is_exactly_argparse():
+    # every argv the fast path accepts gives argparse's Namespace, and it
+    # defers on every argv argparse rejects or answers with help
+    from spectralpath.cli import _fast_args
+
+    accepted = deferred = 0
+    for argv in _grammar_argvs(3000, seed=13):
+        fast = _fast_args(list(argv))
+        expected, code, _, _ = _parse_with_argparse(list(argv))
+        if fast is None:
+            deferred += 1
+            continue
+        accepted += 1
+        assert expected is not None, argv
+        # repr compares nan values and the handler functions by identity
+        assert {k: repr(v) for k, v in vars(fast).items()} == {
+            k: repr(v) for k, v in expected.items()
+        }, argv
+    assert accepted > 500 and deferred > 500
+
+
+def test_rejected_argv_behave_as_argparse():
+    # argparse stays the only source of help, usage and error text
+    for argv in _grammar_argvs(600, seed=29):
+        expected, code, out, err = _parse_with_argparse(list(argv))
+        if expected is not None:
+            continue
+        got_out, got_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+            with pytest.raises(SystemExit) as exc:
+                main(list(argv))
+        assert (exc.value.code, got_out.getvalue(), got_err.getvalue()) == (code, out, err), argv

@@ -121,6 +121,33 @@ def test_analysis_distances_match_pattern():
     assert analysis.distance(n - 1, 0) == n - 1
 
 
+@pytest.mark.parametrize("kind", ["permuted_path", "hessenberg", "general_nonneg"])
+def test_analysis_makes_one_pattern_pass(monkeypatch, kind):
+    # one validation, one mask and one set of out-lists serve the path test,
+    # the symmetrizer search, the classification and every distance call
+    from collections import Counter
+
+    from spectralpath import digraph, equivalence, spectra, symmetrize
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (digraph, equivalence, spectra, symmetrize):
+        for name in ("as_matrix", "gamma", "_out_lists"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    analysis = analyze_matrix(random_instance(kind, 6, seed=4, density=0.4))
+    for s in range(7):
+        analysis.distance(s, 6 - s)
+    assert calls == {"as_matrix": 1, "gamma": 1, "_out_lists": 1}
+
+
 def test_analysis_distance_matches_walk_powers():
     """distance(s, t) is the first walk length whose pattern power reaches (s, t), else None."""
     unreachable = 0

@@ -12,6 +12,7 @@ from spectralpath.linalg import (
     DEFAULT_TOL,
     ParseError,
     Tolerance,
+    _content_lines,
     as_matrix,
     read_matrix,
     write_matrix,
@@ -173,6 +174,60 @@ def test_read_matrix_error_line_numbers():
     assert info.value.lineno == 3
     with pytest.raises(ParseError):
         read_matrix("1\n1e999\n")  # overflows to inf
+
+
+def reference_matrix_body(text: str):
+    """The matrix body read row by row with float() per token; the reference for read_matrix.
+
+    Returns the matrix, or the (line number, message) of the ParseError it
+    should raise.  The order line and row count are taken as valid.
+    """
+    content, lineno = _content_lines(text)
+    n = int(content[0])
+    rows = []
+    for r, line in enumerate(content[1 : n + 1], 1):
+        parts = line.split()
+        if len(parts) != n:
+            return lineno(r), f"expected {n} entries, found {len(parts)}"
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            return lineno(r), f"non-numeric entry in row: {line!r}"
+    A = np.array(rows)
+    return A if np.all(np.isfinite(A)) else (lineno(1), "matrix entries must be finite")
+
+
+_TOKENS = ["1", "0", "-2.5", "+.5", "1e-3", "1_0", "1__0", "_1", "nan", "-inf", "infinity",
+           "0x1", "\u0661\u0662", "\u0663.\u0665", "1e999", "-1e-400", "abc", "1.5.2", "--1", "1e"]
+
+
+def test_read_matrix_token_fuzz_matches_per_token_float():
+    # value, or ParseError line and message, as the per-token float() rule gives
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(1500):
+        n = int(rng.integers(1, 5))
+        lines = [str(n)]
+        for _ in range(n):
+            width = n + int(rng.choice([0, 0, 0, 0, -1, 1])) if rng.random() < 0.3 else n
+            weights = [6.0] * 5 + [1.0] * (len(_TOKENS) - 5)
+            picks = rng.choice(len(_TOKENS), size=max(width, 1), p=np.array(weights) / sum(weights))
+            lines.append(" ".join(_TOKENS[i] for i in picks))
+            if rng.random() < 0.1:
+                lines.append(rng.choice(["# comment", "", "   "]))
+        text = "\n".join(lines) + "\n"
+        expected = reference_matrix_body(text)
+        try:
+            got = read_matrix(text)
+        except ParseError as exc:
+            assert isinstance(expected, tuple), text
+            assert (exc.lineno, str(exc)) == (expected[0], f"line {expected[0]}: {expected[1]}"), text
+            outcomes.add(expected[1].split(" ")[0])
+        else:
+            assert not isinstance(expected, tuple), text
+            assert np.array_equal(got, expected) and got.dtype == np.float64, text
+            outcomes.add("value")
+    assert outcomes == {"value", "expected", "non-numeric", "matrix"}
 
 
 # Every text below starts with the same four lines of comments and blanks,

@@ -138,6 +138,53 @@ def test_classify_nilpotent_jordan_block():
     assert out.rank_defects == ((0.0, 1),)
 
 
+def test_nilpotent_jordan_block_takes_the_pinv_fallback(monkeypatch):
+    # eig returns dependent eigenvectors here; inv(X) overflows the
+    # condition bound, so the pseudo-inverse drops the dependent direction
+    calls = []
+    pinv = np.linalg.pinv
+    monkeypatch.setattr(np.linalg, "pinv", lambda X: calls.append(X) or pinv(X))
+    out = classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
+    assert out.rank_defects == ((0.0, 1),)
+    assert len(calls) == 1
+    classify(np.array([[1.0, 1.0], [0.0, 2.0]]))  # well separated: inv alone
+    assert len(calls) == 1
+
+
+def _classification(A):
+    try:
+        out = classify(A)
+    except DegenerateSpectrumError as exc:
+        return "DegenerateSpectrumError", str(exc)
+    return out.kind, [m for _, m in out.eigenvalues], [d for _, d in out.rank_defects]
+
+
+def test_inv_route_classifies_as_the_pinv_route(monkeypatch):
+    # every random_instance kind, and the same rounded to integers (Jordan
+    # blocks and repeated eigenvalues), classified with Y^T = inv(X) and
+    # again with the pinv fallback forced by a failing inv
+    from spectralpath.equivalence import INSTANCE_KINDS, random_instance
+
+    cases = []
+    for kind in INSTANCE_KINDS:
+        for d in range(20):
+            for seed in range(6):
+                for density in (0.3, 0.6):
+                    A = random_instance(kind, d, seed, density)
+                    cases += [A, np.rint(A)]
+    by_inv = [_classification(A) for A in cases]
+
+    def singular(X):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    by_pinv = [_classification(A) for A in cases]
+    assert by_inv == by_pinv
+    kinds = {c[0] for c in by_inv}
+    assert {SpectralKind.NOT_DIAGONALIZABLE, SpectralKind.DIAGONALIZABLE_NOT_MF} <= kinds
+
+
 def test_classify_rotation_has_complex_spectrum():
     cyc = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
     out = classify(cyc)
