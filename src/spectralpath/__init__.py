@@ -72,7 +72,6 @@ from .spectra import (
     constant_profile_positions,
     entry_product_profile,
     gap_product,
-    primitive_idempotents,
 )
 from .symmetrize import (
     NotSymmetrizable,
@@ -129,7 +128,6 @@ __all__ = [
     "is_hessenberg",
     "is_irreducible_tridiagonal",
     "krein_parameters",
-    "primitive_idempotents",
     "random_instance",
     "read_matrix",
     "read_scheme",

@@ -27,11 +27,11 @@ from .spectra import (
     EntryProfile,
     SpectralClass,
     SpectralKind,
-    classify,
+    _classify,
     constant_profile_positions,
     entry_product_profile,
 )
-from .symmetrize import Symmetrizer, find_symmetrizer
+from .symmetrize import Symmetrizer, _search
 
 __all__ = [
     "MatrixAnalysis",
@@ -112,8 +112,8 @@ def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
     pattern = gamma(A, tol)
     adj = _out_lists(pattern)
     (order,) = bidirected_path_endpoints(pattern[None], _adj=adj)
-    sym = find_symmetrizer(A, tol, _pattern=(pattern, adj))
-    spectral = classify(A, tol, symmetrizer=sym, _checked=True)
+    sym = _search(A, pattern, adj, tol)
+    spectral = _classify(A, sym, tol)
     return MatrixAnalysis(A, tol, pattern, order, sym, spectral, adj)
 
 

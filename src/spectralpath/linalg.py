@@ -129,8 +129,9 @@ def read_matrix(source) -> np.ndarray:
                 list(map(float, parts))
             except ValueError:
                 raise ParseError(lineno(r), f"non-numeric entry in row: {content[r]!r}") from None
-    if not np.all(np.isfinite(A)):
-        raise ParseError(lineno(1), "matrix entries must be finite")
+    finite = np.isfinite(A).all(axis=1)
+    if not finite.all():
+        raise ParseError(lineno(1 + int(np.argmin(finite))), "matrix entries must be finite")
     return A
 
 

@@ -19,7 +19,7 @@ from .equivalence import (
     random_instance,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectra import SpectralKind, Spectrum, _product_formula
+from .spectra import SpectralKind, Spectrum
 from .symmetrize import Symmetrizer, find_symmetrizer, tridiagonal_symmetrizer
 
 __all__ = [
@@ -59,21 +59,28 @@ class SuiteResult:
 
 
 def spectrum_identity_residuals(A: np.ndarray, spectrum: Spectrum) -> dict:
-    """Residuals of the projector identities plus the polynomial identity.
+    """Residuals of the projector identities plus the cofactor identity.
 
     Extends the residuals recorded at construction with the relative
-    reconstruction error and the worst deviation of the projectors from the
-    polynomial identity f_i(A) = f_i(theta_i) E_i, where f_i is the monic
-    polynomial with the other eigenvalues as roots: the unverified product
-    formula behind `primitive_idempotents`, an independent route.
+    reconstruction error and the worst deviation from the cofactor identity
+    adj(theta_i I - A) = gap_i E_i, an independent route that uses no
+    eigenvector: X[s, i] Yt[i, t] gap_i against (-1)^(s+t) times the minor of
+    theta_i I - A without row t and column s, at every position of row 0 and
+    column 0 (so every entry of X and Yt is tested), relative to
+    max(1, max|A|)^(n-1).
     """
     out = dict(spectrum.residuals)
     scale = float(np.max(np.abs(A)))
     out["reconstruction_rel"] = out["reconstruction"] / max(scale, 1e-300)
-    poly = _product_formula(A, spectrum.theta)
-    out["poly_projector_rel"] = max(
-        float(np.max(np.abs(P - E))) for P, E in zip(poly, spectrum.idempotents)
-    )
+    n = len(spectrum.theta)
+    others = np.array([np.delete(np.arange(n), k) for k in range(n)])  # (n, n - 1)
+    s = np.r_[np.zeros(n, dtype=int), np.arange(1, n)]  # (0, 0..n-1), then (1..n-1, 0)
+    t = np.r_[np.arange(n), np.zeros(n - 1, dtype=int)]
+    shifted = spectrum.theta[:, None, None] * np.eye(n) - A  # theta_i I - A
+    minors = np.linalg.det(shifted[:, others[t][:, :, None], others[s][:, None, :]])
+    adj = np.where((s + t) % 2, -1.0, 1.0) * minors
+    projected = spectrum.X[s, :].T * spectrum.Yt[:, t] * spectrum.gaps[:, None]
+    out["cofactor_rel"] = float(np.max(np.abs(projected - adj))) / max(1.0, scale) ** (n - 1)
     return out
 
 

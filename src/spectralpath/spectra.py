@@ -21,9 +21,7 @@ Otherwise `eig` gives X and Y^T = X^-1; its eigenvalues are grouped by
 perturbation disks whose radii follow from the projector condition numbers,
 and a group that neither separates nor passes the rank test raises
 DegenerateSpectrumError instead of guessing.  Every spectrum is checked once
-against the projector identities.  The product formula
-E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j) remains as an
-independent cross-check in `primitive_idempotents`.
+against the projector identities.
 """
 
 from __future__ import annotations
@@ -33,8 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .digraph import gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
-from .symmetrize import Symmetrizer, find_symmetrizer
+from .symmetrize import Symmetrizer, _search
 
 __all__ = [
     "SpectralKind",
@@ -42,7 +41,6 @@ __all__ = [
     "SpectralClass",
     "EntryProfile",
     "classify",
-    "primitive_idempotents",
     "gap_product",
     "entry_product_profile",
     "constant_profile_positions",
@@ -114,11 +112,6 @@ class Spectrum:
     def d(self) -> int:
         return len(self.theta) - 1
 
-    @property
-    def idempotents(self) -> tuple:
-        """The projectors E_i as dense matrices, built on each access."""
-        return tuple(np.outer(self.X[:, i], self.Yt[i, :]) for i in range(len(self.theta)))
-
 
 @dataclass(frozen=True)
 class SpectralClass:
@@ -179,67 +172,6 @@ def gap_product(theta, i: int, tol: Tolerance = DEFAULT_TOL) -> float:
     return float(_gap_products(theta, [i], tol)[0])
 
 
-def _residual_report(A, r_sum: float, r_idem: float, r_recon: float, tol: Tolerance) -> dict:
-    scale = max(1.0, float(np.max(np.abs(A))))
-    if r_sum > tol.residual_tol:
-        raise SpectralIdentityError("sum_to_identity", r_sum, tol.residual_tol)
-    if r_idem > tol.residual_tol:
-        raise SpectralIdentityError("idempotency", r_idem, tol.residual_tol)
-    if r_recon > tol.residual_tol * scale:
-        raise SpectralIdentityError("reconstruction", r_recon, tol.residual_tol * scale)
-    return {"sum_to_identity": r_sum, "idempotency": r_idem, "reconstruction": r_recon}
-
-
-def _product_formula(A: np.ndarray, theta: np.ndarray) -> list:
-    """E_i = prod_{j != i} (A - theta_j I) / (theta_i - theta_j), unverified.
-
-    Factors are applied in descending order of |theta_i - theta_j| for
-    accuracy.
-    """
-    n = len(theta)
-    eye = np.eye(n)
-    idempotents = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        others.sort(key=lambda j: -abs(theta[i] - theta[j]))
-        E = eye.copy()
-        for j in others:
-            gap = theta[i] - theta[j]
-            if gap == 0.0:
-                raise DegenerateSpectrumError(f"eigenvalues {i} and {j} coincide")
-            E = (A - theta[j] * eye) @ E / gap
-        idempotents.append(E)
-    return idempotents
-
-
-def primitive_idempotents(A, theta, tol: Tolerance = DEFAULT_TOL):
-    """Spectral projectors of a multiplicity-free matrix by the product formula.
-
-    `theta` must hold the n distinct eigenvalues.  The projector identities
-    (sum to I, pairwise products, eigen-reconstruction) are verified before
-    returning; violation raises SpectralIdentityError.  The formula loses
-    accuracy as the order grows: `classify` does not use it, and the
-    self-test compares its unverified form against `classify` as an
-    independent route.
-    """
-    A = as_matrix(A)
-    theta = np.asarray(theta, dtype=float)
-    n = A.shape[0]
-    if theta.shape != (n,):
-        raise ValueError(f"expected {n} eigenvalues, got shape {theta.shape}")
-    idempotents = _product_formula(A, theta)
-    E = np.stack(idempotents)
-    eye = np.eye(n)
-    _residual_report(
-        A,
-        float(np.max(np.abs(E.sum(axis=0) - eye))),
-        max(float(np.max(np.abs(E[i] @ E - eye[i][:, None, None] * E[i]))) for i in range(n)),
-        float(np.max(np.abs(A - np.tensordot(theta, E, axes=1)))),
-        tol,
-    )
-    return idempotents
-
-
 def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:
     """The projector identities for E_i = X[:, i] Yt[i, :], in O(n^3).
 
@@ -249,13 +181,17 @@ def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:
     eye = np.eye(len(theta))
     xmax = np.max(np.abs(X), axis=0)
     ymax = np.max(np.abs(Yt), axis=1)
-    return _residual_report(
-        A,
-        float(np.max(np.abs(X @ Yt - eye))),
-        float(np.max(np.abs(Yt @ X - eye) * xmax[:, None] * ymax[None, :])),
-        float(np.max(np.abs(A - (X * theta) @ Yt))),
-        tol,
-    )
+    r_sum = float(np.max(np.abs(X @ Yt - eye)))
+    r_idem = float(np.max(np.abs(Yt @ X - eye) * xmax[:, None] * ymax[None, :]))
+    r_recon = float(np.max(np.abs(A - (X * theta) @ Yt)))
+    scale = max(1.0, float(np.max(np.abs(A))))
+    if r_sum > tol.residual_tol:
+        raise SpectralIdentityError("sum_to_identity", r_sum, tol.residual_tol)
+    if r_idem > tol.residual_tol:
+        raise SpectralIdentityError("idempotency", r_idem, tol.residual_tol)
+    if r_recon > tol.residual_tol * scale:
+        raise SpectralIdentityError("reconstruction", r_recon, tol.residual_tol * scale)
+    return {"sum_to_identity": r_sum, "idempotency": r_idem, "reconstruction": r_recon}
 
 
 def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
@@ -361,7 +297,7 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
     return SpectralClass(kind=kind, eigenvalues=eigenvalues, rank_defects=tuple(defects))
 
 
-def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None, _checked=False) -> SpectralClass:
+def classify(A, tol: Tolerance = DEFAULT_TOL) -> SpectralClass:
     """Classify the spectrum of a square real matrix.
 
     A positive-diagonal symmetrizer D, when one exists, reduces the problem
@@ -370,16 +306,20 @@ def classify(A, tol: Tolerance = DEFAULT_TOL, symmetrizer=None, _checked=False) 
     a group of eigenvalues whose mean is off the real axis by more than its
     radius makes the spectrum complex, and repeated real groups are probed
     with a rank test for missing eigenvector directions.  LAPACK failures
-    surface as numpy.linalg.LinAlgError.  `_checked`: `A` is already validated.
+    surface as numpy.linalg.LinAlgError.
     """
-    A = A if _checked else as_matrix(A)
-    n = A.shape[0]
-    sym = symmetrizer if symmetrizer is not None else find_symmetrizer(A, tol)
+    A = as_matrix(A)
+    return _classify(A, _search(A, gamma(A, tol), None, tol), tol)
+
+
+def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
+    """`classify` of a validated `A` whose `find_symmetrizer` outcome is `sym`."""
     if not isinstance(sym, Symmetrizer):
         return _classify_general(A, tol)
 
+    n = A.shape[0]
     delta = sym.delta
-    S = (A * delta[:, None]) / delta[None, :]  # D A D^-1, as Symmetrizer.conjugate
+    S = sym.conjugate(A)
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     w, V = w[::-1], V[:, ::-1]
     if n > 1 and float(np.min(w[:-1] - w[1:])) <= tol.eig_tol:

@@ -42,7 +42,7 @@ class Symmetrizer:
 
     def conjugate(self, A) -> np.ndarray:
         """D A D^-1 for D = diag(delta)."""
-        A = as_matrix(A)
+        A = np.asarray(A, dtype=float)
         d = self.delta
         return (A * d[:, None]) / d[None, :]
 
@@ -65,7 +65,7 @@ def _first_pair(mask: np.ndarray):
     return divmod(int(hits[0]), mask.shape[1]) if hits.size else None
 
 
-def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL, _pattern=None):
+def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
     """Search for positive weights w with w_i A_ij = w_j A_ji.
 
     Weights are propagated along a breadth-first spanning forest of the
@@ -74,13 +74,14 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL, _pattern=None):
     tolerance.  Returns a Symmetrizer on success and a NotSymmetrizable
     witness otherwise; a witness is the first offending pair i < j in
     row-major order.  Raises RuntimeError, naming the vertex, when a
-    propagated weight underflows to 0 or overflows to inf.  `_pattern` is the
-    (mask, out-lists or None) pair of an already validated `A` under `tol`.
+    propagated weight underflows to 0 or overflows to inf.
     """
-    if _pattern is None:
-        A = as_matrix(A)
-        _pattern = gamma(A, tol), None
-    nz, adj = _pattern
+    A = as_matrix(A)
+    return _search(A, gamma(A, tol), None, tol)
+
+
+def _search(A: np.ndarray, nz: np.ndarray, adj, tol: Tolerance):
+    """`find_symmetrizer` of a validated `A`: pattern mask `nz`, its out-lists `adj` or None."""
     n = A.shape[0]
     upper = np.arange(n)[:, None] < np.arange(n)  # the pairs i < j
     asymmetric = nz != nz.T

@@ -138,11 +138,11 @@ def test_accept_spectral_identity_residuals(property_suites, announce):
     assert worst["sum_to_identity"] <= 1e-8
     assert worst["idempotency"] <= 1e-8
     assert worst["reconstruction_rel"] <= 1e-8
-    assert worst["poly_projector_rel"] <= 1e-6
+    assert worst["cofactor_rel"] <= 1e-6
     announce(
         "spectral identities over all suite spectra",
         "sum {sum_to_identity:.1e} idem {idempotency:.1e} "
-        "recon {reconstruction_rel:.1e} poly {poly_projector_rel:.1e}".format(**worst),
+        "recon {reconstruction_rel:.1e} cofactor {cofactor_rel:.1e}".format(**worst),
     )
 
 

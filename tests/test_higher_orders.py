@@ -1,4 +1,4 @@
-"""Pinned-seed checks at orders 13-22, through the command line.
+"""Pinned-seed checks at orders 13-31, through the command line and the self-test residuals.
 
 These orders are past where projectors from the product formula and
 eigenvalues from the characteristic polynomial stopped being reliable.
@@ -15,6 +15,8 @@ import pytest
 
 from spectralpath.cli import main
 from spectralpath.linalg import write_matrix
+from spectralpath.selftest import spectrum_identity_residuals
+from spectralpath.spectra import classify
 
 RESIDUAL_TOL = 1e-8
 REL = 1e-6
@@ -92,3 +94,16 @@ def test_distance_check_real_hessenberg(capsys, tmp_path, n):
     assert result["symmetrizable"] is False
     assert result["distance"] == n - 1
     assert abs(result["profile"]["common_value"] - value) <= REL * value
+
+
+@pytest.mark.parametrize("n", [17, 21, 31])
+def test_cofactor_cross_check_stays_tight(n):
+    # adj(theta_i I - A) = gap_i E_i needs no eigenvector; the product formula
+    # it replaced drifted past 1e-8 here (worst of these seeds: 7e-7 at n = 21,
+    # 0.16 at n = 31)
+    worst = 0.0
+    for seed in range(20):
+        A, _, _ = permuted_path(np.random.default_rng([2010, n, seed]), n)
+        residuals = spectrum_identity_residuals(A, classify(A).spectrum)
+        worst = max(worst, residuals["cofactor_rel"])
+    assert worst <= 1e-8

@@ -70,7 +70,7 @@ def test_sym_eigen_two_by_two_exchange():
     # eigenvectors defined up to sign
     assert np.allclose(np.abs(sp.X[:, 0]), [r, r], atol=1e-12)
     assert np.allclose(np.abs(sp.X[:, 1]), [r, r], atol=1e-12)
-    assert np.allclose(sp.idempotents[0], np.full((2, 2), 0.5), atol=1e-12)
+    assert np.allclose(np.outer(sp.X[:, 0], sp.Yt[0, :]), np.full((2, 2), 0.5), atol=1e-12)
 
 
 def test_sym_eigen_path_of_three_vertices():
@@ -193,8 +193,10 @@ def reference_matrix_body(text: str):
             rows.append([float(p) for p in parts])
         except ValueError:
             return lineno(r), f"non-numeric entry in row: {line!r}"
-    A = np.array(rows)
-    return A if np.all(np.isfinite(A)) else (lineno(1), "matrix entries must be finite")
+    for r, row in enumerate(rows, 1):
+        if not np.all(np.isfinite(row)):
+            return lineno(r), "matrix entries must be finite"
+    return np.array(rows)
 
 
 _TOKENS = ["1", "0", "-2.5", "+.5", "1e-3", "1_0", "1__0", "_1", "nan", "-inf", "infinity",
@@ -244,6 +246,7 @@ _PT = "SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\n\nP 0\n1 0\n0 1\n# slice 1\n"
         (read_matrix, "2\n1 2\n\n3 x\n", 8, "non-numeric entry in row: '3 x'"),
         (read_matrix, "2\n1 2\n\n3 4\n5 6\n", 9, "unexpected extra row beyond 2"),
         (read_matrix, "2\n\n1 2\n", 7, "expected 2 matrix rows, found 1"),
+        (read_matrix, "3\n0 1 0\n1 0 1\n# row 2\n0 1 inf\n", 9, "matrix entries must be finite"),
         (read_scheme, _REL + "0\n10\n", 12, "expected 2 characters of 0/1"),
         (read_scheme, _REL + "01\n12\n", 13, "expected 2 characters of 0/1"),
         (read_scheme, _REL + "01\n10\n\nREL 2\n", 15, "unexpected trailing content"),
@@ -251,8 +254,8 @@ _PT = "SCHEME X=2 D=1 FORM=PTENSOR\nK 1 1\n\nP 0\n1 0\n0 1\n# slice 1\n"
         (read_scheme, _PT + "P 1\n0 1\n1 0.5\n", 14, "non-integer intersection number"),
         (read_scheme, _PT + "P 1\n0 1\n1 0\n# end\nP 2\n", 16, "unexpected trailing content"),
     ],
-    ids=["short-row", "bad-entry", "matrix-extra", "matrix-missing", "short-rel-row", "bad-digit",
-         "rel-extra", "missing-P-header", "non-integer", "ptensor-extra"],
+    ids=["short-row", "bad-entry", "matrix-extra", "matrix-missing", "non-finite", "short-rel-row",
+         "bad-digit", "rel-extra", "missing-P-header", "non-integer", "ptensor-extra"],
 )
 def test_readers_number_lines_alike(reader, body, lineno, message):
     with pytest.raises(ParseError) as info:

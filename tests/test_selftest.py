@@ -1,8 +1,11 @@
 """Self-check suite harness: bookkeeping, determinism, suite outcomes."""
 
-import numpy as np
+import dataclasses
 
-from spectralpath.equivalence import analyze_matrix
+import numpy as np
+import pytest
+
+from spectralpath.equivalence import analyze_matrix, random_instance
 from spectralpath.linalg import DEFAULT_TOL
 from spectralpath.selftest import (
     MAX_RECORDED_FAILURES,
@@ -40,10 +43,23 @@ def test_spectrum_identity_residuals_keys():
         "idempotency",
         "reconstruction",
         "reconstruction_rel",
-        "poly_projector_rel",
+        "cofactor_rel",
     ):
         assert key in out
         assert out[key] <= 1e-10
+
+
+@pytest.mark.parametrize("d", [0, 4])
+def test_cofactor_rel_sees_one_rescaled_eigenvector(d):
+    # at d = 0 the minors are 0 x 0, with determinant 1
+    A = random_instance("permuted_path", d, seed=[31, d])
+    sp = analyze_matrix(A).spectral.spectrum
+    assert spectrum_identity_residuals(A, sp)["cofactor_rel"] <= 1e-12
+    for i in range(d + 1):
+        X = sp.X.copy()
+        X[:, i] *= 1.0 + 1e-3
+        mutant = dataclasses.replace(sp, X=X)
+        assert spectrum_identity_residuals(A, mutant)["cofactor_rel"] > 1e-6
 
 
 def test_individual_suites_pass_small():

@@ -11,10 +11,11 @@ from spectralpath.spectra import (
     MultiplicityFreeRequiredError,
     SpectralIdentityError,
     SpectralKind,
+    _spectrum,
+    _verify_spectrum,
     classify,
     entry_product_profile,
     gap_product,
-    primitive_idempotents,
 )
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -89,7 +90,9 @@ def test_real_roots_random_factored_polynomials():
 
 def test_primitive_idempotents_frozen_path3():
     theta = np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)])
-    E = primitive_idempotents(PATH3, theta)
+    sp = classify(PATH3).spectrum
+    assert np.allclose(sp.theta, theta, atol=1e-12)
+    E = [np.outer(sp.X[:, i], sp.Yt[i, :]) for i in range(3)]
     middle = np.array([[0.5, 0.0, -0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(E[1], middle, atol=1e-12)
     assert np.allclose(E[0] + E[1] + E[2], np.eye(3), atol=1e-12)
@@ -97,10 +100,13 @@ def test_primitive_idempotents_frozen_path3():
 
 
 def test_primitive_idempotents_rejects_wrong_eigenvalues():
-    with pytest.raises(SpectralIdentityError):
-        primitive_idempotents(np.diag([1.0, 2.0]), np.array([1.0, 3.0]))
+    # the verification every spectrum passes, given the right eigenvectors
+    eye = np.eye(2)
+    with pytest.raises(SpectralIdentityError) as info:
+        _verify_spectrum(np.diag([1.0, 2.0]), np.array([1.0, 3.0]), eye, eye, Tolerance())
+    assert info.value.which == "reconstruction"
     with pytest.raises(DegenerateSpectrumError):
-        primitive_idempotents(np.diag([1.0, 2.0]), np.array([1.0, 1.0]))
+        _spectrum(eye, np.array([1.0, 1.0]), eye, eye, Tolerance())
 
 
 def test_spectrum_of_sorts_descending():
@@ -278,5 +284,5 @@ def test_projector_identities_on_random_symmetric_matrices():
             sp = out.spectrum
             assert sp.residuals["sum_to_identity"] <= 1e-8
             assert sp.residuals["idempotency"] <= 1e-8
-            recon = sum(t * E for t, E in zip(sp.theta, sp.idempotents))
+            recon = (sp.X * sp.theta) @ sp.Yt
             assert np.max(np.abs(recon - S)) <= 1e-8 * max(1.0, np.max(np.abs(S)))
