@@ -416,6 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# _COMMANDS as _fast_args reads it, built once: handler, switches, (flag, dest, converter, spec).
+_ARGV_TABLE = {
+    name: (
+        func,
+        {flag: "action" in spec for flag, spec in arguments if flag[0] == "-"},  # store_true only
+        tuple((flag, flag.lstrip("-").replace("-", "_"), spec.get("type", bool if "action" in spec else str), spec)
+              for flag, spec in arguments),
+    )
+    for name, (func, _, arguments) in _COMMANDS.items()
+}
+
+
 def _fast_args(argv: list):
     """The Namespace argparse builds for a plain argv, or None to leave it to argparse.
 
@@ -423,21 +435,20 @@ def _fast_args(argv: list):
     with its own value (switches aside); no token empty or starting with '-'
     but the options; every type, choices and required rule met.
     """
-    if not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _ARGV_TABLE:
         return None
-    func, _, arguments = _COMMANDS[argv[0]]
+    func, switches, arguments = _ARGV_TABLE[argv[0]]
     plain = [tok[:1] not in ("-", "") for tok in argv] + [False]
     pos = plain.index(False)
-    tokens, given, specs = argv[1:pos], {}, dict(arguments)
+    tokens, given = argv[1:pos], {}
     while pos < len(argv):
         flag = argv[pos]
-        switch = specs.get(flag, {}).get("action") == "store_true"
-        if plain[pos] or flag not in specs or flag in given or not (switch or plain[pos + 1]):
+        switch = switches.get(flag)
+        if plain[pos] or switch is None or flag in given or not (switch or plain[pos + 1]):
             return None
         given[flag], pos = (True, pos + 1) if switch else (argv[pos + 1], pos + 2)
     values = {"cmd": argv[0], "func": func}
-    for flag, spec in arguments:  # positionals first, in order; a starred one takes the rest
-        dest = flag.lstrip("-").replace("-", "_")
+    for flag, dest, convert, spec in arguments:  # positionals first, in order; a starred one takes the rest
         if spec.get("nargs") == "*":
             text, tokens = tokens, []
         elif flag[0] != "-" and tokens:
@@ -449,7 +460,6 @@ def _fast_args(argv: list):
         else:
             values[dest] = spec.get("default")
             continue
-        convert = spec.get("type", lambda x: x)
         try:
             value = list(map(convert, text)) if isinstance(text, list) else convert(text)
         except (TypeError, ValueError):

@@ -80,15 +80,14 @@ def directed_distance(mask: np.ndarray, s: int, t: int):
     return dist[t] if dist[t] >= 0 else None
 
 
-def bidirected_path_endpoints(masks, _adj=None) -> list:
+def bidirected_path_endpoints(masks) -> list:
     """Vertex ordering of each mask of an (m, n, n) stack as a bidirected path, or None.
 
     A mask qualifies when it is symmetric, the diagonal aside, and its
     undirected graph is a single path through every vertex.  One array pass
     keeps the masks with two vertices of degree 1 and every other of
-    degree 2; degree counts also admit a path plus disjoint cycles, so each
-    survivor is then walked from its smaller-labeled endpoint.  For n = 1
-    every ordering is (0,).  `_adj` gives the out-lists of a one-mask stack.
+    degree 2; each survivor then goes to `_path_order`.  For n = 1 every
+    ordering is (0,).
     """
     masks = np.array(masks, dtype=bool)  # a copy: its diagonals are cleared
     m, n = masks.shape[0], masks.shape[-1]
@@ -104,15 +103,28 @@ def bidirected_path_endpoints(masks, _adj=None) -> list:
     )
     orders = [None] * m
     for g in np.flatnonzero(keep).tolist():
-        adj = _out_lists(masks[g]) if _adj is None else _adj
-        start = int(np.argmax(deg[g] == 1))
-        order = [start, adj[start][0]]
-        while len(adj[order[-1]]) == 2:
-            a, b = adj[order[-1]]
-            order.append(b if a == order[-2] else a)
-        if len(order) == n:  # else the walk ended early: a path plus cycles
-            orders[g] = tuple(order)
+        orders[g] = _path_order(masks[g], _out_lists(masks[g]))
     return orders
+
+
+def _path_order(mask: np.ndarray, adj: tuple):
+    """Vertex ordering of one mask with a clear diagonal as a bidirected path, or None.
+
+    The lengths of the out-lists `adj` are the degrees of a symmetric `mask`.  Degree
+    counts also admit a path plus disjoint cycles, so the walk must reach every vertex.
+    """
+    n = len(adj)
+    if n == 1:
+        return (0,)
+    deg = list(map(len, adj))
+    if deg.count(1) != 2 or deg.count(2) != n - 2 or not (mask == mask.T).all():
+        return None
+    start = deg.index(1)  # the smaller-labeled endpoint
+    order = [start, adj[start][0]]
+    while len(adj[order[-1]]) == 2:
+        a, b = adj[order[-1]]
+        order.append(b if a == order[-2] else a)
+    return tuple(order) if len(order) == n else None  # else a path plus cycles
 
 
 def hessenberg_ordering(mask: np.ndarray, s: int, t: int):

@@ -21,15 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import _bfs, _out_lists, bidirected_path_endpoints, gamma
+from .digraph import _bfs, _out_lists, _path_order, gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 from .spectra import (
     EntryProfile,
     SpectralClass,
     SpectralKind,
     _classify,
-    constant_profile_positions,
-    entry_product_profile,
+    _constant_positions,
+    _profile,
 )
 from .symmetrize import Symmetrizer, _search
 
@@ -53,15 +53,15 @@ class NegativeEntryError(ValueError):
 
 
 def clamp_nonnegative(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Clamp tiny negative entries to zero; reject genuine negatives."""
+    """A validated copy of `A` with tiny negative entries clamped to zero; reject genuine negatives."""
     A = as_matrix(A)
-    low = float(np.min(A))
+    low = float(A.min())
     if low < -tol.zero_tol:
         i, j = np.unravel_index(int(np.argmin(A)), A.shape)
         raise NegativeEntryError(
             f"entry ({i}, {j}) = {A[i, j]:.6g} is negative beyond the clamp threshold"
         )
-    return np.where(A < 0.0, 0.0, A)
+    return np.where(A < 0.0, 0.0, A) if low < 0.0 else A
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,13 @@ class MatrixAnalysis:
         self._check_position(s, t)
         if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
             return None
-        return entry_product_profile(self.A, s, t, self.tol, self.spectral.spectrum)
+        return _profile(self.A, s, t, self.tol, self.spectral.spectrum)
 
     def constant_positions(self) -> list:
         """(s, t, common value) for every position with a nonzero constant profile."""
         if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
             return []
-        return constant_profile_positions(self.A, self.spectral.spectrum, self.tol)
+        return _constant_positions(self.A, self.spectral.spectrum, self.tol)
 
 
 def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
@@ -111,10 +111,9 @@ def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
     A = clamp_nonnegative(A, tol)
     pattern = gamma(A, tol)
     adj = _out_lists(pattern)
-    (order,) = bidirected_path_endpoints(pattern[None], _adj=adj)
     sym = _search(A, pattern, adj, tol)
     spectral = _classify(A, sym, tol)
-    return MatrixAnalysis(A, tol, pattern, order, sym, spectral, adj)
+    return MatrixAnalysis(A, tol, pattern, _path_order(pattern, adj), sym, spectral, adj)
 
 
 @dataclass(frozen=True)

@@ -78,8 +78,8 @@ class SpectralIdentityError(RuntimeError):
 class DegenerateSpectrumError(RuntimeError):
     """Eigenvalues too close to tell apart or to merge at working precision.
 
-    Also raised when random combinations of a scheme's intersection matrices
-    keep producing colliding eigenvalues.
+    Also raised when random combinations of a scheme's intersection matrices keep
+    producing colliding eigenvalues, and when a gap product or profile threshold overflows.
     """
 
 
@@ -142,16 +142,27 @@ class EntryProfile:
 
 
 def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
-    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, with the underflow guard."""
-    rows = np.asarray(rows)
+    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, or every index when None.
+
+    DegenerateSpectrumError when a product underflows eig_tol^d or overflows.
+    """
+    if rows is None:
+        diff = theta[:, None] - theta
+        np.fill_diagonal(diff, 1.0)
+    else:
+        rows = np.asarray(rows)
+        diff = theta[rows, None] - theta[None, :]
+        diff[np.arange(len(rows)), rows] = 1.0
+    try:
+        with np.errstate(over="raise"):
+            g = diff.prod(axis=1)
+    except FloatingPointError:
+        raise DegenerateSpectrumError("gap products overflow the float range; eigenvalues spread too far") from None
     d = len(theta) - 1
-    diff = theta[rows, None] - theta[None, :]
-    diff[np.arange(len(rows)), rows] = 1.0
-    g = np.prod(diff, axis=1)
     if d >= 1:
         small = np.flatnonzero(np.abs(g) < max(tol.eig_tol**d, 5e-324))
         if small.size:
-            i = int(rows[small[0]])
+            i = int(small[0]) if rows is None else int(rows[small[0]])
             raise DegenerateSpectrumError(
                 f"gap product at index {i} underflowed ({g[small[0]]:.3e}); eigenvalues nearly coincide"
             )
@@ -163,7 +174,7 @@ def gap_product(theta, i: int, tol: Tolerance = DEFAULT_TOL) -> float:
 
     Empty product (single eigenvalue) is 1.  Raises DegenerateSpectrumError
     when the magnitude underflows eig_tol to the power d, which signals
-    eigenvalues too close for the product to be meaningful.
+    eigenvalues too close for the product to be meaningful, or overflows.
     """
     theta = np.asarray(theta, dtype=float)
     d = len(theta) - 1
@@ -179,12 +190,12 @@ def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:
     largest entry is |(Yt X - I)_ij| max|X[:, i]| max|Yt[j, :]|.
     """
     eye = np.eye(len(theta))
-    xmax = np.max(np.abs(X), axis=0)
-    ymax = np.max(np.abs(Yt), axis=1)
-    r_sum = float(np.max(np.abs(X @ Yt - eye)))
-    r_idem = float(np.max(np.abs(Yt @ X - eye) * xmax[:, None] * ymax[None, :]))
-    r_recon = float(np.max(np.abs(A - (X * theta) @ Yt)))
-    scale = max(1.0, float(np.max(np.abs(A))))
+    xmax = np.abs(X).max(axis=0)
+    ymax = np.abs(Yt).max(axis=1)
+    r_sum = float(np.abs(X @ Yt - eye).max())
+    r_idem = float((np.abs(Yt @ X - eye) * xmax[:, None] * ymax[None, :]).max())
+    r_recon = float(np.abs(A - (X * theta) @ Yt).max())
+    scale = max(1.0, float(np.abs(A).max()))
     if r_sum > tol.residual_tol:
         raise SpectralIdentityError("sum_to_identity", r_sum, tol.residual_tol)
     if r_idem > tol.residual_tol:
@@ -199,7 +210,7 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
     order = np.argsort(-theta, kind="stable")
     theta, X, Yt = theta[order], X[:, order], Yt[order, :]
     residuals = _verify_spectrum(A, theta, X, Yt, tol)
-    gaps = _gap_products(theta, np.arange(len(theta)), tol)
+    gaps = _gap_products(theta, None, tol)
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
@@ -216,7 +227,7 @@ def _cluster_eigenvalues(values, eig_tol):
 
 
 def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
-    """(members, center, radius) for groups of eigenvalues no perturbation can tell apart.
+    """(index list, complex center, float radius) for groups of eigenvalues no perturbation can tell apart.
 
     A group's disk is centred on its mean.  Its radius is the spread of its
     members about the mean plus 4 n eps ||A||_F ||P||_F, where P is the
@@ -230,25 +241,28 @@ def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     numbers, but their projectors sum to a moderate one.
     """
     n = len(w)
-    floor = tol.eig_tol * max(1.0, float(np.max(np.abs(A))))
+    floor = tol.eig_tol * max(1.0, float(np.abs(A).max()))
     unit = 4 * n * EPS * float(np.linalg.norm(A))
     groups = [[i] for i in range(n)]
     center = w.astype(complex)
     radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
     while len(groups) > 1:
-        dist = np.abs(center[:, None] - center[None, :])
+        dist = np.abs(center[:, None] - center)
         np.fill_diagonal(dist, np.inf)
-        linked = np.where(dist <= radius[:, None] + radius[None, :], dist, np.inf)
+        touching = dist <= radius[:, None] + radius
+        if not touching.any():
+            break
+        linked = np.where(touching, dist, np.inf)
         a, b = sorted(np.unravel_index(int(np.argmin(linked)), linked.shape))
         if not np.isfinite(linked[a, b]):
             break
         groups[a] += groups.pop(b)
         center, radius = np.delete(center, b), np.delete(radius, b)
         g = groups[a]
-        center[a] = np.mean(w[g])
+        center[a] = w[g].mean()
         kappa = float(np.linalg.norm(X[:, g] @ Yt[g, :]))
-        radius[a] = max(floor, unit * kappa) + float(np.max(np.abs(w[g] - center[a])))
-    return [(np.array(g), c, float(r)) for g, c, r in zip(groups, center, radius)]
+        radius[a] = max(floor, unit * kappa) + float(np.abs(w[g] - center[a]).max())
+    return list(zip(groups, center.tolist(), radius.tolist()))
 
 
 def _classify_general(A, tol: Tolerance) -> SpectralClass:
@@ -322,7 +336,7 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
     S = sym.conjugate(A)
     w, V = np.linalg.eigh(0.5 * (S + S.T))
     w, V = w[::-1], V[:, ::-1]
-    if n > 1 and float(np.min(w[:-1] - w[1:])) <= tol.eig_tol:
+    if n > 1 and float((w[:-1] - w[1:]).min()) <= tol.eig_tol:
         return SpectralClass(
             kind=SpectralKind.DIAGONALIZABLE_NOT_MF,
             eigenvalues=_cluster_eigenvalues(w, tol.eig_tol),
@@ -336,13 +350,21 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
 
 
 def _profile_threshold(A, tol: Tolerance) -> float:
-    return tol.residual_tol * float(np.max(np.abs(A))) ** (A.shape[0] - 1)
+    """residual_tol * max|A|^(n-1); DegenerateSpectrumError when that is not finite."""
+    d, scale = A.shape[0] - 1, float(np.abs(A).max())
+    try:
+        threshold = tol.residual_tol * scale**d
+    except OverflowError:  # float ** raises it; an overflowing float * gives inf
+        threshold = np.inf
+    if threshold == np.inf:
+        raise DegenerateSpectrumError(f"profile threshold residual_tol * {scale:.3e}^{d} overflows the float range")
+    return threshold
 
 
 def _constancy(values: np.ndarray, threshold: float):
     """Mean, spread and verdicts of profiles stacked along axis 0."""
-    mean = np.mean(values, axis=0)
-    spread = np.max(np.abs(values - mean), axis=0)
+    mean = values.mean(axis=0)
+    spread = np.abs(values - mean).max(axis=0)
     is_constant = spread <= threshold
     return mean, spread, is_constant, is_constant & (np.abs(mean) <= threshold)
 
@@ -367,6 +389,11 @@ def entry_product_profile(
         if cls.kind is not SpectralKind.MULTIPLICITY_FREE:
             raise MultiplicityFreeRequiredError(cls)
         spectrum = cls.spectrum
+    return _profile(A, s, t, tol, spectrum)
+
+
+def _profile(A: np.ndarray, s: int, t: int, tol: Tolerance, spectrum: Spectrum) -> EntryProfile:
+    """`entry_product_profile` of a validated `A` at an in-range (s, t)."""
     values = spectrum.X[s, :] * spectrum.Yt[:, t] * spectrum.gaps
     threshold = _profile_threshold(A, tol)
     mean, spread, is_constant, constant_zero = _constancy(values, threshold)
@@ -388,7 +415,11 @@ def constant_profile_positions(A, spectrum: Spectrum, tol: Tolerance = DEFAULT_T
     constancy rule of `entry_product_profile`.  Positions are listed in
     row-major order.
     """
-    A = as_matrix(A)
+    return _constant_positions(as_matrix(A), spectrum, tol)
+
+
+def _constant_positions(A: np.ndarray, spectrum: Spectrum, tol: Tolerance) -> list:
+    """`constant_profile_positions` of a validated `A`."""
     C = (spectrum.X.T * spectrum.gaps[:, None])[:, :, None] * spectrum.Yt[:, None, :]
     mean, _, is_constant, constant_zero = _constancy(C, _profile_threshold(A, tol))
     return [(int(s), int(t), float(mean[s, t])) for s, t in np.argwhere(is_constant & ~constant_zero)]

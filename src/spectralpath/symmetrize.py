@@ -61,8 +61,8 @@ class NotSymmetrizable:
 
 def _first_pair(mask: np.ndarray):
     """The first True entry of `mask` in row-major order, as a pair of ints, or None."""
-    hits = np.flatnonzero(mask)
-    return divmod(int(hits[0]), mask.shape[1]) if hits.size else None
+    k = int(mask.argmax()) if mask.size else 0  # the first True, or 0 when there is none
+    return divmod(k, mask.shape[1]) if mask.size and mask.flat[k] else None
 
 
 def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
@@ -83,9 +83,9 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
 def _search(A: np.ndarray, nz: np.ndarray, adj, tol: Tolerance):
     """`find_symmetrizer` of a validated `A`: pattern mask `nz`, its out-lists `adj` or None."""
     n = A.shape[0]
-    upper = np.arange(n)[:, None] < np.arange(n)  # the pairs i < j
     asymmetric = nz != nz.T
-    pair = _first_pair(upper & (asymmetric | (nz & (A * A.T <= 0.0))))
+    # both masks tested are symmetric, clear on the diagonal: their first True is a pair i < j
+    pair = _first_pair(asymmetric | (nz & ((A < 0.0) != (A.T < 0.0))))  # signs: A * A.T may overflow
     if pair is not None:
         reason = "asymmetric_pattern" if asymmetric[pair] else "nonpositive_ratio"
         return NotSymmetrizable(reason, pair)
@@ -113,7 +113,7 @@ def _search(A: np.ndarray, nz: np.ndarray, adj, tol: Tolerance):
     lhs = w[:, None] * A  # lhs.T[i, j] = w_j A_ji
     mag = np.abs(lhs)
     bound = tol.residual_tol * np.maximum(np.maximum(mag, mag.T), 1.0)
-    pair = _first_pair(upper & nz & (np.abs(lhs - lhs.T) > bound))
+    pair = _first_pair(nz & (np.abs(lhs - lhs.T) > bound))
     if pair is not None:
         return NotSymmetrizable("inconsistent_cycle", pair)
     return Symmetrizer(kappa=w)

@@ -314,6 +314,24 @@ def test_unresolvable_eigenvalue_group_exits_three(capsys, tmp_path):
     assert "cannot be resolved" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze",), ("check", "--form", "path", "--s", "0", "--t", "2")],
+    ids=["analyze", "check"],
+)
+def test_overflow_exits_three_with_one_error_line(capsys, tmp_path, argv):
+    # eigenvalues 0 and +-1e160: the gap products leave the float range.  An
+    # uncaught OverflowError exited 1, the "not equivalent" code, after the
+    # symmetrizer's sign test A * A^T had warned about overflow
+    path = tmp_path / "huge.txt"
+    path.write_text("3\n0 1e160 0\n1e160 0 1\n0 1 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (3, "")
+    assert err == "error: gap products overflow the float range; eigenvalues spread too far\n"
+
+
 def test_scheme_commands(capsys):
     code, out, _ = run(capsys, "scheme", "builtin:hypercube(3)", "info")
     assert code == 0

@@ -1,10 +1,14 @@
 """Pattern graph checks: masks, distances, path recognition, relabelings."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
 from spectralpath.digraph import (
     OrderingVerificationError,
+    _out_lists,
+    _path_order,
     bidirected_path_endpoints,
     directed_distance,
     gamma,
@@ -185,6 +189,68 @@ def test_stacked_path_test_matches_set_walk():
             assert got == [reference_path_order(mask) for mask in stack], stack
             found += sum(order is not None for order in got)
     assert found >= 100, found
+
+
+def bfs_path_order(mask):
+    """Ordering of one mask with a clear diagonal as a bidirected path, or None, by brute force.
+
+    A symmetric pattern is a path through every vertex exactly when it has
+    n - 1 edges, no vertex of degree above 2, and a breadth-first search
+    from an endpoint reaches every vertex; the distances give the order.
+    """
+    n = len(mask)
+    if n == 1:
+        return (0,)
+    deg = mask.sum(axis=1)
+    ends = np.flatnonzero(deg == 1).tolist()
+    if (mask != mask.T).any() or mask.sum() != 2 * (n - 1) or deg.max() > 2 or not ends:
+        return None
+    dist = {ends[0]: 0}
+    queue = deque(ends[:1])
+    while queue:
+        v = queue.popleft()
+        for w in np.flatnonzero(mask[v]).tolist():
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return tuple(sorted(dist, key=dist.get)) if len(dist) == n else None
+
+
+def seeded_mask(rng, n, kind):
+    """A relabeled path, tree, path plus a disjoint cycle (n >= 4), path with one arc removed, or empty mask."""
+    perm = rng.permutation(n).tolist()
+    if kind == "tree":
+        edges = [(perm[v], perm[int(rng.integers(v))]) for v in range(1, n)]
+    elif kind == "path_and_cycle":
+        cut = int(rng.integers(1, n - 2))  # a path on perm[:cut], a cycle on the other n - cut >= 3
+        edges = [(perm[a], perm[a + 1]) for a in range(n - 1) if a != cut - 1] + [(perm[cut], perm[-1])]
+    elif kind == "empty":
+        edges = []
+    else:
+        edges = [(perm[a], perm[a + 1]) for a in range(n - 1)]
+    mask = mask_of(n, edges + [(b, a) for a, b in edges])
+    if kind == "one_arc_removed" and edges:
+        a, b = edges[int(rng.integers(len(edges)))]
+        mask[a, b] = False
+    return mask
+
+
+def test_path_order_matches_stacked_route_and_bfs():
+    rng = np.random.default_rng(20261019)
+    found = {}
+    for n in range(1, 13):
+        for kind in ("path", "tree", "path_and_cycle", "one_arc_removed", "empty"):
+            if kind == "path_and_cycle" and n < 4:
+                continue
+            for _ in range(8):
+                mask = seeded_mask(rng, n, kind)
+                got = _path_order(mask, _out_lists(mask))
+                assert got == bidirected_path_endpoints(mask[None])[0] == bfs_path_order(mask), (kind, mask)
+                found[kind] = found.get(kind, 0) + (got is not None)
+    # paths are found at every order; beyond n = 1 a cycle, a one-way arc or no arc never passes
+    assert found["path"] == 12 * 8 and found["path_and_cycle"] == 0
+    assert found["one_arc_removed"] == found["empty"] == 8
+    assert 8 < found["tree"] < 12 * 8, found
 
 
 def test_hessenberg_ordering_round_trip():

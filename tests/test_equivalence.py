@@ -25,6 +25,10 @@ def test_clamp_negative_entries():
     assert out[0, 1] == 0.0
     with pytest.raises(NegativeEntryError):
         clamp_nonnegative(np.array([[0.0, -0.5], [1.0, 0.0]]))
+    # nothing negative: the validated copy itself, -0.0 kept as np.where keeps it
+    B = np.array([[-0.0, 1.0], [1.0, 0.0]])
+    out = clamp_nonnegative(B)
+    assert out is not B and out.tobytes() == B.tobytes()
 
 
 def test_path_check_holds_exactly_at_endpoints():
@@ -124,7 +128,8 @@ def test_analysis_distances_match_pattern():
 @pytest.mark.parametrize("kind", ["permuted_path", "hessenberg", "general_nonneg"])
 def test_analysis_makes_one_pattern_pass(monkeypatch, kind):
     # one validation, one mask and one set of out-lists serve the path test,
-    # the symmetrizer search, the classification and every distance call
+    # the symmetrizer search, the classification, every distance call and
+    # every profile
     from collections import Counter
 
     from spectralpath import digraph, equivalence, spectra, symmetrize
@@ -145,7 +150,12 @@ def test_analysis_makes_one_pattern_pass(monkeypatch, kind):
     analysis = analyze_matrix(random_instance(kind, 6, seed=4, density=0.4))
     for s in range(7):
         analysis.distance(s, 6 - s)
+        for t in range(7):
+            analysis.profile(s, t)
+    analysis.constant_positions()
     assert calls == {"as_matrix": 1, "gamma": 1, "_out_lists": 1}
+    if kind == "permuted_path":
+        assert analysis.spectral.kind is SpectralKind.MULTIPLICITY_FREE
 
 
 def test_analysis_distance_matches_walk_powers():

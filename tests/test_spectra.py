@@ -5,12 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from spectralpath.linalg import Tolerance
+from spectralpath.equivalence import INSTANCE_KINDS, random_instance
+from spectralpath.linalg import DEFAULT_TOL, Tolerance
 from spectralpath.spectra import (
+    EPS,
     DegenerateSpectrumError,
     MultiplicityFreeRequiredError,
     SpectralIdentityError,
     SpectralKind,
+    _eigenvalue_groups,
+    _gap_products,
+    _profile_threshold,
     _spectrum,
     _verify_spectrum,
     classify,
@@ -234,6 +239,34 @@ def test_gap_product_uses_callers_eig_tol():
     assert sp.gaps.tolist() == pytest.approx([1e-5, -1e-5])
 
 
+def test_gap_products_of_every_index_match_the_explicit_rows():
+    rng = np.random.default_rng(8)
+    for n in range(1, 16):
+        theta = np.sort(rng.uniform(-3.0, 3.0, n))[::-1]
+        every = _gap_products(theta, None, DEFAULT_TOL)
+        assert every.tobytes() == _gap_products(theta, np.arange(n), DEFAULT_TOL).tobytes()
+
+
+def test_gap_product_overflow_is_a_numerical_error():
+    # 106 of these 120 products overflow; numpy would warn and return inf
+    theta = np.linspace(0.0, 2000.0, 120)
+    for rows in (None, np.arange(120)):
+        with pytest.raises(DegenerateSpectrumError, match="gap products overflow the float range"):
+            _gap_products(theta, rows, DEFAULT_TOL)
+    with pytest.raises(DegenerateSpectrumError, match="gap products overflow"):
+        gap_product(theta, 7)
+    assert gap_product(theta, 60) < 0.0  # a middle product stays in range
+
+
+def test_profile_threshold_overflow_is_a_numerical_error():
+    # residual_tol * max|A|^(n-1): a Python float power that raises OverflowError
+    assert _profile_threshold(np.full((3, 3), 1e100), DEFAULT_TOL) == pytest.approx(1e192)
+    with pytest.raises(DegenerateSpectrumError, match=r"1\.000e\+160\^2 overflows the float range"):
+        _profile_threshold(np.full((3, 3), 1e160), DEFAULT_TOL)
+    with pytest.raises(DegenerateSpectrumError):
+        _profile_threshold(np.full((3, 3), 1e150), Tolerance(residual_tol=1e10))
+
+
 def test_entry_profile_frozen_path3():
     p_end = entry_product_profile(PATH3, 0, 2)
     assert np.allclose(p_end.values, [1.0, 1.0, 1.0], atol=1e-10)
@@ -286,3 +319,52 @@ def test_projector_identities_on_random_symmetric_matrices():
             assert sp.residuals["idempotency"] <= 1e-8
             recon = (sp.X * sp.theta) @ sp.Yt
             assert np.max(np.abs(recon - S)) <= 1e-8 * max(1.0, np.max(np.abs(S)))
+
+
+def _eigenvalue_groups_full_loop(A, w, X, Yt, tol):
+    """The merge loop without the early exit, as a reference: every pass
+    forms the linked distances and stops on the first infinite minimum."""
+    n = len(w)
+    floor = tol.eig_tol * max(1.0, float(np.max(np.abs(A))))
+    unit = 4 * n * EPS * float(np.linalg.norm(A))
+    groups = [[i] for i in range(n)]
+    center = w.astype(complex)
+    radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
+    while len(groups) > 1:
+        dist = np.abs(center[:, None] - center[None, :])
+        np.fill_diagonal(dist, np.inf)
+        linked = np.where(dist <= radius[:, None] + radius[None, :], dist, np.inf)
+        a, b = sorted(np.unravel_index(int(np.argmin(linked)), linked.shape))
+        if not np.isfinite(linked[a, b]):
+            break
+        groups[a] += groups.pop(b)
+        center, radius = np.delete(center, b), np.delete(radius, b)
+        g = groups[a]
+        center[a] = np.mean(w[g])
+        kappa = float(np.linalg.norm(X[:, g] @ Yt[g, :]))
+        radius[a] = max(floor, unit * kappa) + float(np.max(np.abs(w[g] - center[a])))
+    return [(list(g), complex(c), float(r)) for g, c, r in zip(groups, center, radius)]
+
+
+def test_eigenvalue_groups_early_exit_matches_the_full_loop():
+    # every random_instance kind at d = 0..12, and the same rounded to
+    # integers, which gives repeated eigenvalues and Jordan blocks
+    cases = [np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]])]
+    for kind in INSTANCE_KINDS:
+        for d in range(13):
+            for seed in range(3):
+                A = random_instance(kind, d, seed, density=0.4)
+                cases += [A, np.rint(A)]
+    merged = 0
+    for A in cases:
+        w, X = np.linalg.eig(A)
+        Yt = np.linalg.pinv(X)
+        got = _eigenvalue_groups(A, w, X, Yt, DEFAULT_TOL)
+        assert got == _eigenvalue_groups_full_loop(A, w, X, Yt, DEFAULT_TOL)
+        assert all(type(c) is complex and type(r) is float for _, c, r in got)
+        merged += any(len(g) > 1 for g, _, _ in got)
+    assert merged >= 20, merged
+    # the Jordan block and the defective matrix above take the merge branch
+    for A in cases[:2]:
+        w, X = np.linalg.eig(A)
+        assert len(_eigenvalue_groups(A, w, X, np.linalg.pinv(X), DEFAULT_TOL)) < len(A)

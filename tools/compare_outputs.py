@@ -1,0 +1,108 @@
+"""Compare the command-line output of two checkouts, call by call.
+
+Usage (from the root of a checkout):
+
+    python3 tools/compare_outputs.py --against <other checkout> --seeds 3 7
+
+Writes the inputs of every workload in BENCHMARK.json for each seed once,
+with this checkout's `bench/workloads.build`, under a temporary directory.
+Every operation then runs with and without `--json` in each checkout: one
+fresh interpreter per checkout, importing spectralpath from that checkout's
+`src/` and calling `spectralpath.cli.main` in-process.  The exit code, stdout
+and stderr of every call are compared.  Prints the number of calls compared
+and the first calls that differ; exits 1 on any difference, 0 otherwise.
+"""
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SHOWN = 5  # differing calls printed
+
+# Runs in a fresh interpreter: argv[1] the checkout, argv[2] the calls, argv[3] the results.
+RUNNER = r"""
+import contextlib, io, json, os, sys, traceback
+checkout = sys.argv[1]
+src = os.path.join(checkout, "src")
+sys.path.insert(0, src)
+from spectralpath import cli
+if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+    sys.exit(f"spectralpath imported from {cli.__file__}, not from {src}")
+with open(sys.argv[2], encoding="utf-8") as fh:
+    calls = json.load(fh)
+results = []
+for argv in calls:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            code = None
+            err.write(traceback.format_exc().replace(checkout, "<checkout>"))
+    results.append([code, out.getvalue(), err.getvalue()])
+with open(sys.argv[3], "w", encoding="utf-8") as fh:
+    json.dump(results, fh)
+"""
+
+
+def write_calls(folder: str, seeds: list) -> list:
+    """Every operation of every workload and seed, as argv lists without and with --json."""
+    sys.path.insert(0, os.path.join(ROOT, "bench"))
+    sys.dont_write_bytecode = True  # leave bench/ as it is
+    import workloads
+
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        names = [w["name"] for w in json.load(fh)["workloads"]]
+    calls = []
+    for seed in seeds:
+        for name in names:
+            for op in workloads.build(name, seed, os.path.join(folder, f"{name}-seed{seed}")):
+                argv = [a for a in op.argv if a != "--json"]
+                calls += [argv, argv + ["--json"]]
+    return calls
+
+
+def run_checkout(checkout: str, calls_path: str, folder: str, tag: str) -> list:
+    out_path = os.path.join(folder, f"results-{tag}.json")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    subprocess.run([sys.executable, "-c", RUNNER, checkout, calls_path, out_path],
+                   cwd=folder, env=env, check=True, timeout=1800)
+    with open(out_path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", required=True, help="root of the checkout to compare with")
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args()
+    other = os.path.abspath(args.against)
+    if not os.path.isfile(os.path.join(other, "src", "spectralpath", "cli.py")):
+        sys.stderr.write(f"error: no spectralpath sources under {other}/src\n")
+        return 2
+    with tempfile.TemporaryDirectory() as folder:
+        calls = write_calls(folder, args.seeds)
+        calls_path = os.path.join(folder, "calls.json")
+        with open(calls_path, "w", encoding="utf-8") as fh:
+            json.dump(calls, fh)
+        ours = run_checkout(ROOT, calls_path, folder, "this")
+        theirs = run_checkout(other, calls_path, folder, "against")
+        differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
+        print(f"{len(calls)} calls compared, {len(differ)} differ "
+              f"(this checkout {ROOT} against {other}, seeds {' '.join(map(str, args.seeds))})")
+        for i in differ[:SHOWN]:
+            print(f"  spectralpath {' '.join(calls[i]).replace(folder, '<inputs>')}")
+            for field, a, b in zip(("exit code", "stdout", "stderr"), ours[i], theirs[i]):
+                if a != b:
+                    print(f"    {field}: {a!r:.200} against {b!r:.200}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
