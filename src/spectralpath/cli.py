@@ -420,8 +420,10 @@ def build_parser() -> argparse.ArgumentParser:
 _ARGV_TABLE = {
     name: (
         func,
-        {flag: "action" in spec for flag, spec in arguments if flag[0] == "-"},  # store_true only
-        tuple((flag, flag.lstrip("-").replace("-", "_"), spec.get("type", bool if "action" in spec else str), spec)
+        {flag: spec.get("action") == "store_true" for flag, spec in arguments  # argparse takes other actions
+         if flag[0] == "-" and spec.get("action") in (None, "store_true")},
+        tuple((flag, flag.lstrip("-").replace("-", "_"),
+               spec.get("type", bool if spec.get("action") == "store_true" else str), spec)
               for flag, spec in arguments),
     )
     for name, (func, _, arguments) in _COMMANDS.items()

@@ -86,8 +86,8 @@ def bidirected_path_endpoints(masks) -> list:
     A mask qualifies when it is symmetric, the diagonal aside, and its
     undirected graph is a single path through every vertex.  One array pass
     keeps the masks with two vertices of degree 1 and every other of
-    degree 2; each survivor then goes to `_path_order`.  For n = 1 every
-    ordering is (0,).
+    degree 2; `_walk` walks each survivor without repeating those tests.
+    For n = 1 every ordering is (0,).
     """
     masks = np.array(masks, dtype=bool)  # a copy: its diagonals are cleared
     m, n = masks.shape[0], masks.shape[-1]
@@ -103,7 +103,7 @@ def bidirected_path_endpoints(masks) -> list:
     )
     orders = [None] * m
     for g in np.flatnonzero(keep).tolist():
-        orders[g] = _path_order(masks[g], _out_lists(masks[g]))
+        orders[g] = _walk(_out_lists(masks[g]), int(np.argmax(deg[g] == 1)))
     return orders
 
 
@@ -111,7 +111,7 @@ def _path_order(mask: np.ndarray, adj: tuple):
     """Vertex ordering of one mask with a clear diagonal as a bidirected path, or None.
 
     The lengths of the out-lists `adj` are the degrees of a symmetric `mask`.  Degree
-    counts also admit a path plus disjoint cycles, so the walk must reach every vertex.
+    counts also admit a path plus disjoint cycles, so `_walk` must reach every vertex.
     """
     n = len(adj)
     if n == 1:
@@ -119,12 +119,16 @@ def _path_order(mask: np.ndarray, adj: tuple):
     deg = list(map(len, adj))
     if deg.count(1) != 2 or deg.count(2) != n - 2 or not (mask == mask.T).all():
         return None
-    start = deg.index(1)  # the smaller-labeled endpoint
+    return _walk(adj, deg.index(1))
+
+
+def _walk(adj: tuple, start: int):
+    """The walk along path-shaped out-lists `adj` from endpoint `start`; None unless it reaches every vertex."""
     order = [start, adj[start][0]]
     while len(adj[order[-1]]) == 2:
         a, b = adj[order[-1]]
         order.append(b if a == order[-2] else a)
-    return tuple(order) if len(order) == n else None  # else a path plus cycles
+    return tuple(order) if len(order) == len(adj) else None
 
 
 def hessenberg_ordering(mask: np.ndarray, s: int, t: int):

@@ -142,17 +142,10 @@ class EntryProfile:
 
 
 def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
-    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, or every index when None.
-
-    DegenerateSpectrumError when a product underflows eig_tol^d or overflows.
-    """
-    if rows is None:
-        diff = theta[:, None] - theta
-        np.fill_diagonal(diff, 1.0)
-    else:
-        rows = np.asarray(rows)
-        diff = theta[rows, None] - theta[None, :]
-        diff[np.arange(len(rows)), rows] = 1.0
+    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, with the underflow and overflow guards."""
+    rows = np.asarray(rows)
+    diff = theta[rows, None] - theta[None, :]
+    diff[np.arange(len(rows)), rows] = 1.0
     try:
         with np.errstate(over="raise"):
             g = diff.prod(axis=1)
@@ -162,7 +155,7 @@ def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
     if d >= 1:
         small = np.flatnonzero(np.abs(g) < max(tol.eig_tol**d, 5e-324))
         if small.size:
-            i = int(small[0]) if rows is None else int(rows[small[0]])
+            i = int(rows[small[0]])
             raise DegenerateSpectrumError(
                 f"gap product at index {i} underflowed ({g[small[0]]:.3e}); eigenvalues nearly coincide"
             )
@@ -210,7 +203,7 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
     order = np.argsort(-theta, kind="stable")
     theta, X, Yt = theta[order], X[:, order], Yt[order, :]
     residuals = _verify_spectrum(A, theta, X, Yt, tol)
-    gaps = _gap_products(theta, None, tol)
+    gaps = _gap_products(theta, np.arange(len(theta)), tol)
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
@@ -254,7 +247,7 @@ def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
             break
         linked = np.where(touching, dist, np.inf)
         a, b = sorted(np.unravel_index(int(np.argmin(linked)), linked.shape))
-        if not np.isfinite(linked[a, b]):
+        if not np.isfinite(linked[a, b]):  # each touching pair is at a distance that overflowed to inf
             break
         groups[a] += groups.pop(b)
         center, radius = np.delete(center, b), np.delete(radius, b)

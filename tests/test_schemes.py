@@ -20,9 +20,10 @@ from spectralpath.schemes import (
     scheme_from_p_tensor,
     scheme_from_relations,
     write_scheme,
+    _endpoint_check,
     _polynomial_orderings,
 )
-from spectralpath.spectra import SpectralIdentityError
+from spectralpath.spectra import DegenerateSpectrumError, SpectralIdentityError
 from test_digraph import reference_path_order
 
 CUBE3_P = np.array(
@@ -336,6 +337,16 @@ def test_endpoint_check_repeated_theta_column():
     assert not rep.side_i and not rep.side_ii
     assert rep.expected is None
     assert rep.equivalent
+
+
+def test_endpoint_check_gap_product_overflow_is_a_numerical_error():
+    # 120 distinct eigenvalues over [0, 2000]: most gap products overflow, and the
+    # check raises instead of comparing against inf and NaN ratios
+    d = 119
+    eigen = np.zeros((d + 1, d + 1))
+    eigen[:, 1] = np.linspace(2000.0, 0.0, d + 1)
+    with pytest.raises(DegenerateSpectrumError, match="gap products overflow the float range"):
+        _endpoint_check("p", [], eigen, np.ones((d + 1, d + 1)), 1, d, DEFAULT_TOL)
 
 
 def test_endpoint_check_index_validation():
