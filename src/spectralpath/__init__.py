@@ -63,15 +63,11 @@ from .schemes import (
 from .spectra import (
     DegenerateSpectrumError,
     EntryProfile,
-    MultiplicityFreeRequiredError,
     SpectralClass,
     SpectralIdentityError,
     SpectralKind,
     Spectrum,
     classify,
-    constant_profile_positions,
-    entry_product_profile,
-    gap_product,
 )
 from .symmetrize import (
     NotSymmetrizable,
@@ -90,7 +86,6 @@ __all__ = [
     "EquivalenceReport",
     "INSTANCE_KINDS",
     "MatrixAnalysis",
-    "MultiplicityFreeRequiredError",
     "NegativeEntryError",
     "NotSymmetrizable",
     "OrderingVerificationError",
@@ -114,15 +109,12 @@ __all__ = [
     "check_q_polynomial_characterization",
     "clamp_nonnegative",
     "classify",
-    "constant_profile_positions",
     "detect_p_polynomial",
     "detect_q_polynomial",
     "directed_distance",
     "eigendata",
-    "entry_product_profile",
     "find_symmetrizer",
     "gamma",
-    "gap_product",
     "hessenberg_ordering",
     "intersection_matrix",
     "is_hessenberg",

@@ -183,11 +183,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_check(args) -> int:
     tol = _tol_from_args(args)
-    A = read_matrix(args.matrix)
+    analysis = analyze_matrix(read_matrix(args.matrix), tol)
     checker = (
         check_path_characterization if args.form == "path" else check_distance_characterization
     )
-    rep = checker(A, args.s, args.t, tol)
+    rep = checker(analysis, args.s, args.t)
     profile = rep.profile
     verdict, code = _verdict(rep.condition_i, rep.condition_ii)
     report = {

@@ -68,9 +68,11 @@ def clamp_nonnegative(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 class MatrixAnalysis:
     """One-shot structural and spectral analysis of a nonnegative matrix.
 
-    Shared by both equivalence checks so that sweeping over many (s, t)
-    positions costs one classification, not one per position.  `pattern`
-    is the boolean mask of the pattern graph, from `gamma`; `_adj` its out-lists.
+    The one way to ask a per-position question of a matrix: `profile`,
+    `distance` and `constant_positions` here, and both equivalence checks
+    take it.  Sweeping over many (s, t) positions costs one classification,
+    not one per position.  `pattern` is the boolean mask of the pattern
+    graph, from `gamma`; `_adj` its out-lists.
     """
 
     A: np.ndarray
@@ -154,15 +156,11 @@ def _spectral_side(analysis: MatrixAnalysis, s: int, t: int):
     return ok, profile
 
 
-def check_path_characterization(
-    A, s: int, t: int, tol: Tolerance = DEFAULT_TOL, analysis: MatrixAnalysis | None = None
-) -> EquivalenceReport:
+def check_path_characterization(analysis: MatrixAnalysis, s: int, t: int) -> EquivalenceReport:
     """Bidirected-path pattern with endpoints {s, t} vs spectral profile.
 
-    Pass a precomputed `analysis` when sweeping positions of one matrix.
+    A sweep over the positions of one matrix shares one `analyze_matrix`.
     """
-    if analysis is None:
-        analysis = analyze_matrix(A, tol)
     order = analysis.path_order
     cond_i = order is not None and {order[0], order[-1]} == {s, t}
     symmetrizable = isinstance(analysis.symmetrizer, Symmetrizer)
@@ -182,12 +180,8 @@ def check_path_characterization(
     )
 
 
-def check_distance_characterization(
-    A, s: int, t: int, tol: Tolerance = DEFAULT_TOL, analysis: MatrixAnalysis | None = None
-) -> EquivalenceReport:
+def check_distance_characterization(analysis: MatrixAnalysis, s: int, t: int) -> EquivalenceReport:
     """Directed distance d from s to t plus diagonalizability vs profile."""
-    if analysis is None:
-        analysis = analyze_matrix(A, tol)
     kind = analysis.spectral.kind
     diagonalizable = kind in (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)
     dist = analysis.distance(s, t)

@@ -240,7 +240,9 @@ def scheme_from_p_tensor(p, k) -> AssociationScheme:
     pi, exact = _int64(p)
     if pi.ndim != 3 or not exact:
         raise SchemeValidationError("tensor_shape", np.shape(p), "expected an integer cubic tensor")
-    ki = _int64(k)[0]
+    ki, exact = _int64(k)
+    if ki.shape != pi.shape[:1] or not exact:
+        raise SchemeValidationError("valencies", np.shape(k), f"expected {pi.shape[0]} integer valencies")
     size = sum(ki.tolist())  # Python ints: no int64 wrap
     _validate_p_tensor(pi, ki, size)
     return AssociationScheme(size=size, d=pi.shape[0] - 1, k=ki, p=pi, relations=None)
@@ -478,12 +480,12 @@ def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
     theta, actual = eigen[:, b], dual[c, :]
     side_i = any(st.generator == b and st.last == c for st in structures)
 
-    gaps = np.abs(theta[:, None] - theta[None, :])
-    np.fill_diagonal(gaps, np.inf)
     expected = None
     max_dev = None
     side_ii = False
-    if float(np.min(gaps)) > tol.eig_tol:
+    # rounding is monotone, so the closest sorted neighbours give the smallest |theta_i - theta_j|
+    srt = np.sort(theta)
+    if float((srt[1:] - srt[:-1]).min()) > tol.eig_tol:
         g = _gap_products(theta, np.arange(d + 1), tol)
         expected = g[0] / g
         max_dev = float(np.max(np.abs(actual - expected)))

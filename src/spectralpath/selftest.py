@@ -111,7 +111,7 @@ def suite_path_equivalence(
             n = d + 1
             for s in range(n):
                 for t in range(n):
-                    rep = check_path_characterization(A, s, t, tol, analysis=analysis)
+                    rep = check_path_characterization(analysis, s, t)
                     result.cases += 1
                     if not rep.equivalent:
                         result.fail(
@@ -180,7 +180,7 @@ def suite_distance_equivalence(
                 result.fail(f"idx={idx}: BFS distances disagree with walk powers")
         for s in range(n):
             for t in range(n):
-                rep = check_distance_characterization(A, s, t, tol, analysis=analysis)
+                rep = check_distance_characterization(analysis, s, t)
                 result.cases += 1
                 if not rep.equivalent:
                     result.fail(
@@ -282,7 +282,7 @@ def suite_degenerate(seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> SuiteResult
     rng = np.random.default_rng([seed, 99])
 
     A0 = np.array([[rng.uniform(0.0, 2.0)]])
-    rep = check_path_characterization(A0, 0, 0, tol)
+    rep = check_path_characterization(analyze_matrix(A0, tol), 0, 0)
     result.cases += 1
     if not (rep.condition_i and rep.condition_ii):
         result.fail("d=0: single vertex should satisfy both sides at (0, 0)")
@@ -294,8 +294,8 @@ def suite_degenerate(seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> SuiteResult
     analysis = analyze_matrix(A1, tol)
     for s in range(2):
         for t in range(2):
-            both = check_path_characterization(A1, s, t, tol, analysis=analysis)
-            dist_rep = check_distance_characterization(A1, s, t, tol, analysis=analysis)
+            both = check_path_characterization(analysis, s, t)
+            dist_rep = check_distance_characterization(analysis, s, t)
             result.cases += 2
             expected = s != t
             if both.both_true != expected or not both.equivalent:

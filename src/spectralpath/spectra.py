@@ -41,12 +41,8 @@ __all__ = [
     "SpectralClass",
     "EntryProfile",
     "classify",
-    "gap_product",
-    "entry_product_profile",
-    "constant_profile_positions",
     "SpectralIdentityError",
     "DegenerateSpectrumError",
-    "MultiplicityFreeRequiredError",
 ]
 
 EPS = float(np.finfo(float).eps)
@@ -83,23 +79,13 @@ class DegenerateSpectrumError(RuntimeError):
     """
 
 
-class MultiplicityFreeRequiredError(ValueError):
-    """An operation requiring n distinct real eigenvalues got something else."""
-
-    def __init__(self, classification: "SpectralClass"):
-        self.classification = classification
-        super().__init__(
-            f"matrix is not multiplicity-free (classified {classification.kind.value})"
-        )
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """Distinct real eigenvalues (descending) with verified rank-one projectors.
 
     Column i of `X` and row i of `Yt` are the right and left eigenvectors of
-    theta_i, scaled so that E_i = outer(X[:, i], Yt[i, :]); `gaps[i]` is
-    gap_product(theta, i).
+    theta_i, scaled so that E_i = outer(X[:, i], Yt[i, :]); `gaps[i]` is the
+    gap product prod_{j != i} (theta_i - theta_j).
     """
 
     theta: np.ndarray
@@ -160,20 +146,6 @@ def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
                 f"gap product at index {i} underflowed ({g[small[0]]:.3e}); eigenvalues nearly coincide"
             )
     return g
-
-
-def gap_product(theta, i: int, tol: Tolerance = DEFAULT_TOL) -> float:
-    """Product of eigenvalue gaps prod_{j != i} (theta_i - theta_j).
-
-    Empty product (single eigenvalue) is 1.  Raises DegenerateSpectrumError
-    when the magnitude underflows eig_tol to the power d, which signals
-    eigenvalues too close for the product to be meaningful, or overflows.
-    """
-    theta = np.asarray(theta, dtype=float)
-    d = len(theta) - 1
-    if not (0 <= i <= d):
-        raise ValueError(f"index {i} outside 0..{d}")
-    return float(_gap_products(theta, [i], tol)[0])
 
 
 def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:
@@ -362,31 +334,14 @@ def _constancy(values: np.ndarray, threshold: float):
     return mean, spread, is_constant, is_constant & (np.abs(mean) <= threshold)
 
 
-def entry_product_profile(
-    A, s: int, t: int, tol: Tolerance = DEFAULT_TOL, spectrum: Spectrum | None = None
-) -> EntryProfile:
-    """Profile c_i = (E_i)_{st} * gap_product(theta, i) at position (s, t).
-
-    Requires a multiplicity-free matrix; raises MultiplicityFreeRequiredError
-    otherwise.  The constancy threshold scales with the d-th power of the
-    largest entry magnitude, matching the growth of the gap products.  A
-    profile that is constant but below the threshold in magnitude is
-    reported as constant_zero with no common value.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"entry position ({s}, {t}) outside 0..{n - 1}")
-    if spectrum is None:
-        cls = classify(A, tol)
-        if cls.kind is not SpectralKind.MULTIPLICITY_FREE:
-            raise MultiplicityFreeRequiredError(cls)
-        spectrum = cls.spectrum
-    return _profile(A, s, t, tol, spectrum)
-
-
 def _profile(A: np.ndarray, s: int, t: int, tol: Tolerance, spectrum: Spectrum) -> EntryProfile:
-    """`entry_product_profile` of a validated `A` at an in-range (s, t)."""
+    """Profile c_i = (E_i)_{st} * gaps[i] of a validated `A` and its own `spectrum`, at an in-range (s, t).
+
+    The constancy threshold scales with the d-th power of the largest entry
+    magnitude, matching the growth of the gap products.  A profile that is
+    constant but below the threshold in magnitude is reported as
+    constant_zero with no common value.
+    """
     values = spectrum.X[s, :] * spectrum.Yt[:, t] * spectrum.gaps
     threshold = _profile_threshold(A, tol)
     mean, spread, is_constant, constant_zero = _constancy(values, threshold)
@@ -400,19 +355,13 @@ def _profile(A: np.ndarray, s: int, t: int, tol: Tolerance, spectrum: Spectrum) 
     )
 
 
-def constant_profile_positions(A, spectrum: Spectrum, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Every (s, t, common value) whose profile is a nonzero constant.
+def _constant_positions(A: np.ndarray, spectrum: Spectrum, tol: Tolerance) -> list:
+    """Every (s, t, common value) of a validated `A` whose profile is a nonzero constant.
 
     All n^2 profiles come from one (n, n, n) tensor
     C[i, s, t] = X[s, i] * Yt[i, t] * gap_i, judged with the threshold and
-    constancy rule of `entry_product_profile`.  Positions are listed in
-    row-major order.
+    constancy rule of `_profile`.  Positions are listed in row-major order.
     """
-    return _constant_positions(as_matrix(A), spectrum, tol)
-
-
-def _constant_positions(A: np.ndarray, spectrum: Spectrum, tol: Tolerance) -> list:
-    """`constant_profile_positions` of a validated `A`."""
     C = (spectrum.X.T * spectrum.gaps[:, None])[:, :, None] * spectrum.Yt[:, None, :]
     mean, _, is_constant, constant_zero = _constancy(C, _profile_threshold(A, tol))
     return [(int(s), int(t), float(mean[s, t])) for s, t in np.argwhere(is_constant & ~constant_zero)]

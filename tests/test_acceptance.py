@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spectralpath.cli import main as cli_main
+from spectralpath.equivalence import analyze_matrix
 from spectralpath.linalg import write_matrix
 from spectralpath.schemes import (
     builtin_scheme,
@@ -27,7 +28,6 @@ from spectralpath.selftest import (
     suite_path_equivalence,
     suite_symmetrizer,
 )
-from spectralpath.spectra import entry_product_profile
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -69,21 +69,21 @@ def property_suites():
 
 
 def test_accept_three_point_path_profile(announce):
-    prof = entry_product_profile(PATH3, 0, 2)
+    prof = analyze_matrix(PATH3).profile(0, 2)
     assert np.max(np.abs(prof.values - 1.0)) <= 1e-10
     assert prof.is_constant
     assert abs(prof.common_value - 1.0) <= 1e-10
 
-    side = entry_product_profile(PATH3, 0, 1)
+    side = analyze_matrix(PATH3).profile(0, 1)
     root2 = math.sqrt(2.0)
     assert np.max(np.abs(side.values - np.array([root2, 0.0, -root2]))) <= 1e-10
     assert not side.is_constant
 
-    entry_product_profile(PATH3, 0, 2)  # warm
+    analyze_matrix(PATH3).profile(0, 2)  # warm
     best = math.inf
     for _ in range(50):
         t0 = time.perf_counter()
-        entry_product_profile(PATH3, 0, 2)
+        analyze_matrix(PATH3).profile(0, 2)
         best = min(best, time.perf_counter() - t0)
     assert best < 1e-3, f"warm profile call took {best * 1e3:.3f} ms"
     announce("three-point path profile", f"warm call {best * 1e3:.3f} ms")
@@ -208,7 +208,7 @@ def test_accept_degenerate_sizes(tmp_path, announce):
     suite = suite_degenerate(seed=0)
     assert suite.passed, suite.failures
 
-    single = entry_product_profile(np.array([[0.7]]), 0, 0)
+    single = analyze_matrix(np.array([[0.7]])).profile(0, 0)
     assert single.is_constant
     assert abs(single.common_value - 1.0) <= 1e-10  # empty gap product
 

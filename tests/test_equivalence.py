@@ -36,7 +36,7 @@ def test_path_check_holds_exactly_at_endpoints():
     hits = set()
     for s in range(3):
         for t in range(3):
-            rep = check_path_characterization(PATH3, s, t, analysis=analysis)
+            rep = check_path_characterization(analysis, s, t)
             assert rep.equivalent, (s, t)
             if rep.both_true:
                 hits.add(frozenset((s, t)))
@@ -44,7 +44,7 @@ def test_path_check_holds_exactly_at_endpoints():
 
 
 def test_path_check_report_fields():
-    rep = check_path_characterization(PATH3, 0, 2)
+    rep = check_path_characterization(analyze_matrix(PATH3), 0, 2)
     assert rep.form == "path"
     assert rep.condition_i and rep.condition_ii
     assert rep.spectral_kind is SpectralKind.MULTIPLICITY_FREE
@@ -59,10 +59,10 @@ def test_path_check_on_relabeled_path():
     B = PATH3[np.ix_(perm, perm)]
     analysis = analyze_matrix(B)
     # old endpoints 0 and 2 now live at positions 1 and 0
-    rep = check_path_characterization(B, 0, 1, analysis=analysis)
+    rep = check_path_characterization(analysis, 0, 1)
     assert rep.both_true
     for s, t in [(0, 2), (1, 2)]:
-        rep = check_path_characterization(B, s, t, analysis=analysis)
+        rep = check_path_characterization(analysis, s, t)
         assert rep.equivalent and not rep.both_true
 
 
@@ -70,22 +70,22 @@ def test_distance_check_with_diagonal_shift():
     # adding I to the path matrix keeps projectors and gap products intact
     A = np.eye(3) + PATH3
     analysis = analyze_matrix(A)
-    rep = check_distance_characterization(A, 0, 2, analysis=analysis)
+    rep = check_distance_characterization(analysis, 0, 2)
     assert rep.both_true
     assert np.allclose(rep.profile.values, [1.0, 1.0, 1.0], atol=1e-10)
-    rep = check_distance_characterization(A, 0, 1, analysis=analysis)
+    rep = check_distance_characterization(analysis, 0, 1)
     assert rep.equivalent and not rep.both_true
 
 
 def test_distance_check_asymmetric_hessenberg():
     A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    rep = check_distance_characterization(A, 0, 2)
+    rep = check_distance_characterization(analyze_matrix(A), 0, 2)
     assert rep.both_true
 
 
 def test_rotation_matrix_fails_both_sides():
     cyc = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    rep = check_distance_characterization(cyc, 0, 2)
+    rep = check_distance_characterization(analyze_matrix(cyc), 0, 2)
     assert rep.spectral_kind is SpectralKind.COMPLEX_SPECTRUM
     assert not rep.condition_i and not rep.condition_ii
     assert rep.equivalent
@@ -111,9 +111,9 @@ def test_report_equivalence_is_derived():
 
 def test_position_validation():
     with pytest.raises(ValueError):
-        check_path_characterization(PATH3, 0, 3)
+        check_path_characterization(analyze_matrix(PATH3), 0, 3)
     with pytest.raises(ValueError):
-        check_distance_characterization(PATH3, -1, 0)
+        check_distance_characterization(analyze_matrix(PATH3), -1, 0)
 
 
 def test_analysis_distances_match_pattern():
@@ -218,7 +218,7 @@ def test_path_equivalence_sweep_on_random_paths():
         endpoint_pairs = set()
         for s in range(d + 1):
             for t in range(d + 1):
-                rep = check_path_characterization(A, s, t, analysis=analysis)
+                rep = check_path_characterization(analysis, s, t)
                 assert rep.equivalent, (seed, s, t)
                 if rep.both_true:
                     endpoint_pairs.add(frozenset((s, t)))
@@ -237,7 +237,7 @@ def test_distance_equivalence_sweep_on_random_nonneg():
         analysis = analyze_matrix(A)
         for s in range(d + 1):
             for t in range(d + 1):
-                rep = check_distance_characterization(A, s, t, analysis=analysis)
+                rep = check_distance_characterization(analysis, s, t)
                 assert rep.equivalent, (seed, s, t)
                 agree += 1
     assert agree > 0
@@ -246,6 +246,6 @@ def test_distance_equivalence_sweep_on_random_nonneg():
 def test_single_vertex_degenerate_case():
     A = np.array([[0.7]])
     for checker in (check_path_characterization, check_distance_characterization):
-        rep = checker(A, 0, 0)
+        rep = checker(analyze_matrix(A), 0, 0)
         assert rep.both_true
         assert np.allclose(rep.profile.values, [1.0])

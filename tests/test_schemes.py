@@ -433,6 +433,57 @@ def johnson_relations(v, k):
     return [(dist == h).astype(np.int8) for h in range(k + 1)]
 
 
+def johnson_exact_krein(v, k):
+    """Exact P and Krein tensor q[h, i, j] of J(v, k) from the Eberlein closed form.
+
+    P[j, h] = sum_r (-1)^r C(j, r) C(k - j, h - r) C(v - k - j, h - r) on
+    eigenspace j, ordered by descending theta_j = P[j, 1]; Q[h, j] = m_j P[j, h] / k_h
+    with m_j = C(v, j) - C(v, j - 1); q^h_ij = |X|^-1 sum_l P[h, l] Q[l, i] Q[l, j].
+    """
+    from fractions import Fraction
+    from math import comb
+
+    dp1 = k + 1
+
+    def eberlein(j, h):
+        return sum((-1) ** r * comb(j, r) * comb(k - j, h - r) * comb(v - k - j, h - r) for r in range(h + 1))
+
+    P = [[eberlein(j, h) for h in range(dp1)] for j in range(dp1)]
+    m = [comb(v, j) - (comb(v, j - 1) if j else 0) for j in range(dp1)]
+    Q = [[Fraction(m[j] * P[j][h], P[0][h]) for j in range(dp1)] for h in range(dp1)]
+    size = comb(v, k)
+    q = [
+        [[sum(P[h][l] * Q[l][i] * Q[l][j] for l in range(dp1)) / size for j in range(dp1)] for i in range(dp1)]
+        for h in range(dp1)
+    ]
+    return P, q
+
+
+def test_q_side_detection_on_johnson_schemes():
+    """J(v, 3) is not self-dual; the expected Q-orderings come from exact Krein parameters."""
+    for v, want in ((6, {(1, (0, 1, 2, 3), 3), (3, (0, 3, 2, 1), 1)}), (7, {(1, (0, 1, 2, 3), 3)}),
+                    (8, {(1, (0, 1, 2, 3), 3)})):
+        k = 3
+        scheme = scheme_from_relations(johnson_relations(v, k))
+        ed = eigendata(scheme)
+        P, q = johnson_exact_krein(v, k)
+        assert np.allclose(ed.P, np.array(P, dtype=float), atol=1e-9)
+        assert np.allclose(ed.q, np.array(q, dtype=float), atol=1e-9)
+        assert not np.allclose(ed.P, ed.Q) and not np.allclose(ed.q, scheme.p)
+        exact = set()
+        for i in range(1, k + 1):
+            support = np.array([[q[h][i][j] != 0 for j in range(k + 1)] for h in range(k + 1)])
+            order = reference_path_order(support)
+            if order is not None and order[0] == 0:
+                exact.add((i, order, order[-1]))
+        assert exact == want, v
+        assert set(detect_q_polynomial(ed)) == exact
+        assert check_q_polynomial_characterization(ed, 1, k).both_true
+        for c in range(1, k):
+            rep = check_q_polynomial_characterization(ed, 1, c)
+            assert not rep.side_i and not rep.side_ii, (v, c)
+
+
 def test_triple_counting_matches_brute_force():
     cases = {
         "hypercube(5)": hamming_relations(5),
@@ -561,6 +612,15 @@ def test_p_tensor_validation_witnesses():
         scheme_from_p_tensor(bad, cube.k)
     with pytest.raises(SchemeValidationError) as info:
         scheme_from_p_tensor(cube.p, np.array([2, 3, 3, 1]))
+    assert info.value.axiom == "valencies"
+
+
+@pytest.mark.parametrize("k", [[1, 2.4], [1, 2, 3], [[1, 2]]], ids=["fractional", "too_long", "two_dimensional"])
+def test_p_tensor_valencies_must_be_d_plus_1_integers(k):
+    complete3 = [[[1, 0], [0, 2]], [[0, 1], [1, 1]]]
+    assert scheme_from_p_tensor(complete3, [1, 2]).k.tolist() == [1, 2]
+    with pytest.raises(SchemeValidationError) as info:
+        scheme_from_p_tensor(complete3, k)
     assert info.value.axiom == "valencies"
 
 

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from spectralpath.equivalence import INSTANCE_KINDS, random_instance
+from spectralpath.equivalence import INSTANCE_KINDS, analyze_matrix, random_instance
 from spectralpath.linalg import DEFAULT_TOL, Tolerance
 from spectralpath.spectra import (
     EPS,
     DegenerateSpectrumError,
-    MultiplicityFreeRequiredError,
     SpectralIdentityError,
     SpectralKind,
     _eigenvalue_groups,
@@ -19,8 +18,6 @@ from spectralpath.spectra import (
     _spectrum,
     _verify_spectrum,
     classify,
-    entry_product_profile,
-    gap_product,
 )
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -175,7 +172,7 @@ def test_inv_route_classifies_as_the_pinv_route(monkeypatch):
     # every random_instance kind, and the same rounded to integers (Jordan
     # blocks and repeated eigenvalues), classified with Y^T = inv(X) and
     # again with the pinv fallback forced by a failing inv
-    from spectralpath.equivalence import INSTANCE_KINDS, random_instance
+    from spectralpath.equivalence import INSTANCE_KINDS, analyze_matrix, random_instance
 
     cases = []
     for kind in INSTANCE_KINDS:
@@ -211,30 +208,33 @@ def test_classify_defective_but_asymmetric_pattern():
     assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
 
 
+def gap_at(theta, i, tol=DEFAULT_TOL):
+    """The gap product at one index, from the one implementation."""
+    return float(_gap_products(np.asarray(theta, dtype=float), [i], tol)[0])
+
+
 def test_gap_product_frozen_values():
     cube3 = np.array([3.0, 1.0, -1.0, -3.0])
-    assert gap_product(cube3, 0) == pytest.approx(48.0, abs=1e-12)
+    assert gap_at(cube3, 0) == pytest.approx(48.0, abs=1e-12)
     # by hand: (1-3)(1+1)(1+3) = -16
-    assert gap_product(cube3, 1) == pytest.approx(-16.0, abs=1e-12)
+    assert gap_at(cube3, 1) == pytest.approx(-16.0, abs=1e-12)
     cube4 = np.array([4.0, 2.0, 0.0, -2.0, -4.0])
-    assert gap_product(cube4, 0) == pytest.approx(384.0, abs=1e-12)
-    assert gap_product(np.array([7.0]), 0) == 1.0
+    assert gap_at(cube4, 0) == pytest.approx(384.0, abs=1e-12)
+    assert gap_at(np.array([7.0]), 0) == 1.0
 
 
 def test_gap_product_degenerate_guard():
     with pytest.raises(DegenerateSpectrumError):
-        gap_product(np.array([1e-9, 0.0]), 0)
-    with pytest.raises(ValueError):
-        gap_product(np.array([1.0, 2.0]), 5)
+        gap_at(np.array([1e-9, 0.0]), 0)
 
 
 def test_gap_product_uses_callers_eig_tol():
     theta = np.array([1e-5, 0.0])
-    assert gap_product(theta, 0) == pytest.approx(1e-5)
+    assert gap_at(theta, 0) == pytest.approx(1e-5)
     with pytest.raises(DegenerateSpectrumError):
-        gap_product(theta, 0, Tolerance(eig_tol=1e-4))
+        gap_at(theta, 0, Tolerance(eig_tol=1e-4))
     # the gap products stored with a spectrum; classify merges eigenvalues
-    # closer than eig_tol before it forms them, so the raise is gap_product's
+    # closer than eig_tol before it forms them, so the raise is _gap_products'
     sp = classify(np.diag([1e-5, 0.0])).spectrum
     assert sp.gaps.tolist() == pytest.approx([1e-5, -1e-5])
 
@@ -245,8 +245,8 @@ def test_gap_product_overflow_is_a_numerical_error():
     with pytest.raises(DegenerateSpectrumError, match="gap products overflow the float range"):
         _gap_products(theta, np.arange(120), DEFAULT_TOL)
     with pytest.raises(DegenerateSpectrumError, match="gap products overflow"):
-        gap_product(theta, 7)
-    assert gap_product(theta, 60) < 0.0  # a middle product stays in range
+        gap_at(theta, 7)
+    assert gap_at(theta, 60) < 0.0  # a middle product stays in range
 
 
 def test_profile_threshold_overflow_is_a_numerical_error():
@@ -259,41 +259,36 @@ def test_profile_threshold_overflow_is_a_numerical_error():
 
 
 def test_entry_profile_frozen_path3():
-    p_end = entry_product_profile(PATH3, 0, 2)
+    analysis = analyze_matrix(PATH3)
+    p_end = analysis.profile(0, 2)
     assert np.allclose(p_end.values, [1.0, 1.0, 1.0], atol=1e-10)
     assert p_end.is_constant and not p_end.constant_zero
     assert p_end.common_value == pytest.approx(1.0, abs=1e-10)
 
-    p_mid = entry_product_profile(PATH3, 0, 1)
+    p_mid = analysis.profile(0, 1)
     root2 = math.sqrt(2.0)
     assert np.allclose(p_mid.values, [root2, 0.0, -root2], atol=1e-10)
     assert not p_mid.is_constant
 
-    p_diag = entry_product_profile(PATH3, 1, 1)
+    p_diag = analysis.profile(1, 1)
     # (E_i)_{11} gap products: middle projector vanishes at (1, 1)
     assert not p_diag.is_constant
 
 
 def test_entry_profile_constant_zero():
     # diagonal matrix: off-diagonal projector entries vanish identically
-    prof = entry_product_profile(np.diag([1.0, 2.0]), 0, 1)
+    prof = analyze_matrix(np.diag([1.0, 2.0])).profile(0, 1)
     assert prof.is_constant and prof.constant_zero
     assert prof.common_value is None
 
 
 def test_entry_profile_requires_multiplicity_free():
-    with pytest.raises(MultiplicityFreeRequiredError) as info:
-        entry_product_profile(np.eye(2), 0, 1)
-    assert info.value.classification.kind is SpectralKind.DIAGONALIZABLE_NOT_MF
+    analysis = analyze_matrix(np.eye(2))
+    assert analysis.spectral.kind is SpectralKind.DIAGONALIZABLE_NOT_MF
+    assert analysis.profile(0, 1) is None
+    assert analysis.constant_positions() == []
     with pytest.raises(ValueError):
-        entry_product_profile(PATH3, 0, 7)
-
-
-def test_profile_reuses_provided_spectrum():
-    cls = classify(PATH3)
-    prof = entry_product_profile(PATH3, 2, 0, spectrum=cls.spectrum)
-    assert prof.is_constant
-    assert prof.common_value == pytest.approx(1.0, abs=1e-10)
+        analyze_matrix(PATH3).profile(0, 7)
 
 
 def test_projector_identities_on_random_symmetric_matrices():

@@ -5,7 +5,9 @@ Usage (from the root of a checkout):
     python3 tools/compare_outputs.py --against <other checkout> --seeds 3 7
 
 Writes the inputs of every workload in BENCHMARK.json for each seed once,
-with this checkout's `bench/workloads.build`, under a temporary directory.
+with this checkout's `bench/workloads.build`, under a temporary directory,
+and adds one `selftest` per seed: no workload runs it, and it is the one
+command that sweeps the equivalence checks over every position of a matrix.
 Every operation then runs with and without `--json` in each checkout: one
 fresh interpreter per checkout, importing spectralpath from that checkout's
 `src/` and calling `spectralpath.cli.main` in-process.  The exit code, stdout
@@ -22,6 +24,7 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHOWN = 5  # differing calls printed
+SELFTEST = ["selftest", "--trials", "10", "--d-max", "8"]  # about 0.6 s a call
 
 # Runs in a fresh interpreter: argv[1] the checkout, argv[2] the calls, argv[3] the results.
 RUNNER = r"""
@@ -52,7 +55,7 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 
 
 def write_calls(folder: str, seeds: list) -> list:
-    """Every operation of every workload and seed, as argv lists without and with --json."""
+    """Every operation of every workload and seed, and one selftest per seed, without and with --json."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.dont_write_bytecode = True  # leave bench/ as it is
     import workloads
@@ -65,6 +68,8 @@ def write_calls(folder: str, seeds: list) -> list:
             for op in workloads.build(name, seed, os.path.join(folder, f"{name}-seed{seed}")):
                 argv = [a for a in op.argv if a != "--json"]
                 calls += [argv, argv + ["--json"]]
+        argv = SELFTEST + ["--seed", str(seed)]
+        calls += [argv, argv + ["--json"]]
     return calls
 
 
