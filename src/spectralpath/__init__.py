@@ -14,118 +14,52 @@ P- and Q-polynomial orderings and to test the matching endpoint
 conditions on eigenvalue tables.
 """
 
-from .digraph import (
-    OrderingVerificationError,
-    bidirected_path_endpoints,
-    directed_distance,
-    gamma,
-    hessenberg_ordering,
-    is_hessenberg,
-    is_irreducible_tridiagonal,
-)
-from .equivalence import (
-    INSTANCE_KINDS,
-    EquivalenceReport,
-    MatrixAnalysis,
-    NegativeEntryError,
-    analyze_matrix,
-    check_distance_characterization,
-    check_path_characterization,
-    clamp_nonnegative,
-    random_instance,
-)
-from .linalg import (
-    DEFAULT_TOL,
-    ParseError,
-    Tolerance,
-    read_matrix,
-    write_matrix,
-)
-from .schemes import (
-    AssociationScheme,
-    PolyStructure,
-    SchemeCharacterizationReport,
-    SchemeEigendata,
-    SchemeValidationError,
-    builtin_scheme,
-    check_p_polynomial_characterization,
-    check_q_polynomial_characterization,
-    detect_p_polynomial,
-    detect_q_polynomial,
-    eigendata,
-    intersection_matrix,
-    krein_parameters,
-    read_scheme,
-    scheme_from_p_tensor,
-    scheme_from_relations,
-    write_scheme,
-)
-from .spectra import (
-    DegenerateSpectrumError,
-    EntryProfile,
-    SpectralClass,
-    SpectralIdentityError,
-    SpectralKind,
-    Spectrum,
-    classify,
-)
-from .symmetrize import (
-    NotSymmetrizable,
-    Symmetrizer,
-    find_symmetrizer,
-    tridiagonal_symmetrizer,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssociationScheme",
-    "DEFAULT_TOL",
-    "DegenerateSpectrumError",
-    "EntryProfile",
-    "EquivalenceReport",
-    "INSTANCE_KINDS",
-    "MatrixAnalysis",
-    "NegativeEntryError",
-    "NotSymmetrizable",
-    "OrderingVerificationError",
-    "ParseError",
-    "PolyStructure",
-    "SchemeCharacterizationReport",
-    "SchemeEigendata",
-    "SchemeValidationError",
-    "SpectralClass",
-    "SpectralIdentityError",
-    "SpectralKind",
-    "Spectrum",
-    "Symmetrizer",
-    "Tolerance",
-    "analyze_matrix",
-    "bidirected_path_endpoints",
-    "builtin_scheme",
-    "check_distance_characterization",
-    "check_p_polynomial_characterization",
-    "check_path_characterization",
-    "check_q_polynomial_characterization",
-    "clamp_nonnegative",
-    "classify",
-    "detect_p_polynomial",
-    "detect_q_polynomial",
-    "directed_distance",
-    "eigendata",
-    "find_symmetrizer",
-    "gamma",
-    "hessenberg_ordering",
-    "intersection_matrix",
-    "is_hessenberg",
-    "is_irreducible_tridiagonal",
-    "krein_parameters",
-    "random_instance",
-    "read_matrix",
-    "read_scheme",
-    "scheme_from_p_tensor",
-    "scheme_from_relations",
-    "tridiagonal_symmetrizer",
-    "write_matrix",
-    "write_scheme",
-]
+# The names the package root exports, by the module that defines them.  A
+# module is imported when one of its names is first used (PEP 562), so a
+# command loads only the modules it runs.
+_EXPORTS = {
+    "digraph": (
+        "OrderingVerificationError", "bidirected_path_endpoints", "directed_distance", "gamma",
+        "hessenberg_ordering", "is_hessenberg", "is_irreducible_tridiagonal",
+    ),
+    "equivalence": (
+        "INSTANCE_KINDS", "EquivalenceReport", "MatrixAnalysis", "NegativeEntryError",
+        "analyze_matrix", "check_distance_characterization", "check_path_characterization",
+        "clamp_nonnegative", "random_instance",
+    ),
+    "linalg": ("DEFAULT_TOL", "ParseError", "Tolerance", "read_matrix", "write_matrix"),
+    "schemes": (
+        "AssociationScheme", "PolyStructure", "SchemeCharacterizationReport", "SchemeEigendata",
+        "SchemeValidationError", "builtin_scheme", "check_p_polynomial_characterization",
+        "check_q_polynomial_characterization", "detect_p_polynomial", "detect_q_polynomial",
+        "eigendata", "intersection_matrix", "krein_parameters", "read_scheme",
+        "scheme_from_p_tensor", "scheme_from_relations", "write_scheme",
+    ),
+    "spectra": (
+        "DegenerateSpectrumError", "EntryProfile", "SpectralClass", "SpectralIdentityError",
+        "SpectralKind", "Spectrum", "classify",
+    ),
+    "symmetrize": (
+        "NotSymmetrizable", "Symmetrizer", "find_symmetrizer", "tridiagonal_symmetrizer",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _HOME.keys())

@@ -14,7 +14,6 @@ six significant digits.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import enum
 import functools
@@ -22,15 +21,12 @@ import json
 import os
 import re
 import sys
+import types
 
 import numpy as np
 
-from . import schemes, selftest
-from .equivalence import (
-    analyze_matrix,
-    check_distance_characterization,
-    check_path_characterization,
-)
+# The modules of one command (equivalence, schemes, selftest) and argparse
+# are imported in the functions that use them, so a command loads only its own.
 from .linalg import Tolerance, read_matrix
 from .spectra import SpectralKind
 from .symmetrize import Symmetrizer
@@ -120,6 +116,8 @@ def _verdict(side_i: bool, side_ii: bool):
 
 
 def _cmd_analyze(args) -> int:
+    from .equivalence import analyze_matrix
+
     if (args.s is None) != (args.t is None):
         raise ValueError("--s and --t must be given together")
     tol = _tol_from_args(args)
@@ -182,6 +180,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .equivalence import (
+        analyze_matrix,
+        check_distance_characterization,
+        check_path_characterization,
+    )
+
     tol = _tol_from_args(args)
     analysis = analyze_matrix(read_matrix(args.matrix), tol)
     checker = (
@@ -216,7 +220,9 @@ def _cmd_check(args) -> int:
 _BUILTIN_RE = re.compile(r"^builtin:(hypercube|complete)\((\d+)\)$")
 
 
-def _load_scheme(source: str) -> schemes.AssociationScheme:
+def _load_scheme(source: str):
+    from . import schemes
+
     match = _BUILTIN_RE.match(source)
     if match:
         return schemes.builtin_scheme(match.group(1), int(match.group(2)))
@@ -251,6 +257,8 @@ def _report_structures(args, kind: str, scheme, structures, tol: Tolerance, seed
 
 
 def _cmd_scheme(args) -> int:
+    from . import schemes
+
     tol = _tol_from_args(args)
     seed = _resolve_seed(args)
     scheme = _load_scheme(args.source)
@@ -334,6 +342,8 @@ def _cmd_scheme(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import selftest
+
     tol = _tol_from_args(args)
     seed = _resolve_seed(args)
     results = selftest.run_all_suites(trials=args.trials, d_max=args.d_max, seed=seed, tol=tol)
@@ -402,7 +412,9 @@ _COMMANDS = {
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="spectralpath",
         description="Structure checks linking matrix nonzero patterns to spectral projector profiles.",
@@ -431,7 +443,7 @@ _ARGV_TABLE = {
 
 
 def _fast_args(argv: list):
-    """The Namespace argparse builds for a plain argv, or None to leave it to argparse.
+    """The attributes argparse would parse from a plain argv, or None to leave it to argparse.
 
     Plain: the command, its positionals, then options in full, each once and
     with its own value (switches aside); no token empty or starting with '-'
@@ -469,7 +481,7 @@ def _fast_args(argv: list):
         if "choices" in spec and value not in spec["choices"]:
             return None
         values[dest] = value
-    return None if tokens else argparse.Namespace(**values)
+    return None if tokens else types.SimpleNamespace(**values)
 
 
 def main(argv=None) -> int:

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .equivalence import (
+    MatrixAnalysis,
     analyze_matrix,
     check_distance_characterization,
     check_path_characterization,
     random_instance,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectra import SpectralKind, Spectrum
+from .spectra import SpectralKind
 from .symmetrize import Symmetrizer, find_symmetrizer, tridiagonal_symmetrizer
 
 __all__ = [
@@ -58,10 +59,11 @@ class SuiteResult:
             self.worst[key] = float(value)
 
 
-def spectrum_identity_residuals(A: np.ndarray, spectrum: Spectrum) -> dict:
+def spectrum_identity_residuals(analysis: MatrixAnalysis) -> dict:
     """Residuals of the projector identities plus the cofactor identity.
 
-    Extends the residuals recorded at construction with the relative
+    Takes a multiplicity-free analysis, whose matrix A and spectrum belong
+    together.  Extends the residuals recorded at construction with the relative
     reconstruction error and the worst deviation from the cofactor identity
     adj(theta_i I - A) = gap_i E_i, an independent route that uses no
     eigenvector: X[s, i] Yt[i, t] gap_i against (-1)^(s+t) times the minor of
@@ -69,6 +71,9 @@ def spectrum_identity_residuals(A: np.ndarray, spectrum: Spectrum) -> dict:
     column 0 (so every entry of X and Yt is tested), relative to
     max(1, max|A|)^(n-1).
     """
+    if analysis.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
+        raise ValueError("spectrum_identity_residuals needs a multiplicity-free matrix")
+    A, spectrum = analysis.A, analysis.spectral.spectrum
     out = dict(spectrum.residuals)
     scale = float(np.max(np.abs(A)))
     out["reconstruction_rel"] = out["reconstruction"] / max(scale, 1e-300)
@@ -84,9 +89,9 @@ def spectrum_identity_residuals(A: np.ndarray, spectrum: Spectrum) -> dict:
     return out
 
 
-def _track_spectrum(result: SuiteResult, A, analysis):
+def _track_spectrum(result: SuiteResult, analysis):
     if analysis.spectral.kind is SpectralKind.MULTIPLICITY_FREE:
-        for key, value in spectrum_identity_residuals(A, analysis.spectral.spectrum).items():
+        for key, value in spectrum_identity_residuals(analysis).items():
             result.track(key, value)
 
 
@@ -102,7 +107,7 @@ def suite_path_equivalence(
         for trial in range(trials):
             A = random_instance("permuted_path", d, seed=[seed, d, trial])
             analysis = analyze_matrix(A, tol)
-            _track_spectrum(result, A, analysis)
+            _track_spectrum(result, analysis)
             if analysis.path_order is None:
                 result.fail(f"d={d} trial={trial}: permuted path not recognized as path")
                 continue
@@ -163,7 +168,7 @@ def suite_distance_equivalence(
         d = (idx % d_max) + 1
         A = random_instance("general_nonneg", d, seed=[seed, idx], density=density)
         analysis = analyze_matrix(A, tol)
-        _track_spectrum(result, A, analysis)
+        _track_spectrum(result, analysis)
         if analysis.spectral.kind in (
             SpectralKind.MULTIPLICITY_FREE,
             SpectralKind.DIAGONALIZABLE_NOT_MF,

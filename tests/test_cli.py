@@ -451,17 +451,18 @@ def test_seed_flag_overrides_environment(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 3
 
 
-def _run_module(*argv, timeout=SUBPROCESS_TIMEOUT):
-    """Run `python -m spectralpath` in a child process on the code under test."""
+def _run_python(*args, timeout=SUBPROCESS_TIMEOUT):
+    """Run `python *args` in a child process on the code under test."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC_DIR, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "spectralpath", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
     )
+
+
+def _run_module(*argv, timeout=SUBPROCESS_TIMEOUT):
+    """Run `python -m spectralpath` in a child process on the code under test."""
+    return _run_python("-m", "spectralpath", *argv, timeout=timeout)
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -503,12 +504,52 @@ def test_parser_is_built_once_and_reused(capsys, path3_file):
         ("check", path3_file, "--form", "path", "--s", "0", "--t", "2"),
         ("scheme", "builtin:hypercube(3)", "p-check", "1", "2", "--json"),
         ("analyze", path3_file, "--s", "0", "--t", "2"),
+        # every command's cold path: a missing import in a handler shows
+        # only in a fresh interpreter
+        ("scheme", CUBE, "info"),
+        ("scheme", CUBE, "p-poly"),
+        ("scheme", CUBE, "q-poly"),
+        ("scheme", CUBE, "q-check", "1", "3"),
+        ("selftest", "--trials", "1", "--d-max", "2"),
     ]
     in_process = [run(capsys, *argv)[:2] for argv in calls]
     for argv, (code, out) in zip(calls, in_process):
         proc = _run_module(*argv)
         assert (code, out) == (proc.returncode, proc.stdout), (argv, proc.stderr)
-    assert [code for code, _ in in_process] == [0, 0, 1, 0]
+    assert [code for code, _ in in_process] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+
+
+# Runs `main` on argv[1:] in a fresh interpreter, then prints the package
+# modules and argparse, if loaded.
+_LOADED_BY_MAIN = """
+import contextlib, io, sys
+from spectralpath.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:  # argparse's usage error
+        pass
+print(" ".join(sorted(m for m in sys.modules if m.startswith("spectralpath.") or m == "argparse")))
+"""
+_MATRIX_MODULES = "cli digraph equivalence linalg spectra symmetrize"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("analyze", "{path}"), _MATRIX_MODULES),
+        (("check", "{path}", "--form", "path", "--s", "0", "--t", "2"), _MATRIX_MODULES),
+        (("scheme", CUBE, "info"), "cli digraph linalg schemes spectra symmetrize"),
+        (("check", "{path}", "--form", "path"), "argparse cli digraph linalg spectra symmetrize"),
+    ],
+    ids=["analyze", "check", "scheme", "usage-error"],
+)
+def test_each_command_loads_only_its_own_modules(path3_file, argv, loaded):
+    # argparse loads only when the argv fast path leaves a call to it
+    proc = _run_python("-c", _LOADED_BY_MAIN, *(a.format(path=path3_file) for a in argv))
+    assert proc.returncode == 0, proc.stderr
+    names = ["argparse" if m == "argparse" else m.split(".", 1)[1] for m in proc.stdout.split()]
+    assert sorted(names) == loaded.split()
 
 
 @pytest.mark.skipif(

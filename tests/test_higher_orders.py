@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 from spectralpath.cli import main
+from spectralpath.equivalence import analyze_matrix
 from spectralpath.linalg import write_matrix
 from spectralpath.selftest import spectrum_identity_residuals
-from spectralpath.spectra import classify
 
 RESIDUAL_TOL = 1e-8
 REL = 1e-6
@@ -104,6 +104,6 @@ def test_cofactor_cross_check_stays_tight(n):
     worst = 0.0
     for seed in range(20):
         A, _, _ = permuted_path(np.random.default_rng([2010, n, seed]), n)
-        residuals = spectrum_identity_residuals(A, classify(A).spectrum)
+        residuals = spectrum_identity_residuals(analyze_matrix(A))
         worst = max(worst, residuals["cofactor_rel"])
     assert worst <= 1e-8

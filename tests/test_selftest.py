@@ -36,8 +36,7 @@ def test_suite_result_bookkeeping():
 
 
 def test_spectrum_identity_residuals_keys():
-    analysis = analyze_matrix(PATH3)
-    out = spectrum_identity_residuals(PATH3, analysis.spectral.spectrum)
+    out = spectrum_identity_residuals(analyze_matrix(PATH3))
     for key in (
         "sum_to_identity",
         "idempotency",
@@ -52,14 +51,20 @@ def test_spectrum_identity_residuals_keys():
 @pytest.mark.parametrize("d", [0, 4])
 def test_cofactor_rel_sees_one_rescaled_eigenvector(d):
     # at d = 0 the minors are 0 x 0, with determinant 1
-    A = random_instance("permuted_path", d, seed=[31, d])
-    sp = analyze_matrix(A).spectral.spectrum
-    assert spectrum_identity_residuals(A, sp)["cofactor_rel"] <= 1e-12
+    analysis = analyze_matrix(random_instance("permuted_path", d, seed=[31, d]))
+    sp = analysis.spectral.spectrum
+    assert spectrum_identity_residuals(analysis)["cofactor_rel"] <= 1e-12
     for i in range(d + 1):
         X = sp.X.copy()
         X[:, i] *= 1.0 + 1e-3
-        mutant = dataclasses.replace(sp, X=X)
-        assert spectrum_identity_residuals(A, mutant)["cofactor_rel"] > 1e-6
+        spectral = dataclasses.replace(analysis.spectral, spectrum=dataclasses.replace(sp, X=X))
+        mutant = dataclasses.replace(analysis, spectral=spectral)
+        assert spectrum_identity_residuals(mutant)["cofactor_rel"] > 1e-6
+
+
+def test_spectrum_identity_residuals_needs_a_multiplicity_free_matrix():
+    with pytest.raises(ValueError, match="multiplicity-free"):
+        spectrum_identity_residuals(analyze_matrix(np.eye(2)))
 
 
 def test_individual_suites_pass_small():

@@ -13,6 +13,10 @@ the median and quartiles of each metric over its runs.  Calling it again with
 the same label adds runs, so two checkouts can be measured in alternation.
 The file also records the environment: Python, numpy, BLAS, CPU and cores;
 a call made in another environment than the one recorded is refused.
+
+Before each run a fixed kernel is timed and stored as `calibration_s`, with
+the run and in the summary: files recorded hours apart, when the shared
+machine ran at another speed, can be compared at equal calibration time.
 """
 
 import argparse
@@ -28,6 +32,23 @@ import sys
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# About 0.2 s of seeded symmetric eigensolves and a pure-Python loop, timed in
+# a fresh interpreter with one BLAS thread as bench/run.py sets.  It imports
+# nothing from spectralpath, so its time follows the machine, not the code.
+CALIBRATION = """
+import time
+import numpy as np
+S = np.random.default_rng(0).standard_normal((48, 48))
+S = S + S.T
+t0 = time.perf_counter()
+for _ in range(300):
+    np.linalg.eigh(S)
+acc = 0
+for i in range(500_000):
+    acc = (acc * 31 + i) % 1_000_003
+print(time.perf_counter() - t0)
+"""
 
 
 def environment() -> dict:
@@ -55,12 +76,24 @@ def source_digest(checkout: str) -> str:
     return h.hexdigest()
 
 
+def calibration_s() -> float:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", CALIBRATION], capture_output=True, text=True,
+                          env=env, check=True, timeout=120)
+    return float(proc.stdout)
+
+
+def _stats(vals: list) -> dict:
+    vals = sorted(vals)
+    q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive") if len(vals) > 1 else vals * 3
+    return {"median": statistics.median(vals), "q1": q1, "q3": q3, "n": len(vals)}
+
+
 def summary(runs: list) -> dict:
-    out = {}
-    for name in runs[0]["metrics"]:
-        vals = sorted(r["metrics"][name] for r in runs)
-        q1, _, q3 = statistics.quantiles(vals, n=4, method="inclusive") if len(vals) > 1 else vals * 3
-        out[name] = {"median": statistics.median(vals), "q1": q1, "q3": q3, "n": len(vals)}
+    out = {name: _stats([r["metrics"][name] for r in runs]) for name in runs[0]["metrics"]}
+    calibrated = [r["calibration_s"] for r in runs if "calibration_s" in r]  # older runs lack it
+    if calibrated:
+        out["calibration_s"] = _stats(calibrated)
     return out
 
 
@@ -92,6 +125,7 @@ def main() -> int:
     cmd = [sys.executable, "bench/run.py", "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", str(seconds), "--trace", "0"]
     for _ in range(args.runs):
+        calibration = calibration_s()
         proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=1800)
         if proc.returncode != 0:
             sys.stderr.write(proc.stderr)
@@ -99,6 +133,7 @@ def main() -> int:
         res = json.loads(proc.stdout.strip().splitlines()[-1])
         entry["runs"].append({
             "source_sha256": source_digest(checkout),
+            "calibration_s": calibration,
             "correct": res["correct"],
             "attempted": res["attempted"],
             "failed": res["failed"],
