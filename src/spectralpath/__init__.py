@@ -23,15 +23,18 @@ __version__ = "0.1.0"
 # command loads only the modules it runs.
 _EXPORTS = {
     "digraph": (
-        "OrderingVerificationError", "bidirected_path_endpoints", "directed_distance", "gamma",
-        "hessenberg_ordering", "is_hessenberg", "is_irreducible_tridiagonal",
+        "OrderingVerificationError", "bidirected_path_endpoints", "gamma", "hessenberg_ordering",
+        "is_irreducible_tridiagonal",
     ),
     "equivalence": (
         "INSTANCE_KINDS", "EquivalenceReport", "MatrixAnalysis", "NegativeEntryError",
         "analyze_matrix", "check_distance_characterization", "check_path_characterization",
         "clamp_nonnegative", "random_instance",
     ),
-    "linalg": ("DEFAULT_TOL", "ParseError", "Tolerance", "read_matrix", "write_matrix"),
+    "linalg": (
+        "DEFAULT_TOL", "DegenerateSpectrumError", "ParseError", "SpectralIdentityError", "Tolerance",
+        "read_matrix", "write_matrix",
+    ),
     "schemes": (
         "AssociationScheme", "PolyStructure", "SchemeCharacterizationReport", "SchemeEigendata",
         "SchemeValidationError", "builtin_scheme", "check_p_polynomial_characterization",
@@ -40,8 +43,7 @@ _EXPORTS = {
         "scheme_from_p_tensor", "scheme_from_relations", "write_scheme",
     ),
     "spectra": (
-        "DegenerateSpectrumError", "EntryProfile", "SpectralClass", "SpectralIdentityError",
-        "SpectralKind", "Spectrum", "classify",
+        "EntryProfile", "SpectralClass", "SpectralKind", "Spectrum", "classify",
     ),
     "symmetrize": (
         "NotSymmetrizable", "Symmetrizer", "find_symmetrizer", "tridiagonal_symmetrizer",

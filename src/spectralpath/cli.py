@@ -7,7 +7,7 @@ Commands: `analyze` (structure and spectrum of a matrix file), `check`
 
 Exit codes: 0 the check passed or the verdict is true, 1 the verdict is
 false, 2 malformed input, 3 a numerical identity or property failed.
-Output is deterministic for fixed inputs, flags and seed; `--json` emits
+Output is deterministic for fixed inputs and flags; `--json` emits
 full-precision machine-readable reports, the default rendering rounds to
 six significant digits.
 """
@@ -18,18 +18,16 @@ import dataclasses
 import enum
 import functools
 import json
-import os
 import re
 import sys
 import types
 
 import numpy as np
 
-# The modules of one command (equivalence, schemes, selftest) and argparse
-# are imported in the functions that use them, so a command loads only its own.
+# Each command's own modules (equivalence, spectra and symmetrize; schemes;
+# selftest) and argparse are imported in the functions that use them, so a
+# command loads only its own.
 from .linalg import Tolerance, read_matrix
-from .spectra import SpectralKind
-from .symmetrize import Symmetrizer
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -94,18 +92,6 @@ def _tol_from_args(args) -> Tolerance:
     )
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SPECTRALPATH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"SPECTRALPATH_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
 def _verdict(side_i: bool, side_ii: bool):
     """Verdict text and exit code of a two-sided check."""
     if side_i and side_ii:
@@ -117,6 +103,8 @@ def _verdict(side_i: bool, side_ii: bool):
 
 def _cmd_analyze(args) -> int:
     from .equivalence import analyze_matrix
+    from .spectra import SpectralKind
+    from .symmetrize import Symmetrizer
 
     if (args.s is None) != (args.t is None):
         raise ValueError("--s and --t must be given together")
@@ -260,7 +248,6 @@ def _cmd_scheme(args) -> int:
     from . import schemes
 
     tol = _tol_from_args(args)
-    seed = _resolve_seed(args)
     scheme = _load_scheme(args.source)
     action = args.action
     extra = args.indices
@@ -274,7 +261,7 @@ def _cmd_scheme(args) -> int:
     if action == "p-poly":
         return _report_structures(args, "p", scheme, schemes.detect_p_polynomial(scheme, tol), tol)
 
-    ed = schemes.eigendata(scheme, tol, seed=seed)
+    ed = schemes.eigendata(scheme, tol, seed=args.seed)
 
     if action == "info":
         kmin = float(np.min(ed.q))
@@ -282,7 +269,7 @@ def _cmd_scheme(args) -> int:
         report = {
             "command": "scheme info",
             "tolerances": tol,
-            "seed": seed,
+            "seed": args.seed,
             "result": {
                 "size": scheme.size,
                 "d": scheme.d,
@@ -311,18 +298,18 @@ def _cmd_scheme(args) -> int:
         return EXIT_TRUE
 
     if action == "q-poly":
-        return _report_structures(args, "q", scheme, schemes.detect_q_polynomial(ed, tol), tol, seed)
+        return _report_structures(args, "q", scheme, schemes.detect_q_polynomial(ed), tol, args.seed)
 
     b, c = int(extra[0]), int(extra[1])
     if action == "p-check":
-        rep = schemes.check_p_polynomial_characterization(ed, b, c, tol)
+        rep = schemes.check_p_polynomial_characterization(ed, b, c)
     else:
-        rep = schemes.check_q_polynomial_characterization(ed, b, c, tol)
+        rep = schemes.check_q_polynomial_characterization(ed, b, c)
     verdict, code = _verdict(rep.side_i, rep.side_ii)
     report = {
         "command": f"scheme {action}",
         "tolerances": tol,
-        "seed": seed,
+        "seed": args.seed,
         "result": {**vars(rep), "equivalent": rep.equivalent},
         "verdict": verdict,
     }
@@ -345,13 +332,12 @@ def _cmd_selftest(args) -> int:
     from . import selftest
 
     tol = _tol_from_args(args)
-    seed = _resolve_seed(args)
-    results = selftest.run_all_suites(trials=args.trials, d_max=args.d_max, seed=seed, tol=tol)
+    results = selftest.run_all_suites(trials=args.trials, d_max=args.d_max, seed=args.seed, tol=tol)
     all_passed = all(r.passed for r in results)
     report = {
         "command": "selftest",
         "tolerances": tol,
-        "seed": seed,
+        "seed": args.seed,
         "result": [
             {
                 "suite": r.name,
@@ -384,7 +370,6 @@ _COMMON = (
     ("--zero-tol", {"type": float, "default": 1e-10, "help": "structural zero threshold"}),
     ("--eig-tol", {"type": float, "default": 1e-8, "help": "eigenvalue distinctness threshold"}),
     ("--residual-tol", {"type": float, "default": 1e-8, "help": "verified identity residual bound"}),
-    ("--seed", {"type": int, "default": None, "help": "random seed (default: $SPECTRALPATH_SEED or 0)"}),
     ("--json", {"action": "store_true", "default": False, "help": "emit a full-precision JSON report"}),
 )
 _COMMANDS = {
@@ -403,10 +388,12 @@ _COMMANDS = {
         ("source", {"help": "scheme file or builtin:<name>(<n>)"}),
         ("action", {"choices": ("info", "p-poly", "q-poly", "p-check", "q-check")}),
         ("indices", {"nargs": "*", "type": int, "help": "generator and last index for *-check"}),
+        ("--seed", {"type": int, "default": 0, "help": "seed of the random eigendata combination"}),
     ) + _COMMON),
     "selftest": (_cmd_selftest, "randomized property suites", (
         ("--trials", {"type": int, "default": 25}),
         ("--d-max", {"type": int, "default": 6}),
+        ("--seed", {"type": int, "default": 0, "help": "seed of the random instances"}),
     ) + _COMMON),
 }
 

@@ -16,11 +16,9 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 
 __all__ = [
     "gamma",
-    "directed_distance",
     "bidirected_path_endpoints",
     "hessenberg_ordering",
     "is_irreducible_tridiagonal",
-    "is_hessenberg",
     "OrderingVerificationError",
 ]
 
@@ -72,12 +70,6 @@ def _bfs(adj: tuple, s: int, t: int):
                 parent[w] = v
                 queue.append(w)
     return dist, parent
-
-
-def directed_distance(mask: np.ndarray, s: int, t: int):
-    """Length of a shortest directed path s -> t in the pattern `mask`, or None."""
-    dist, _ = _bfs(_out_lists(mask), s, t)
-    return dist[t] if dist[t] >= 0 else None
 
 
 def bidirected_path_endpoints(masks) -> list:
@@ -163,8 +155,3 @@ def is_irreducible_tridiagonal(A, tol: Tolerance = DEFAULT_TOL) -> bool:
     """
     nz = gamma(as_matrix(A), tol)
     return _lower_hessenberg(nz) and _lower_hessenberg(nz.T)
-
-
-def is_hessenberg(A, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when `A` is zero below the subdiagonal and nonzero on it."""
-    return _lower_hessenberg(gamma(as_matrix(A), tol))

@@ -1,11 +1,14 @@
-"""Tolerances, matrix validation and the plain-text matrix format.
+"""Tolerances, matrix validation, the plain-text matrix format and what both sides share.
 
 Everything downstream works with square matrices of double-precision reals.
 `Tolerance` carries the three thresholds the checks share, `as_matrix`
 validates an input into a float64 square matrix, and `read_matrix` /
-`write_matrix` convert the text format.  The linear algebra itself (LAPACK
-`eigh`, `eig`, `solve` and SVD rank) is called through numpy where it is
-needed, in :mod:`spectralpath.spectra` and :mod:`spectralpath.schemes`.
+`write_matrix` convert the text format.  The matrix side
+(:mod:`spectralpath.spectra`) and the scheme side
+(:mod:`spectralpath.schemes`) share the two numerical errors and the
+eigenvalue gap products defined here, so neither imports the other.  The
+linear algebra itself (LAPACK `eigh`, `eig`, `solve` and SVD rank) is called
+through numpy where it is needed, in those two modules.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ __all__ = [
     "read_matrix",
     "write_matrix",
     "ParseError",
+    "SpectralIdentityError",
+    "DegenerateSpectrumError",
 ]
 
 
@@ -56,6 +61,51 @@ class ParseError(ValueError):
     def __init__(self, lineno: int, message: str):
         self.lineno = lineno
         super().__init__(f"line {lineno}: {message}")
+
+
+class SpectralIdentityError(RuntimeError):
+    """A verified identity failed: a matrix's spectral projectors, or a scheme's eigendata.
+
+    A numerical failure: the input was valid, but the computed spectral
+    objects came out beyond the residual bound.
+    """
+
+    def __init__(self, which: str, residual: float, bound: float):
+        self.which = which
+        self.residual = residual
+        self.bound = bound
+        super().__init__(
+            f"spectral identity {which!r} violated: residual {residual:.3e} > {bound:.3e}"
+        )
+
+
+class DegenerateSpectrumError(RuntimeError):
+    """Eigenvalues too close to tell apart or to merge at working precision.
+
+    Also raised when random combinations of a scheme's intersection matrices keep
+    producing colliding eigenvalues, and when a gap product or profile threshold overflows.
+    """
+
+
+def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
+    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, with the underflow and overflow guards."""
+    rows = np.asarray(rows)
+    diff = theta[rows, None] - theta[None, :]
+    diff[np.arange(len(rows)), rows] = 1.0
+    try:
+        with np.errstate(over="raise"):
+            g = diff.prod(axis=1)
+    except FloatingPointError:
+        raise DegenerateSpectrumError("gap products overflow the float range; eigenvalues spread too far") from None
+    d = len(theta) - 1
+    if d >= 1:
+        small = np.flatnonzero(np.abs(g) < max(tol.eig_tol**d, 5e-324))
+        if small.size:
+            i = int(rows[small[0]])
+            raise DegenerateSpectrumError(
+                f"gap product at index {i} underflowed ({g[small[0]]:.3e}); eigenvalues nearly coincide"
+            )
+    return g
 
 
 def as_matrix(A) -> np.ndarray:

@@ -28,8 +28,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .digraph import bidirected_path_endpoints, gamma
-from .linalg import DEFAULT_TOL, ParseError, Tolerance, _content_lines, _write_text
-from .spectra import DegenerateSpectrumError, SpectralIdentityError, _gap_products
+from .linalg import (
+    DEFAULT_TOL, DegenerateSpectrumError, ParseError, SpectralIdentityError, Tolerance, _content_lines,
+    _gap_products, _write_text,
+)
 
 __all__ = [
     "AssociationScheme",
@@ -299,8 +301,9 @@ class SchemeEigendata:
 
     P rows follow a fixed convention: row 0 is the valency row, the rest
     sort descending by their column-1 entry (then lexicographically).
-    `residuals` records the worst violation observed for each verified
-    identity.
+    `tol` is the Tolerance they were computed and verified with, which the
+    detection and endpoint checks on them read; `residuals` records the
+    worst violation observed for each verified identity.
     """
 
     scheme: AssociationScheme
@@ -309,6 +312,7 @@ class SchemeEigendata:
     m: np.ndarray
     q: np.ndarray
     seed: object
+    tol: Tolerance
     residuals: dict = field(compare=False)
 
     @property
@@ -367,7 +371,7 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed=0) -
         q = krein_parameters(P, Q, scheme.size)
         residuals = _verify_eigendata(scheme, P, Q, m, q, tol)
         return SchemeEigendata(
-            scheme=scheme, P=P, Q=Q, m=m, q=q, seed=seed, residuals=residuals
+            scheme=scheme, P=P, Q=Q, m=m, q=q, seed=seed, tol=tol, residuals=residuals
         )
     raise DegenerateSpectrumError(
         f"five random combinations produced colliding eigenvalues (last gap {last_gap:.3e})"
@@ -438,9 +442,9 @@ def detect_p_polynomial(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL)
     return _polynomial_orderings(scheme.p.transpose(1, 0, 2), tol)
 
 
-def detect_q_polynomial(ed: SchemeEigendata, tol: Tolerance = DEFAULT_TOL):
-    """All projector orderings under which the scheme is Q-polynomial."""
-    return _polynomial_orderings(ed.q.transpose(1, 0, 2), tol)
+def detect_q_polynomial(ed: SchemeEigendata):
+    """All projector orderings under which the scheme is Q-polynomial, at `ed.tol`."""
+    return _polynomial_orderings(ed.q.transpose(1, 0, 2), ed.tol)
 
 
 @dataclass(frozen=True)
@@ -504,26 +508,22 @@ def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
     )
 
 
-def check_p_polynomial_characterization(
-    ed: SchemeEigendata, b: int, c: int, tol: Tolerance = DEFAULT_TOL
-) -> SchemeCharacterizationReport:
-    """P-polynomial with generator b ending at c vs dual-eigenvalue ratios.
+def check_p_polynomial_characterization(ed: SchemeEigendata, b: int, c: int) -> SchemeCharacterizationReport:
+    """P-polynomial with generator b ending at c vs dual-eigenvalue ratios, at `ed.tol`.
 
     side_ii compares row c of Q against f_0(theta_0)/f_i(theta_i) built
     from the eigenvalue column theta_i = P[i, b].
     """
-    return _endpoint_check("p", detect_p_polynomial(ed.scheme, tol), ed.P, ed.Q, b, c, tol)
+    return _endpoint_check("p", detect_p_polynomial(ed.scheme, ed.tol), ed.P, ed.Q, b, c, ed.tol)
 
 
-def check_q_polynomial_characterization(
-    ed: SchemeEigendata, e: int, f: int, tol: Tolerance = DEFAULT_TOL
-) -> SchemeCharacterizationReport:
-    """Q-polynomial with generator e ending at f vs eigenvalue ratios.
+def check_q_polynomial_characterization(ed: SchemeEigendata, e: int, f: int) -> SchemeCharacterizationReport:
+    """Q-polynomial with generator e ending at f vs eigenvalue ratios, at `ed.tol`.
 
     Dual statement: theta*_i = Q[i, e] and row f of P against the same
     gap-product form.
     """
-    return _endpoint_check("q", detect_q_polynomial(ed, tol), ed.Q, ed.P, e, f, tol)
+    return _endpoint_check("q", detect_q_polynomial(ed), ed.Q, ed.P, e, f, ed.tol)
 
 
 def _load_p_tensor(lines, n: int):

@@ -35,6 +35,10 @@ __all__ = [
 ]
 
 MAX_RECORDED_FAILURES = 20
+# suite_distance_equivalence: the arc density of its instances, and the
+# largest d at which it cross-checks BFS distances against walk powers.
+_DISTANCE_DENSITY = 0.4
+_BRUTE_FORCE_D = 5
 
 
 @dataclass
@@ -149,12 +153,7 @@ def _brute_distances(A: np.ndarray, zero_tol: float) -> np.ndarray:
 
 
 def suite_distance_equivalence(
-    trials: int = 25,
-    d_max: int = 6,
-    seed: int = 0,
-    tol: Tolerance = DEFAULT_TOL,
-    density: float = 0.4,
-    brute_force_d: int = 5,
+    trials: int = 25, d_max: int = 6, seed: int = 0, tol: Tolerance = DEFAULT_TOL
 ) -> SuiteResult:
     """General nonnegative instances: distance-form equivalence at every position.
 
@@ -166,7 +165,7 @@ def suite_distance_equivalence(
     diagonalizable = 0
     for idx in range(trials):
         d = (idx % d_max) + 1
-        A = random_instance("general_nonneg", d, seed=[seed, idx], density=density)
+        A = random_instance("general_nonneg", d, seed=[seed, idx], density=_DISTANCE_DENSITY)
         analysis = analyze_matrix(A, tol)
         _track_spectrum(result, analysis)
         if analysis.spectral.kind in (
@@ -175,7 +174,7 @@ def suite_distance_equivalence(
         ):
             diagonalizable += 1
         n = d + 1
-        if d <= brute_force_d:
+        if d <= _BRUTE_FORCE_D:
             brute = _brute_distances(A, tol.zero_tol).tolist()
             if any(
                 analysis.distance(s, t) != (brute[s][t] if brute[s][t] >= 0 else None)
@@ -313,8 +312,8 @@ def suite_degenerate(seed: int = 0, tol: Tolerance = DEFAULT_TOL) -> SuiteResult
     result.cases += 1
     if float(np.max(np.abs(ed.P - np.array([[1.0, 1.0], [1.0, -1.0]])))) > tol.residual_tol:
         result.fail(f"complete(2): unexpected P = {ed.P.tolist()}")
-    knp = schemes.check_p_polynomial_characterization(ed, 1, 1, tol)
-    knq = schemes.check_q_polynomial_characterization(ed, 1, 1, tol)
+    knp = schemes.check_p_polynomial_characterization(ed, 1, 1)
+    knq = schemes.check_q_polynomial_characterization(ed, 1, 1)
     if not (knp.both_true and knq.both_true):
         result.fail("complete(2): endpoint characterizations should hold at (1, 1)")
     return result
@@ -342,7 +341,7 @@ def _suite_scheme(seed: int, tol: Tolerance) -> SuiteResult:
         if dev_qp > tol.residual_tol * scheme.size:
             result.fail(f"hypercube({n}): Krein tensor != intersection tensor ({dev_qp:.3e})")
         p_structs = schemes.detect_p_polynomial(scheme, tol)
-        q_structs = schemes.detect_q_polynomial(ed, tol)
+        q_structs = schemes.detect_q_polynomial(ed)
         expect = {(1, tuple(range(n + 1)), n)}
         if n % 2 == 0:
             # even cubes carry a second structure generated by the
@@ -353,7 +352,7 @@ def _suite_scheme(seed: int, tol: Tolerance) -> SuiteResult:
             result.fail(f"hypercube({n}): P-polynomial structures {p_structs}")
         if {tuple(s) for s in q_structs} != expect:
             result.fail(f"hypercube({n}): Q-polynomial structures {q_structs}")
-        both = schemes.check_p_polynomial_characterization(ed, 1, n, tol)
+        both = schemes.check_p_polynomial_characterization(ed, 1, n)
         if not both.both_true:
             result.fail(f"hypercube({n}): endpoint check (1, {n}) should hold")
     return result

@@ -32,7 +32,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .digraph import gamma
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .linalg import (
+    DEFAULT_TOL, DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products, as_matrix,
+)
 from .symmetrize import Symmetrizer, _search
 
 __all__ = [
@@ -41,8 +43,6 @@ __all__ = [
     "SpectralClass",
     "EntryProfile",
     "classify",
-    "SpectralIdentityError",
-    "DegenerateSpectrumError",
 ]
 
 EPS = float(np.finfo(float).eps)
@@ -53,30 +53,6 @@ class SpectralKind(enum.Enum):
     DIAGONALIZABLE_NOT_MF = "diagonalizable_not_mf"
     NOT_DIAGONALIZABLE = "not_diagonalizable"
     COMPLEX_SPECTRUM = "complex_spectrum"
-
-
-class SpectralIdentityError(RuntimeError):
-    """A verified identity failed: a matrix's spectral projectors, or a scheme's eigendata.
-
-    A numerical failure: the input was valid, but the computed spectral
-    objects came out beyond the residual bound.
-    """
-
-    def __init__(self, which: str, residual: float, bound: float):
-        self.which = which
-        self.residual = residual
-        self.bound = bound
-        super().__init__(
-            f"spectral identity {which!r} violated: residual {residual:.3e} > {bound:.3e}"
-        )
-
-
-class DegenerateSpectrumError(RuntimeError):
-    """Eigenvalues too close to tell apart or to merge at working precision.
-
-    Also raised when random combinations of a scheme's intersection matrices keep
-    producing colliding eigenvalues, and when a gap product or profile threshold overflows.
-    """
 
 
 @dataclass(frozen=True)
@@ -125,27 +101,6 @@ class EntryProfile:
     constant_zero: bool
     spread: float
     threshold: float
-
-
-def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
-    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, with the underflow and overflow guards."""
-    rows = np.asarray(rows)
-    diff = theta[rows, None] - theta[None, :]
-    diff[np.arange(len(rows)), rows] = 1.0
-    try:
-        with np.errstate(over="raise"):
-            g = diff.prod(axis=1)
-    except FloatingPointError:
-        raise DegenerateSpectrumError("gap products overflow the float range; eigenvalues spread too far") from None
-    d = len(theta) - 1
-    if d >= 1:
-        small = np.flatnonzero(np.abs(g) < max(tol.eig_tol**d, 5e-324))
-        if small.size:
-            i = int(rows[small[0]])
-            raise DegenerateSpectrumError(
-                f"gap product at index {i} underflowed ({g[small[0]]:.3e}); eigenvalues nearly coincide"
-            )
-    return g
 
 
 def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:

@@ -60,9 +60,7 @@ def property_suites():
     t0 = time.perf_counter()
     out["path"] = suite_path_equivalence(trials=200, d_max=10, seed=0)
     out["path_seconds"] = time.perf_counter() - t0
-    out["distance"] = suite_distance_equivalence(
-        trials=200, d_max=7, seed=0, density=0.4, brute_force_d=5
-    )
+    out["distance"] = suite_distance_equivalence(trials=200, d_max=7, seed=0)
     out["hessenberg"] = suite_hessenberg_powers(trials=100, d_max=8, seed=0)
     out["symmetrizer"] = suite_symmetrizer(trials=100, d_max=10, seed=0)
     return out

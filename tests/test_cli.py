@@ -433,22 +433,14 @@ def test_selftest_json_structure(capsys):
     assert all(suite["passed"] for suite in report["result"])
 
 
-def test_seed_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRALPATH_SEED", "7")
+def test_seed_comes_only_from_its_flag(capsys, monkeypatch):
+    monkeypatch.setenv("SPECTRALPATH_SEED", "7")  # no longer read
     code, out, _ = run(capsys, "scheme", "builtin:complete(4)", "info", "--json")
-    assert code == 0
-    assert json.loads(out)["seed"] == 7
-    monkeypatch.setenv("SPECTRALPATH_SEED", "abc")
-    code, _, err = run(capsys, "scheme", "builtin:complete(4)", "info")
-    assert code == 2
-    assert "SPECTRALPATH_SEED" in err
-
-
-def test_seed_flag_overrides_environment(capsys, monkeypatch):
-    monkeypatch.setenv("SPECTRALPATH_SEED", "abc")  # ignored when --seed given
+    assert (code, json.loads(out)["seed"]) == (0, 0)
     code, out, _ = run(capsys, "scheme", "builtin:complete(4)", "info", "--seed", "3", "--json")
-    assert code == 0
-    assert json.loads(out)["seed"] == 3
+    assert (code, json.loads(out)["seed"]) == (0, 3)
+    code, out, _ = run(capsys, "selftest", "--trials", "1", "--d-max", "2", "--json")
+    assert (code, json.loads(out)["seed"]) == (0, 0)
 
 
 def _run_python(*args, timeout=SUBPROCESS_TIMEOUT):
@@ -539,8 +531,8 @@ _MATRIX_MODULES = "cli digraph equivalence linalg spectra symmetrize"
     [
         (("analyze", "{path}"), _MATRIX_MODULES),
         (("check", "{path}", "--form", "path", "--s", "0", "--t", "2"), _MATRIX_MODULES),
-        (("scheme", CUBE, "info"), "cli digraph linalg schemes spectra symmetrize"),
-        (("check", "{path}", "--form", "path"), "argparse cli digraph linalg spectra symmetrize"),
+        (("scheme", CUBE, "info"), "cli digraph linalg schemes"),
+        (("check", "{path}", "--form", "path"), "argparse cli linalg"),
     ],
     ids=["analyze", "check", "scheme", "usage-error"],
 )
@@ -601,10 +593,10 @@ _POSITIONALS = {
 _OPTIONS = {
     "analyze": ["--s", "--t"],
     "check": ["--form", "--s", "--t"],
-    "scheme": [],
-    "selftest": ["--trials", "--d-max"],
+    "scheme": ["--seed"],
+    "selftest": ["--trials", "--d-max", "--seed"],
 }
-_COMMON_OPTIONS = ["--zero-tol", "--eig-tol", "--residual-tol", "--seed", "--json"]
+_COMMON_OPTIONS = ["--zero-tol", "--eig-tol", "--residual-tol", "--json"]
 _MUTATIONS = [
     lambda argv: argv + ["--s=3"],
     lambda argv: argv + ["--jso"],  # abbreviation
@@ -691,3 +683,27 @@ def test_rejected_argv_behave_as_argparse():
             with pytest.raises(SystemExit) as exc:
                 main(list(argv))
         assert (exc.value.code, got_out.getvalue(), got_err.getvalue()) == (code, out, err), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "m.txt", "--seed", "3"],  # plain: the fast path would take it without --seed
+        ["analyze", "m.txt", "--s=0", "--t", "2", "--seed", "3"],  # argparse's form
+        ["check", "m.txt", "--form", "path", "--s", "0", "--t", "2", "--seed", "3"],
+        ["check", "m.txt", "--form=path", "--s", "0", "--t", "2", "--seed", "3"],
+    ],
+)
+def test_matrix_commands_reject_seed(argv):
+    # analyze and check read no seed, so they take none
+    from spectralpath.cli import _fast_args
+
+    assert _fast_args(argv) is None
+    expected, code, out, err = _parse_with_argparse(argv)
+    assert (expected, code) == (None, 2)
+    assert "unrecognized arguments: --seed 3" in err
+    got_out, got_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert (exc.value.code, got_out.getvalue(), got_err.getvalue()) == (2, out, err)

@@ -7,13 +7,13 @@ import pytest
 
 from spectralpath.digraph import (
     OrderingVerificationError,
+    _bfs,
+    _lower_hessenberg,
     _out_lists,
     _path_order,
     bidirected_path_endpoints,
-    directed_distance,
     gamma,
     hessenberg_ordering,
-    is_hessenberg,
     is_irreducible_tridiagonal,
 )
 from spectralpath.linalg import DEFAULT_TOL, Tolerance
@@ -95,12 +95,13 @@ def test_gamma_rejects_non_finite_and_non_square():
 
 
 def test_directed_distance_and_unreachable():
+    # the BFS behind MatrixAnalysis.distance; -1 marks an unreachable vertex
     mask = mask_of(3, [(0, 1), (1, 2)])
-    assert directed_distance(mask, 0, 2) == 2
-    assert directed_distance(mask, 2, 0) is None
-    assert directed_distance(mask, 1, 1) == 0
+    assert _bfs(_out_lists(mask), 0, 2)[0][2] == 2
+    assert _bfs(_out_lists(mask), 2, 0)[0][0] == -1
+    assert _bfs(_out_lists(mask), 1, 1)[0][1] == 0
     with pytest.raises(ValueError):
-        directed_distance(mask, 0, 3)
+        _bfs(_out_lists(mask), 0, 3)
 
 
 def test_distance_matches_boolean_walk_powers():
@@ -121,8 +122,7 @@ def test_distance_matches_boolean_walk_powers():
                 reach |= power
             for s in range(n):
                 for t in range(n):
-                    expect = int(first[s, t]) if first[s, t] >= 0 else None
-                    assert directed_distance(M, s, t) == expect
+                    assert _bfs(_out_lists(M), s, t)[0][t] == first[s, t]
 
 
 def test_bidirected_path_recognition_with_relabeling():
@@ -254,7 +254,7 @@ def test_path_order_matches_stacked_route_and_bfs():
 
 
 def test_hessenberg_ordering_round_trip():
-    """Relabeling by the ordering produces a matrix passing is_hessenberg."""
+    """Relabeling by the ordering produces a lower Hessenberg pattern."""
     rng = np.random.default_rng(424242)
     for n in (2, 3, 5, 8):
         for _ in range(10):
@@ -274,7 +274,7 @@ def test_hessenberg_ordering_round_trip():
             order = hessenberg_ordering(gamma(B), s, t)
             assert order is not None
             C = B[np.ix_(order, order)]
-            assert is_hessenberg(C)
+            assert _lower_hessenberg(gamma(C))
 
 
 def test_hessenberg_ordering_requires_full_distance():
@@ -307,14 +307,12 @@ def test_irreducible_tridiagonal_predicate():
 
 def test_hessenberg_predicate():
     A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 7.0, 8.0]])
-    assert is_hessenberg(A)
+    assert _lower_hessenberg(gamma(A))
     A[2, 0] = 0.5
-    assert not is_hessenberg(A)
+    assert not _lower_hessenberg(gamma(A))
     A[2, 0] = 0.0
     A[1, 0] = 0.0  # reduced subdiagonal disqualifies
-    assert not is_hessenberg(A)
-    with pytest.raises(ValueError):  # one matrix, not a stack
-        is_hessenberg(np.zeros((2, 3, 3)))
+    assert not _lower_hessenberg(gamma(A))
 
 
 def test_band_predicates_match_entrywise_definition():
@@ -333,6 +331,6 @@ def test_band_predicates_match_entrywise_definition():
         )
         hess = not nz[i - j > 1].any() and all(nz[k, k - 1] for k in range(1, n))
         assert is_irreducible_tridiagonal(A) is tri
-        assert is_hessenberg(A) is hess
+        assert _lower_hessenberg(gamma(A)) is hess
         seen.add((tri, hess))
     assert seen == {(True, True), (False, True), (False, False)}

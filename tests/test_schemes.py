@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from spectralpath.digraph import gamma
-from spectralpath.linalg import DEFAULT_TOL, ParseError, Tolerance
+from spectralpath.linalg import (
+    DEFAULT_TOL, DegenerateSpectrumError, ParseError, SpectralIdentityError, Tolerance,
+)
 from spectralpath.schemes import (
     PolyStructure,
     SchemeValidationError,
@@ -23,7 +25,6 @@ from spectralpath.schemes import (
     _endpoint_check,
     _polynomial_orderings,
 )
-from spectralpath.spectra import DegenerateSpectrumError, SpectralIdentityError
 from test_digraph import reference_path_order
 
 CUBE3_P = np.array(
@@ -221,6 +222,23 @@ def test_detection_on_cube_and_complete():
     assert detect_q_polynomial(ed) == ((1, (0, 1, 2, 3), 3),)
     k4 = builtin_scheme("complete", 4)
     assert detect_p_polynomial(k4) == ((1, (0, 1), 1),)
+
+
+def test_scheme_checks_read_the_eigendata_tolerance():
+    # the dual matrix of generator i reaches back from i to 0 through
+    # q^i_i0 = 1, which zero_tol 1.5 counts as a zero: the checks on that
+    # eigendata read its tolerance and see no Q-polynomial ordering
+    cube = builtin_scheme("hypercube", 4)
+    loose = Tolerance(zero_tol=1.5)
+    ed = eigendata(cube, loose)
+    assert ed.tol is loose
+    assert detect_q_polynomial(ed) == ()
+    assert not check_q_polynomial_characterization(ed, 1, 4).side_i
+    hamming = {(1, (0, 1, 2, 3, 4), 4), (3, (0, 3, 2, 1, 4), 4)}
+    ed = eigendata(cube)
+    assert ed.tol == DEFAULT_TOL
+    assert set(detect_q_polynomial(ed)) == hamming
+    assert check_q_polynomial_characterization(ed, 1, 4).side_i
 
 
 def test_even_cube_second_structure():

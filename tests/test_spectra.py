@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from spectralpath.equivalence import INSTANCE_KINDS, analyze_matrix, random_instance
-from spectralpath.linalg import DEFAULT_TOL, Tolerance
+from spectralpath.linalg import (
+    DEFAULT_TOL, DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products,
+)
 from spectralpath.spectra import (
     EPS,
-    DegenerateSpectrumError,
-    SpectralIdentityError,
     SpectralKind,
     _eigenvalue_groups,
-    _gap_products,
     _profile_threshold,
     _spectrum,
     _verify_spectrum,
