@@ -22,32 +22,26 @@ __version__ = "0.1.0"
 # module is imported when one of its names is first used (PEP 562), so a
 # command loads only the modules it runs.
 _EXPORTS = {
-    "digraph": (
-        "OrderingVerificationError", "bidirected_path_endpoints", "gamma", "hessenberg_ordering",
-        "is_irreducible_tridiagonal",
-    ),
+    "digraph": ("bidirected_path_endpoints", "gamma"),
     "equivalence": (
-        "INSTANCE_KINDS", "EquivalenceReport", "MatrixAnalysis", "NegativeEntryError",
-        "analyze_matrix", "check_distance_characterization", "check_path_characterization",
-        "clamp_nonnegative", "random_instance",
+        "EquivalenceReport", "MatrixAnalysis", "NegativeEntryError", "analyze_matrix",
+        "check_distance_characterization", "check_path_characterization", "clamp_nonnegative",
     ),
     "linalg": (
         "DEFAULT_TOL", "DegenerateSpectrumError", "ParseError", "SpectralIdentityError", "Tolerance",
-        "read_matrix", "write_matrix",
+        "read_matrix",
     ),
     "schemes": (
         "AssociationScheme", "PolyStructure", "SchemeCharacterizationReport", "SchemeEigendata",
         "SchemeValidationError", "builtin_scheme", "check_p_polynomial_characterization",
         "check_q_polynomial_characterization", "detect_p_polynomial", "detect_q_polynomial",
-        "eigendata", "intersection_matrix", "krein_parameters", "read_scheme",
-        "scheme_from_p_tensor", "scheme_from_relations", "write_scheme",
+        "eigendata", "krein_parameters", "read_scheme", "scheme_from_p_tensor",
+        "scheme_from_relations",
     ),
     "spectra": (
         "EntryProfile", "SpectralClass", "SpectralKind", "Spectrum", "classify",
     ),
-    "symmetrize": (
-        "NotSymmetrizable", "Symmetrizer", "find_symmetrizer", "tridiagonal_symmetrizer",
-    ),
+    "symmetrize": ("NotSymmetrizable", "Symmetrizer", "find_symmetrizer"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,9 +1,8 @@
 """Command-line interface.
 
 Commands: `analyze` (structure and spectrum of a matrix file), `check`
-(path- or distance-form equivalence at one entry position), `scheme`
-(association scheme info, polynomial detection, endpoint checks) and
-`selftest` (randomized property suites).
+(path- or distance-form equivalence at one entry position) and `scheme`
+(association scheme info, polynomial detection, endpoint checks).
 
 Exit codes: 0 the check passed or the verdict is true, 1 the verdict is
 false, 2 malformed input, 3 a numerical identity or property failed.
@@ -24,9 +23,9 @@ import types
 
 import numpy as np
 
-# Each command's own modules (equivalence, spectra and symmetrize; schemes;
-# selftest) and argparse are imported in the functions that use them, so a
-# command loads only its own.
+# Each command's own modules (equivalence, spectra and symmetrize; schemes)
+# and argparse are imported in the functions that use them, so a command
+# loads only its own.
 from .linalg import Tolerance, read_matrix
 
 EXIT_TRUE = 0
@@ -328,40 +327,12 @@ def _cmd_scheme(args) -> int:
     return code
 
 
-def _cmd_selftest(args) -> int:
-    from . import selftest
-
-    tol = _tol_from_args(args)
-    results = selftest.run_all_suites(trials=args.trials, d_max=args.d_max, seed=args.seed, tol=tol)
-    all_passed = all(r.passed for r in results)
-    report = {
-        "command": "selftest",
-        "tolerances": tol,
-        "seed": args.seed,
-        "result": [
-            {
-                "suite": r.name,
-                "cases": r.cases,
-                "passed": r.passed,
-                "failures": r.failures,
-                "worst_residuals": r.worst,
-            }
-            for r in results
-        ],
-        "verdict": "all suites passed" if all_passed else "suite failures",
-    }
-
-    def lines():
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            worst = " ".join(f"{k}={v:.3e}" for k, v in sorted(r.worst.items()))
-            yield f"{status} {r.name}: cases={r.cases} {worst}".rstrip()
-            for msg in r.failures:
-                yield f"    {msg}"
-        yield f"verdict: {report['verdict']}"
-
-    _emit(report, args.json, lines())
-    return EXIT_TRUE if all_passed else EXIT_NUMERICAL
+def nonnegative_int(text: str) -> int:
+    """Parse a seed: numpy's generators take no negative one, so no stream has two names."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative seed {value}")
+    return value
 
 
 # One table for build_parser and _fast_args: per command, its handler, help
@@ -388,12 +359,8 @@ _COMMANDS = {
         ("source", {"help": "scheme file or builtin:<name>(<n>)"}),
         ("action", {"choices": ("info", "p-poly", "q-poly", "p-check", "q-check")}),
         ("indices", {"nargs": "*", "type": int, "help": "generator and last index for *-check"}),
-        ("--seed", {"type": int, "default": 0, "help": "seed of the random eigendata combination"}),
-    ) + _COMMON),
-    "selftest": (_cmd_selftest, "randomized property suites", (
-        ("--trials", {"type": int, "default": 25}),
-        ("--d-max", {"type": int, "default": 6}),
-        ("--seed", {"type": int, "default": 0, "help": "seed of the random instances"}),
+        ("--seed", {"type": nonnegative_int, "default": 0,
+                    "help": "seed of the random eigendata combination, read by info, q-poly, p-check and q-check"}),
     ) + _COMMON),
 }
 

@@ -4,27 +4,19 @@ The pattern graph of a matrix has an arc i -> j exactly when the (i, j)
 entry is structurally nonzero and i != j.  `gamma` is the one place that
 decides structural nonzeros; everything here and downstream reads its
 mask.  The structural questions asked of it are: is the undirected pattern
-a path, what is the directed distance between two vertices, and does some
-relabeling expose a lower Hessenberg pattern.
+a path, and what is the directed distance between two vertices.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "gamma",
     "bidirected_path_endpoints",
-    "hessenberg_ordering",
-    "is_irreducible_tridiagonal",
-    "OrderingVerificationError",
 ]
-
-
-class OrderingVerificationError(RuntimeError):
-    """A constructed vertex ordering failed its own structural check."""
 
 
 def gamma(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -122,36 +114,3 @@ def _walk(adj: tuple, start: int):
         order.append(b if a == order[-2] else a)
     return tuple(order) if len(order) == len(adj) else None
 
-
-def hessenberg_ordering(mask: np.ndarray, s: int, t: int):
-    """Relabeling that exposes a lower Hessenberg pattern, or None.
-
-    If the directed distance from s to t equals n-1, the reversed shortest
-    path gives an ordering x with x[0] = t and x[n-1] = s under which the
-    pattern is zero below the subdiagonal and nonzero on it.  The ordering
-    is verified before being returned.
-    """
-    n = len(mask)
-    dist, parent = _bfs(_out_lists(mask), s, t)
-    if dist[t] != n - 1:
-        return None
-    order = [t]
-    while order[-1] != s:
-        order.append(parent[order[-1]])
-    if not _lower_hessenberg(mask[np.ix_(order, order)]):
-        raise OrderingVerificationError(f"pattern relabeled by {order} is not lower Hessenberg")
-    return tuple(order)
-
-
-def _lower_hessenberg(nz: np.ndarray) -> bool:
-    """True when the mask `nz` is zero below the subdiagonal and nonzero on it."""
-    return bool(not np.tril(nz, -2).any() and np.diagonal(nz, -1).all())
-
-
-def is_irreducible_tridiagonal(A, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when `A` is tridiagonal with every sub- and superdiagonal entry nonzero.
-
-    A 1x1 matrix counts (empty off-diagonals).
-    """
-    nz = gamma(as_matrix(A), tol)
-    return _lower_hessenberg(nz) and _lower_hessenberg(nz.T)

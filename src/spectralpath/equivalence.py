@@ -40,12 +40,8 @@ __all__ = [
     "check_path_characterization",
     "check_distance_characterization",
     "clamp_nonnegative",
-    "random_instance",
-    "INSTANCE_KINDS",
     "NegativeEntryError",
 ]
-
-INSTANCE_KINDS = ("tridiagonal", "permuted_path", "hessenberg", "general_nonneg")
 
 
 class NegativeEntryError(ValueError):
@@ -200,49 +196,3 @@ def check_distance_characterization(analysis: MatrixAnalysis, s: int, t: int) ->
         profile=profile,
     )
 
-
-def random_instance(kind: str, d: int, seed, density: float = 0.5) -> np.ndarray:
-    """Seeded random nonnegative test matrix of order d+1.
-
-    Kinds: 'tridiagonal' (irreducible, off-diagonals in [0.1, 2)),
-    'permuted_path' (tridiagonal conjugated by a random permutation),
-    'hessenberg' (nonzero subdiagonal, Bernoulli(density) upper part),
-    'general_nonneg' (every entry Bernoulli(density) times uniform).
-    Entries that are nonzero are bounded away from zero so patterns are
-    stable under the default zero threshold.
-    """
-    if kind not in INSTANCE_KINDS:
-        raise ValueError(f"unknown instance kind {kind!r}; expected one of {INSTANCE_KINDS}")
-    if d < 0:
-        raise ValueError(f"d must be nonnegative, got {d}")
-    if not (0.0 <= density <= 1.0):
-        raise ValueError(f"density must lie in [0, 1], got {density}")
-    rng = np.random.default_rng(seed)
-    n = d + 1
-
-    if kind in ("tridiagonal", "permuted_path"):
-        A = np.zeros((n, n))
-        A[np.arange(n), np.arange(n)] = rng.uniform(0.0, 2.0, size=n)
-        if n > 1:
-            idx = np.arange(n - 1)
-            A[idx, idx + 1] = rng.uniform(0.1, 2.0, size=n - 1)
-            A[idx + 1, idx] = rng.uniform(0.1, 2.0, size=n - 1)
-        if kind == "permuted_path":
-            perm = rng.permutation(n)
-            A = A[np.ix_(perm, perm)]
-        return A
-
-    if kind == "hessenberg":
-        A = np.zeros((n, n))
-        if n > 1:
-            idx = np.arange(n - 1)
-            A[idx + 1, idx] = rng.uniform(0.1, 2.0, size=n - 1)
-        mask = rng.random((n, n)) < density
-        vals = rng.uniform(0.1, 2.0, size=(n, n))
-        upper = np.triu(np.ones((n, n), dtype=bool))
-        A[mask & upper] = vals[mask & upper]
-        return A
-
-    mask = rng.random((n, n)) < density
-    vals = rng.uniform(0.1, 2.0, size=(n, n))
-    return np.where(mask, vals, 0.0)

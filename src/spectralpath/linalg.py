@@ -2,8 +2,8 @@
 
 Everything downstream works with square matrices of double-precision reals.
 `Tolerance` carries the three thresholds the checks share, `as_matrix`
-validates an input into a float64 square matrix, and `read_matrix` /
-`write_matrix` convert the text format.  The matrix side
+validates an input into a float64 square matrix, and `read_matrix` reads
+the text format.  The matrix side
 (:mod:`spectralpath.spectra`) and the scheme side
 (:mod:`spectralpath.schemes`) share the two numerical errors and the
 eigenvalue gap products defined here, so neither imports the other.  The
@@ -13,7 +13,6 @@ through numpy where it is needed, in those two modules.
 
 from __future__ import annotations
 
-import io
 import math
 from itertools import chain
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ __all__ = [
     "DEFAULT_TOL",
     "as_matrix",
     "read_matrix",
-    "write_matrix",
     "ParseError",
     "SpectralIdentityError",
     "DegenerateSpectrumError",
@@ -185,30 +183,3 @@ def read_matrix(source) -> np.ndarray:
         raise ParseError(lineno(1 + int(np.argmin(finite))), "matrix entries must be finite")
     return A
 
-
-def write_matrix(A, target=None) -> str:
-    """Serialize a matrix to the text format accepted by read_matrix.
-
-    Entries are written with repr precision so a round trip is exact.
-    Writes to `target` (path or file object) when given; always returns
-    the text.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
-    out = io.StringIO()
-    out.write(f"{n}\n")
-    for row in A:
-        out.write(" ".join(f"{x:.17g}" for x in row))
-        out.write("\n")
-    return _write_text(out.getvalue(), target)
-
-
-def _write_text(text: str, target) -> str:
-    """Write `text` to `target` (path or file object) unless it is None; return `text`."""
-    if target is not None:
-        if hasattr(target, "write"):
-            target.write(text)
-        else:
-            with open(target, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    return text

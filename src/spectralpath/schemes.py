@@ -30,7 +30,7 @@ import numpy as np
 from .digraph import bidirected_path_endpoints, gamma
 from .linalg import (
     DEFAULT_TOL, DegenerateSpectrumError, ParseError, SpectralIdentityError, Tolerance, _content_lines,
-    _gap_products, _write_text,
+    _gap_products,
 )
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "scheme_from_p_tensor",
     "builtin_scheme",
     "BUILTIN_SIZE_CAP",
-    "intersection_matrix",
     "eigendata",
     "krein_parameters",
     "detect_p_polynomial",
@@ -50,7 +49,6 @@ __all__ = [
     "check_p_polynomial_characterization",
     "check_q_polynomial_characterization",
     "read_scheme",
-    "write_scheme",
     "SchemeValidationError",
 ]
 
@@ -276,13 +274,6 @@ def builtin_scheme(name: str, n: int) -> AssociationScheme:
     raise ValueError(f"unknown builtin scheme {name!r}; expected 'hypercube' or 'complete'")
 
 
-def intersection_matrix(scheme: AssociationScheme, i: int) -> np.ndarray:
-    """B_i with (h, j) entry p^h_ij, as a float matrix."""
-    if not (0 <= i <= scheme.d):
-        raise ValueError(f"relation index {i} outside 0..{scheme.d}")
-    return scheme.p[:, i, :].astype(float)
-
-
 def krein_parameters(P, Q, size: int) -> np.ndarray:
     """Krein tensor q[h, i, j] = |X|^-1 sum_k P_hk Q_ki Q_kj.
 
@@ -311,7 +302,7 @@ class SchemeEigendata:
     Q: np.ndarray
     m: np.ndarray
     q: np.ndarray
-    seed: object
+    seed: int
     tol: Tolerance
     residuals: dict = field(compare=False)
 
@@ -328,7 +319,7 @@ class SchemeEigendata:
         return self.scheme.k
 
 
-def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed=0) -> SchemeEigendata:
+def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> SchemeEigendata:
     """Compute P, Q, multiplicities and Krein parameters.
 
     A seeded random positive combination of the intersection matrices is
@@ -339,12 +330,11 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed=0) -
     eigenvalues trigger a retry with a derived seed, up to five attempts.
     """
     dp1 = scheme.d + 1
-    B = scheme.p.transpose(1, 0, 2).astype(float, order="C")  # B[i] = intersection_matrix(scheme, i)
+    B = scheme.p.transpose(1, 0, 2).astype(float, order="C")  # B[i][h, j] = p^h_ij
     delta = np.sqrt(scheme.k.astype(float))
-    base_seed = abs(int(seed)) if seed is not None else 0
     last_gap = None
     for attempt in range(5):
-        rng = np.random.default_rng([base_seed, attempt])
+        rng = np.random.default_rng([seed, attempt])
         coeffs = rng.uniform(1.0, 2.0, size=dp1)
         C = np.add.reduce(coeffs[:, None, None] * B, axis=0)  # summed in index order
         S = C * delta[:, None] / delta[None, :]
@@ -632,21 +622,3 @@ def read_scheme(source) -> AssociationScheme:
         )
     return scheme
 
-
-def write_scheme(scheme: AssociationScheme, target=None) -> str:
-    """Serialize a scheme; relations form when relations are stored."""
-    lines = []
-    form = "RELATIONS" if scheme.relations is not None else "PTENSOR"
-    lines.append(f"SCHEME X={scheme.size} D={scheme.d} FORM={form}")
-    if scheme.relations is not None:
-        for i, m in enumerate(scheme.relations):
-            lines.append(f"REL {i}")
-            for row in m:
-                lines.append("".join(str(int(x)) for x in row))
-    else:
-        lines.append("K " + " ".join(str(int(x)) for x in scheme.k))
-        for h in range(scheme.d + 1):
-            lines.append(f"P {h}")
-            for i in range(scheme.d + 1):
-                lines.append(" ".join(str(int(x)) for x in scheme.p[h, i, :]))
-    return _write_text("\n".join(lines) + "\n", target)

@@ -15,14 +15,13 @@ from math import inf
 
 import numpy as np
 
-from .digraph import _out_lists, gamma, is_irreducible_tridiagonal
+from .digraph import _out_lists, gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 
 __all__ = [
     "Symmetrizer",
     "NotSymmetrizable",
     "find_symmetrizer",
-    "tridiagonal_symmetrizer",
 ]
 
 
@@ -118,21 +117,3 @@ def _search(A: np.ndarray, nz: np.ndarray, adj, tol: Tolerance):
         return NotSymmetrizable("inconsistent_cycle", pair)
     return Symmetrizer(kappa=w)
 
-
-def tridiagonal_symmetrizer(A, tol: Tolerance = DEFAULT_TOL) -> Symmetrizer:
-    """Closed-form weights for a nonnegative irreducible tridiagonal matrix.
-
-    kappa_i is the ratio of the superdiagonal product A_01 ... A_{i-1,i}
-    to the subdiagonal product A_10 ... A_{i,i-1}, with kappa_0 = 1; these
-    weights satisfy K A = A^T K exactly.
-    """
-    A = as_matrix(A)
-    n = A.shape[0]
-    if np.min(A) < 0.0:
-        raise ValueError("tridiagonal symmetrizer expects a nonnegative matrix")
-    if not is_irreducible_tridiagonal(A, tol):
-        raise ValueError("matrix is not irreducible tridiagonal")
-    kappa = np.ones(n)
-    for i in range(1, n):
-        kappa[i] = kappa[i - 1] * (A[i - 1, i] / A[i, i - 1])
-    return Symmetrizer(kappa=kappa)

@@ -12,7 +12,6 @@ import pytest
 
 from spectralpath.cli import main as cli_main
 from spectralpath.equivalence import analyze_matrix
-from spectralpath.linalg import write_matrix
 from spectralpath.schemes import (
     builtin_scheme,
     check_p_polynomial_characterization,
@@ -21,12 +20,13 @@ from spectralpath.schemes import (
     detect_q_polynomial,
     eigendata,
 )
-from spectralpath.selftest import (
-    suite_degenerate,
-    suite_distance_equivalence,
-    suite_hessenberg_powers,
-    suite_path_equivalence,
-    suite_symmetrizer,
+from suites import (
+    degenerate,
+    distance_equivalence,
+    hessenberg_powers,
+    path_equivalence,
+    symmetrizer,
+    write_matrix,
 )
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -55,14 +55,18 @@ def announce(capfd):
 
 @pytest.fixture(scope="module")
 def property_suites():
-    """Run the four randomized suites once at acceptance scale, timed."""
+    """Run the four randomized suites once at acceptance scale, timed.
+
+    A suite asserts each of its checks, so a failing one errors every test
+    that reads it, naming the instance.
+    """
     out = {}
     t0 = time.perf_counter()
-    out["path"] = suite_path_equivalence(trials=200, d_max=10, seed=0)
+    out["path"] = path_equivalence(trials=200, d_max=10, seed=0)
     out["path_seconds"] = time.perf_counter() - t0
-    out["distance"] = suite_distance_equivalence(trials=200, d_max=7, seed=0)
-    out["hessenberg"] = suite_hessenberg_powers(trials=100, d_max=8, seed=0)
-    out["symmetrizer"] = suite_symmetrizer(trials=100, d_max=10, seed=0)
+    out["distance"] = distance_equivalence(trials=200, d_max=7, seed=0)
+    out["hessenberg"] = hessenberg_powers(trials=100, d_max=8, seed=0)
+    out["symmetrizer"] = symmetrizer(trials=100, d_max=10, seed=0)
     return out
 
 
@@ -88,50 +92,39 @@ def test_accept_three_point_path_profile(announce):
 
 
 def test_accept_path_form_equivalence_suite(property_suites, announce):
-    suite = property_suites["path"]
-    assert suite.passed, suite.failures[:5]
-    assert suite.cases >= 2000  # 200 instances for each d in 1..10, all positions
+    cases, _ = property_suites["path"]
+    assert cases >= 2000  # 200 instances for each d in 1..10, all positions
     elapsed = property_suites["path_seconds"]
     assert elapsed < 60.0, f"suite took {elapsed:.1f} s"
-    announce(
-        "path-form equivalence suite",
-        f"{suite.cases} position checks in {elapsed:.1f} s",
-    )
+    announce("path-form equivalence suite", f"{cases} position checks in {elapsed:.1f} s")
 
 
 def test_accept_distance_form_equivalence_suite(property_suites, announce):
-    suite = property_suites["distance"]
-    assert suite.passed, suite.failures[:5]
-    assert suite.cases > 0
+    cases, worst = property_suites["distance"]
+    assert cases > 0
     # diagonalizable instances must actually occur for the check to bite
-    assert suite.worst["diagonalizable_fraction"] > 0.1
+    assert worst["diagonalizable_fraction"] > 0.1
     announce(
         "distance-form equivalence suite",
-        f"{suite.cases} position checks, "
-        f"{suite.worst['diagonalizable_fraction']:.0%} diagonalizable",
+        f"{cases} position checks, {worst['diagonalizable_fraction']:.0%} diagonalizable",
     )
 
 
 def test_accept_hessenberg_power_structure(property_suites, announce):
-    suite = property_suites["hessenberg"]
-    assert suite.passed, suite.failures[:5]
-    announce("Hessenberg power-pattern and independence suite", f"{suite.cases} power checks")
+    cases = property_suites["hessenberg"]
+    announce("Hessenberg power-pattern and independence suite", f"{cases} power checks")
 
 
 def test_accept_tridiagonal_symmetrizer(property_suites, announce):
-    suite = property_suites["symmetrizer"]
-    assert suite.passed, suite.failures[:5]
-    assert suite.worst["balance_over_scale"] <= 1e-9
-    announce(
-        "tridiagonal symmetrizer suite",
-        f"worst balance residual {suite.worst['balance_over_scale']:.2e} of scale",
-    )
+    balance = property_suites["symmetrizer"]
+    assert balance <= 1e-9
+    announce("tridiagonal symmetrizer suite", f"worst balance residual {balance:.2e} of scale")
 
 
 def test_accept_spectral_identity_residuals(property_suites, announce):
     worst = {}
     for key in ("path", "distance"):
-        for name, value in property_suites[key].worst.items():
+        for name, value in property_suites[key][1].items():
             worst[name] = max(worst.get(name, 0.0), value)
     assert worst["sum_to_identity"] <= 1e-8
     assert worst["idempotency"] <= 1e-8
@@ -203,8 +196,7 @@ def test_accept_cube4_end_to_end(announce):
 
 
 def test_accept_degenerate_sizes(tmp_path, announce):
-    suite = suite_degenerate(seed=0)
-    assert suite.passed, suite.failures
+    degenerate(seed=0)
 
     single = analyze_matrix(np.array([[0.7]])).profile(0, 0)
     assert single.is_constant

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import spectralpath
-from spectralpath import selftest
 from spectralpath.cli import main
+from suites import write_scheme
 
 # Directory holding the imported package, so child processes run this copy.
 SRC_DIR = str(Path(spectralpath.__file__).resolve().parent.parent)
@@ -131,7 +131,6 @@ SCHEME_CHECK_KEYS = {
     "max_deviation",
 }
 STRUCTURE_KEYS = {"generator", "ordering", "last"}
-SUITE_KEYS = {"suite", "cases", "passed", "failures", "worst_residuals"}
 CUBE = "builtin:hypercube(3)"
 
 
@@ -147,10 +146,9 @@ CUBE = "builtin:hypercube(3)"
         (("scheme", CUBE, "q-poly"), POLY_KEYS, {("structures", 0): STRUCTURE_KEYS}),
         (("scheme", CUBE, "p-check", "1", "3"), SCHEME_CHECK_KEYS, {}),
         (("scheme", CUBE, "q-check", "1", "2"), SCHEME_CHECK_KEYS, {}),
-        (("selftest", "--trials", "1", "--d-max", "2"), SUITE_KEYS, {}),
     ],
     ids=["analyze", "analyze-nonsym", "check-path", "check-distance", "info", "p-poly", "q-poly",
-         "p-check", "q-check", "selftest"],
+         "p-check", "q-check"],
 )
 def test_json_result_keys_are_pinned(capsys, tmp_path, path3_file, argv, keys, nested):
     # reports encode dataclasses field by field, so a new field must show here
@@ -160,8 +158,7 @@ def test_json_result_keys_are_pinned(capsys, tmp_path, path3_file, argv, keys, n
     report = json.loads(run(capsys, *argv, "--json")[1])
     assert set(report["tolerances"]) == TOLERANCE_KEYS
     result = report["result"]
-    for item in result if isinstance(result, list) else [result]:
-        assert set(item) == keys
+    assert set(result) == keys
     for path, inner in nested.items():
         value = result
         for key in path:
@@ -272,7 +269,7 @@ def _hamming_p_tensor(n):
 def test_eigendata_residual_failure_exits_three(capsys, tmp_path):
     # H(30, 2) is a valid scheme, but its eigendata lose the QP identity in
     # double precision: a numerical failure, not an input error
-    from spectralpath.schemes import scheme_from_p_tensor, write_scheme
+    from spectralpath.schemes import scheme_from_p_tensor
 
     path = tmp_path / "h30.scheme"
     write_scheme(scheme_from_p_tensor(*_hamming_p_tensor(30)), str(path))
@@ -394,7 +391,7 @@ def test_scheme_argument_validation(capsys):
 
 
 def test_scheme_file_source(capsys, tmp_path):
-    from spectralpath.schemes import builtin_scheme, write_scheme
+    from spectralpath.schemes import builtin_scheme
 
     path = tmp_path / "k4.scheme"
     write_scheme(builtin_scheme("complete", 4), str(path))
@@ -404,43 +401,12 @@ def test_scheme_file_source(capsys, tmp_path):
     assert report["result"]["multiplicities"] == pytest.approx([1.0, 3.0], abs=1e-9)
 
 
-def test_selftest_exit_codes(capsys, monkeypatch):
-    code, out, _ = run(capsys, "selftest", "--trials", "2", "--d-max", "3")
-    assert code == 0
-    assert "verdict: all suites passed" in out
-    failing = selftest.SuiteResult("injected", cases=1)
-    failing.fail("injected failure")
-    monkeypatch.setattr(selftest, "run_all_suites", lambda **kwargs: [failing])
-    code, out, _ = run(capsys, "selftest")
-    assert code == 3
-    assert "FAIL injected: cases=1\n    injected failure\nverdict: suite failures" in out
-
-
-@pytest.mark.parametrize("flag", ["--trials", "--d-max"])
-@pytest.mark.parametrize("value", ["0", "-2"])
-def test_selftest_rejects_sizes_below_one(capsys, flag, value):
-    code, out, err = run(capsys, "selftest", flag, value)
-    assert (code, out) == (2, "")
-    assert "must be at least 1" in err
-
-
-def test_selftest_json_structure(capsys):
-    code, out, _ = run(capsys, "selftest", "--trials", "2", "--d-max", "3", "--json")
-    assert code == 0
-    report = json.loads(out)
-    names = [suite["suite"] for suite in report["result"]]
-    assert "path_equivalence" in names and "scheme" in names
-    assert all(suite["passed"] for suite in report["result"])
-
-
 def test_seed_comes_only_from_its_flag(capsys, monkeypatch):
     monkeypatch.setenv("SPECTRALPATH_SEED", "7")  # no longer read
     code, out, _ = run(capsys, "scheme", "builtin:complete(4)", "info", "--json")
     assert (code, json.loads(out)["seed"]) == (0, 0)
     code, out, _ = run(capsys, "scheme", "builtin:complete(4)", "info", "--seed", "3", "--json")
     assert (code, json.loads(out)["seed"]) == (0, 3)
-    code, out, _ = run(capsys, "selftest", "--trials", "1", "--d-max", "2", "--json")
-    assert (code, json.loads(out)["seed"]) == (0, 0)
 
 
 def _run_python(*args, timeout=SUBPROCESS_TIMEOUT):
@@ -502,13 +468,12 @@ def test_parser_is_built_once_and_reused(capsys, path3_file):
         ("scheme", CUBE, "p-poly"),
         ("scheme", CUBE, "q-poly"),
         ("scheme", CUBE, "q-check", "1", "3"),
-        ("selftest", "--trials", "1", "--d-max", "2"),
     ]
     in_process = [run(capsys, *argv)[:2] for argv in calls]
     for argv, (code, out) in zip(calls, in_process):
         proc = _run_module(*argv)
         assert (code, out) == (proc.returncode, proc.stdout), (argv, proc.stderr)
-    assert [code for code, _ in in_process] == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert [code for code, _ in in_process] == [0, 0, 1, 0, 0, 0, 0, 0]
 
 
 # Runs `main` on argv[1:] in a fresh interpreter, then prints the package
@@ -566,7 +531,7 @@ def test_console_script_declared_in_pyproject():
     assert config["project"]["scripts"]["spectralpath"] == "spectralpath.cli:console_main"
 
 
-# A grammar of argv for the four commands: each command's positionals, then
+# A grammar of argv for the three commands: each command's positionals, then
 # its options with values drawn per option.  Mutations add the forms the
 # fast path must leave to argparse.
 _VALUES = {
@@ -577,8 +542,6 @@ _VALUES = {
     "--eig-tol": ["1e-8", "2", ".5", "-.5"],
     "--residual-tol": ["1e-7", "1_0.5", "x"],
     "--seed": ["7", "0", "-3", "3.0", ""],
-    "--trials": ["3", "1", "-2", "q"],
-    "--d-max": ["4", "0", "-1"],
 }
 _POSITIONALS = {
     "analyze": [["m.txt"]],
@@ -588,13 +551,11 @@ _POSITIONALS = {
         for action in ("info", "p-poly", "q-poly", "p-check", "q-check", "bogus")
         for idx in ([], ["1", "3"], ["1", "x"])
     ],
-    "selftest": [[]],
 }
 _OPTIONS = {
     "analyze": ["--s", "--t"],
     "check": ["--form", "--s", "--t"],
     "scheme": ["--seed"],
-    "selftest": ["--trials", "--d-max", "--seed"],
 }
 _COMMON_OPTIONS = ["--zero-tol", "--eig-tol", "--residual-tol", "--json"]
 _MUTATIONS = [
@@ -673,8 +634,19 @@ def test_fast_argv_path_is_exactly_argparse():
 
 
 def test_rejected_argv_behave_as_argparse():
-    # argparse stays the only source of help, usage and error text
-    for argv in _grammar_argvs(600, seed=29):
+    # argparse stays the only source of help, usage and error text; a command
+    # that no longer exists and a negative seed exit 2 through it too
+    fixed = [
+        ["selftest"],
+        ["selftest", "--trials", "2", "--seed", "1"],
+        ["scheme", CUBE, "info", "--seed", "-3"],
+        ["scheme", CUBE, "q-check", "1", "3", "--seed=-1", "--json"],
+    ]
+    for argv in fixed:
+        expected, code, _, err = _parse_with_argparse(argv)
+        assert (expected, code) == (None, 2), argv
+        assert ("invalid choice: 'selftest'" if argv[0] == "selftest" else "argument --seed: invalid") in err
+    for argv in fixed + _grammar_argvs(600, seed=29):
         expected, code, out, err = _parse_with_argparse(list(argv))
         if expected is not None:
             continue

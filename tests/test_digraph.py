@@ -1,4 +1,4 @@
-"""Pattern graph checks: masks, distances, path recognition, relabelings."""
+"""Pattern graph checks: masks, distances, path recognition."""
 
 from collections import deque
 
@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from spectralpath.digraph import (
-    OrderingVerificationError,
     _bfs,
-    _lower_hessenberg,
     _out_lists,
     _path_order,
     bidirected_path_endpoints,
     gamma,
-    hessenberg_ordering,
-    is_irreducible_tridiagonal,
 )
 from spectralpath.linalg import DEFAULT_TOL, Tolerance
 
@@ -251,86 +247,3 @@ def test_path_order_matches_stacked_route_and_bfs():
     assert found["path"] == 12 * 8 and found["path_and_cycle"] == 0
     assert found["one_arc_removed"] == found["empty"] == 8
     assert 8 < found["tree"] < 12 * 8, found
-
-
-def test_hessenberg_ordering_round_trip():
-    """Relabeling by the ordering produces a lower Hessenberg pattern."""
-    rng = np.random.default_rng(424242)
-    for n in (2, 3, 5, 8):
-        for _ in range(10):
-            # random unreduced lower Hessenberg pattern
-            A = np.zeros((n, n))
-            for i in range(1, n):
-                A[i, i - 1] = rng.uniform(0.5, 2.0)
-            upper = rng.random((n, n)) < 0.5
-            for i in range(n):
-                for j in range(i, n):
-                    if upper[i, j]:
-                        A[i, j] = rng.uniform(0.5, 2.0)
-            perm = rng.permutation(n)
-            B = A[np.ix_(perm, perm)]
-            s = int(np.where(perm == n - 1)[0][0])
-            t = int(np.where(perm == 0)[0][0])
-            order = hessenberg_ordering(gamma(B), s, t)
-            assert order is not None
-            C = B[np.ix_(order, order)]
-            assert _lower_hessenberg(gamma(C))
-
-
-def test_hessenberg_ordering_requires_full_distance():
-    mask = mask_of(3, [(0, 1), (0, 2)])
-    assert hessenberg_ordering(mask, 0, 2) is None  # distance 1, not n-1
-    assert hessenberg_ordering(mask, 2, 0) is None  # unreachable
-    assert hessenberg_ordering(np.zeros((1, 1), dtype=bool), 0, 0) == (0,)
-
-
-def test_hessenberg_ordering_verifies_itself(monkeypatch):
-    # a search that misses the shortcut 0 -> 2 must not yield an ordering
-    from spectralpath import digraph
-
-    monkeypatch.setattr(digraph, "_bfs", lambda mask, s, t: ([0, 1, 2], [-1, 0, 1]))
-    with pytest.raises(OrderingVerificationError):
-        hessenberg_ordering(mask_of(3, [(0, 1), (1, 2), (0, 2)]), 0, 2)
-
-
-def test_irreducible_tridiagonal_predicate():
-    assert is_irreducible_tridiagonal(np.array([[1.0]]))
-    good = np.array([[1.0, 2.0, 0.0], [3.0, 0.0, 4.0], [0.0, 5.0, 6.0]])
-    assert is_irreducible_tridiagonal(good)
-    broken = good.copy()
-    broken[1, 2] = 0.0
-    assert not is_irreducible_tridiagonal(broken)
-    corner = good.copy()
-    corner[0, 2] = 1.0
-    assert not is_irreducible_tridiagonal(corner)
-
-
-def test_hessenberg_predicate():
-    A = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [0.0, 7.0, 8.0]])
-    assert _lower_hessenberg(gamma(A))
-    A[2, 0] = 0.5
-    assert not _lower_hessenberg(gamma(A))
-    A[2, 0] = 0.0
-    A[1, 0] = 0.0  # reduced subdiagonal disqualifies
-    assert not _lower_hessenberg(gamma(A))
-
-
-def test_band_predicates_match_entrywise_definition():
-    """Seeded banded matrices with stray entries, zero-tol entries of either sign included."""
-    rng = np.random.default_rng(2718)
-    z = DEFAULT_TOL.zero_tol
-    seen = set()
-    for _ in range(600):
-        n = int(rng.integers(1, 8))
-        i, j = np.indices((n, n))
-        A = np.where(np.abs(i - j) <= 1, rng.uniform(0.1, 2.0, size=(n, n)), 0.0)
-        A[rng.random((n, n)) < 0.08] = rng.choice([0.0, z, -z, 2 * z, -2 * z, 1.0])
-        nz = np.abs(A) > z
-        tri = not nz[np.abs(i - j) > 1].any() and all(
-            nz[k, k + 1] and nz[k + 1, k] for k in range(n - 1)
-        )
-        hess = not nz[i - j > 1].any() and all(nz[k, k - 1] for k in range(1, n))
-        assert is_irreducible_tridiagonal(A) is tri
-        assert _lower_hessenberg(gamma(A)) is hess
-        seen.add((tri, hess))
-    assert seen == {(True, True), (False, True), (False, False)}

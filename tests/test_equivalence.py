@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from spectralpath.digraph import _lower_hessenberg, gamma, is_irreducible_tridiagonal
 from spectralpath.equivalence import (
-    INSTANCE_KINDS,
     EquivalenceReport,
     NegativeEntryError,
     analyze_matrix,
     check_distance_characterization,
     check_path_characterization,
     clamp_nonnegative,
-    random_instance,
 )
 from spectralpath.spectra import SpectralKind
+from suites import INSTANCE_KINDS, random_instance
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -200,10 +198,13 @@ def test_random_instance_determinism_and_validation():
 
 
 def test_random_instance_shapes_by_kind():
+    # irreducible tridiagonal: nonzero on both off-diagonals, zero beyond them
     tri = random_instance("tridiagonal", 6, seed=5)
-    assert is_irreducible_tridiagonal(tri)
+    assert np.diagonal(tri, 1).all() and np.diagonal(tri, -1).all()
+    assert not np.triu(tri, 2).any() and not np.tril(tri, -2).any()
+    # unreduced lower Hessenberg: nonzero on the subdiagonal, zero below it
     hes = random_instance("hessenberg", 6, seed=5, density=0.5)
-    assert _lower_hessenberg(gamma(hes))
+    assert np.diagonal(hes, -1).all() and not np.tril(hes, -2).any()
     per = random_instance("permuted_path", 6, seed=5)
     order = analyze_matrix(per).path_order
     assert order is not None and len(order) == 7

@@ -1,4 +1,4 @@
-"""Pinned-seed checks at orders 13-31, through the command line and the self-test residuals.
+"""Pinned-seed checks at orders 13-31, through the command line and the cofactor residuals.
 
 These orders are past where projectors from the product formula and
 eigenvalues from the characteristic polynomial stopped being reliable.
@@ -15,8 +15,7 @@ import pytest
 
 from spectralpath.cli import main
 from spectralpath.equivalence import analyze_matrix
-from spectralpath.linalg import write_matrix
-from spectralpath.selftest import spectrum_identity_residuals
+from suites import spectrum_identity_residuals, write_matrix
 
 RESIDUAL_TOL = 1e-8
 REL = 1e-6

@@ -15,10 +15,10 @@ from spectralpath.linalg import (
     _content_lines,
     as_matrix,
     read_matrix,
-    write_matrix,
 )
 from spectralpath.schemes import builtin_scheme, eigendata, read_scheme
 from spectralpath.spectra import SpectralKind, classify
+from suites import write_matrix
 
 # second eigenmatrix of the 3-cube; squares to 8 I
 P_CUBE3 = np.array(

@@ -17,14 +17,13 @@ from spectralpath.schemes import (
     detect_p_polynomial,
     detect_q_polynomial,
     eigendata,
-    intersection_matrix,
     read_scheme,
     scheme_from_p_tensor,
     scheme_from_relations,
-    write_scheme,
     _endpoint_check,
     _polynomial_orderings,
 )
+from suites import write_scheme
 from test_digraph import reference_path_order
 
 CUBE3_P = np.array(
@@ -82,7 +81,7 @@ def test_complete_four_frozen_values():
     scheme = builtin_scheme("complete", 4)
     assert scheme.size == 4 and scheme.d == 1
     assert scheme.k.tolist() == [1, 3]
-    assert intersection_matrix(scheme, 1).tolist() == [[0.0, 3.0], [1.0, 2.0]]
+    assert scheme.p[:, 1, :].tolist() == [[0.0, 3.0], [1.0, 2.0]]  # B_1: (h, j) entry p^h_1j
     assert scheme.p[1, 1, 1] == 2
 
     ed = eigendata(scheme)
@@ -111,7 +110,7 @@ def test_cube3_frozen_battery():
     scheme = builtin_scheme("hypercube", 3)
     assert scheme.size == 8 and scheme.d == 3
     assert scheme.k.tolist() == [1, 3, 3, 1]
-    B1 = intersection_matrix(scheme, 1)
+    B1 = scheme.p[:, 1, :]
     assert B1.tolist() == [
         [0.0, 3.0, 0.0, 0.0],
         [1.0, 0.0, 2.0, 0.0],
@@ -165,7 +164,7 @@ def test_valency_weights_symmetrize_intersection_matrices():
         K = np.diag(scheme.k.astype(float))
         M = np.diag(ed.m)
         for i in range(scheme.d + 1):
-            B = intersection_matrix(scheme, i)
+            B = scheme.p[:, i, :]
             assert np.max(np.abs(K @ B - B.T @ K)) <= 1e-9 * scheme.size
             Bs = ed.q[:, i, :]
             assert np.max(np.abs(M @ Bs - Bs.T @ M)) <= 1e-9 * scheme.size
@@ -185,7 +184,7 @@ def test_rho_idempotents_representation():
     # reconstruction: B_j = sum_i P[i, j] rho_i
     for j in range(dp1):
         recon = sum(ed.P[i, j] * rhos[i] for i in range(dp1))
-        assert np.allclose(recon, intersection_matrix(scheme, j), atol=1e-8)
+        assert np.allclose(recon, scheme.p[:, j, :], atol=1e-8)
 
 
 def test_eigendata_deterministic_and_seedable():
@@ -195,8 +194,9 @@ def test_eigendata_deterministic_and_seedable():
     assert np.array_equal(a.P, b.P)
     c = eigendata(scheme, seed=123)
     assert np.allclose(a.P, c.P, atol=1e-9)  # convention pins the result
-    none_seed = eigendata(scheme, seed=None)
-    assert np.array_equal(a.P, none_seed.P)
+    # the seed is used as given: a negative one names no stream of its own
+    with pytest.raises(ValueError, match="non-negative"):
+        eigendata(scheme, seed=-3)
 
 
 def test_eigendata_residual_failure_is_a_spectral_identity_error():
@@ -320,7 +320,7 @@ def test_tensor_scan_matches_per_generator_walk():
     built += [builtin_scheme("complete", n) for n in (2, 4)] + [rook_scheme(3, 4)]
     for scheme in built:
         ed = eigendata(scheme)
-        p_mats = [intersection_matrix(scheme, i) for i in range(scheme.d + 1)]
+        p_mats = scheme.p.transpose(1, 0, 2)
         assert detect_p_polynomial(scheme) == reference_orderings(p_mats, DEFAULT_TOL)
         assert detect_q_polynomial(ed) == reference_orderings(ed.q.transpose(1, 0, 2), DEFAULT_TOL)
 

@@ -1,38 +1,22 @@
-"""Self-check suite harness: bookkeeping, determinism, suite outcomes."""
+"""The property suites of `suites`: small runs, determinism, and the cofactor cross-check."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
-from spectralpath.equivalence import analyze_matrix, random_instance
-from spectralpath.linalg import DEFAULT_TOL
-from spectralpath.selftest import (
-    MAX_RECORDED_FAILURES,
-    SuiteResult,
+from spectralpath.equivalence import analyze_matrix
+from suites import (
+    degenerate,
+    distance_equivalence,
+    hessenberg_powers,
+    path_equivalence,
+    random_instance,
     spectrum_identity_residuals,
-    suite_degenerate,
-    suite_distance_equivalence,
-    suite_hessenberg_powers,
-    suite_path_equivalence,
-    suite_symmetrizer,
+    symmetrizer,
 )
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
-
-
-def test_suite_result_bookkeeping():
-    r = SuiteResult("demo")
-    assert r.passed
-    r.track("x", 1.0)
-    r.track("x", 0.5)  # smaller value does not replace the maximum
-    r.track("x", 2.0)
-    assert r.worst["x"] == 2.0
-    for i in range(MAX_RECORDED_FAILURES + 5):
-        r.fail(f"failure {i}")
-    assert not r.passed
-    assert len(r.failures) == MAX_RECORDED_FAILURES + 1
-    assert r.failures[-1].startswith("...")
 
 
 def test_spectrum_identity_residuals_keys():
@@ -68,36 +52,12 @@ def test_spectrum_identity_residuals_needs_a_multiplicity_free_matrix():
 
 
 def test_individual_suites_pass_small():
-    assert suite_path_equivalence(trials=4, d_max=4, seed=1).passed
-    assert suite_distance_equivalence(trials=4, d_max=4, seed=1).passed
-    assert suite_hessenberg_powers(trials=4, d_max=5, seed=1).passed
-    assert suite_symmetrizer(trials=4, d_max=6, seed=1).passed
-    assert suite_degenerate(seed=1).passed
+    path_equivalence(trials=4, d_max=4, seed=1)
+    distance_equivalence(trials=4, d_max=4, seed=1)
+    hessenberg_powers(trials=4, d_max=5, seed=1)
+    symmetrizer(trials=4, d_max=6, seed=1)
+    degenerate(seed=1)
 
 
 def test_suites_are_deterministic():
-    a = suite_path_equivalence(trials=3, d_max=3, seed=9)
-    b = suite_path_equivalence(trials=3, d_max=3, seed=9)
-    assert a.cases == b.cases
-    assert a.worst == b.worst
-
-
-def test_scheme_suite_cross_checks_closed_form(monkeypatch):
-    from dataclasses import replace
-
-    from spectralpath import schemes
-    from spectralpath.selftest import _suite_scheme
-
-    assert _suite_scheme(seed=0, tol=DEFAULT_TOL).passed
-    counted = schemes.scheme_from_relations
-
-    def off_by_one(mats):
-        scheme = counted(mats)
-        p = scheme.p.copy()
-        p[1, 1, 2] += 1
-        return replace(scheme, p=p)
-
-    monkeypatch.setattr(schemes, "scheme_from_relations", off_by_one)
-    result = _suite_scheme(seed=0, tol=DEFAULT_TOL)
-    assert not result.passed
-    assert any("differs from triple counting" in msg for msg in result.failures)
+    assert path_equivalence(trials=3, d_max=3, seed=9) == path_equivalence(trials=3, d_max=3, seed=9)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spectralpath.equivalence import INSTANCE_KINDS, analyze_matrix, random_instance
+from spectralpath.equivalence import analyze_matrix
 from spectralpath.linalg import (
     DEFAULT_TOL, DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products,
 )
@@ -18,6 +18,7 @@ from spectralpath.spectra import (
     _verify_spectrum,
     classify,
 )
+from suites import INSTANCE_KINDS, random_instance
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -171,8 +172,6 @@ def test_inv_route_classifies_as_the_pinv_route(monkeypatch):
     # every random_instance kind, and the same rounded to integers (Jordan
     # blocks and repeated eigenvalues), classified with Y^T = inv(X) and
     # again with the pinv fallback forced by a failing inv
-    from spectralpath.equivalence import INSTANCE_KINDS, analyze_matrix, random_instance
-
     cases = []
     for kind in INSTANCE_KINDS:
         for d in range(20):

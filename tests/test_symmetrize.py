@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from spectralpath.linalg import DEFAULT_TOL
-from spectralpath.symmetrize import (
-    NotSymmetrizable,
-    Symmetrizer,
-    find_symmetrizer,
-    tridiagonal_symmetrizer,
-)
+from spectralpath.symmetrize import NotSymmetrizable, Symmetrizer, find_symmetrizer
+from suites import tridiagonal_symmetrizer
 
 # intersection matrix of the nearest-neighbor relation in the 3-cube
 B1_CUBE3 = np.array(

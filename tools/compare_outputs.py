@@ -5,12 +5,11 @@ Usage (from the root of a checkout):
     python3 tools/compare_outputs.py --against <other checkout> --seeds 3 7
 
 Writes the inputs of every workload in BENCHMARK.json for each seed once,
-with this checkout's `bench/workloads.build`, under a temporary directory,
-and adds one `selftest` per seed: no workload runs it, and it is the one
-command that sweeps the equivalence checks over every position of a matrix.
-No workload passes `--seed` either, so every `scheme` operation runs once
-more with `--seed <seed>`, and the selftest runs with it.  Every call then
-runs with and without `--json` in each checkout: one fresh interpreter per
+with this checkout's `bench/workloads.build`, under a temporary directory.
+These are `analyze` (which sweeps the profile at every position), `check`
+and `scheme` calls.  No workload passes `--seed`, so every `scheme`
+operation runs once more with `--seed <seed>`.  Every call then runs with
+and without `--json` in each checkout: one fresh interpreter per
 checkout, importing spectralpath from that checkout's `src/` and calling
 `spectralpath.cli.main` in-process.  The exit code, stdout and stderr of
 every call are compared.  Prints the number of calls compared, how many of
@@ -27,7 +26,6 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHOWN = 5  # differing calls printed
-SELFTEST = ["selftest", "--trials", "10", "--d-max", "8"]  # about 0.6 s a call
 
 # Runs in a fresh interpreter: argv[1] the checkout, argv[2] the calls, argv[3] the results.
 RUNNER = r"""
@@ -58,8 +56,8 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 
 
 def write_calls(folder: str, seeds: list) -> list:
-    """Every operation of every workload and seed, each scheme operation again with --seed, and one
-    selftest per seed, all without and with --json."""
+    """Every operation of every workload and seed, and each scheme operation again with --seed,
+    all without and with --json."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.dont_write_bytecode = True  # leave bench/ as it is
     import workloads
@@ -74,8 +72,6 @@ def write_calls(folder: str, seeds: list) -> list:
                 calls += [argv, argv + ["--json"]]
                 if argv[0] == "scheme":
                     calls += [argv + ["--seed", str(seed)], argv + ["--seed", str(seed), "--json"]]
-        argv = SELFTEST + ["--seed", str(seed)]
-        calls += [argv, argv + ["--json"]]
     return calls
 
 
