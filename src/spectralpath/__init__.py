@@ -25,7 +25,7 @@ _EXPORTS = {
     "digraph": ("bidirected_path_endpoints", "gamma"),
     "equivalence": (
         "EquivalenceReport", "MatrixAnalysis", "NegativeEntryError", "analyze_matrix",
-        "check_distance_characterization", "check_path_characterization", "clamp_nonnegative",
+        "check_characterization", "clamp_nonnegative",
     ),
     "linalg": (
         "DEFAULT_TOL", "DegenerateSpectrumError", "ParseError", "SpectralIdentityError", "Tolerance",

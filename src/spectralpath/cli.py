@@ -105,8 +105,6 @@ def _cmd_analyze(args) -> int:
     from .spectra import SpectralKind
     from .symmetrize import Symmetrizer
 
-    if (args.s is None) != (args.t is None):
-        raise ValueError("--s and --t must be given together")
     tol = _tol_from_args(args)
     A = read_matrix(args.matrix)
     analysis = analyze_matrix(A, tol)
@@ -118,10 +116,6 @@ def _cmd_analyze(args) -> int:
     constant_positions = [
         {"s": s, "t": t, "value": v} for s, t, v in analysis.constant_positions()
     ]
-
-    requested = None
-    if args.s is not None:
-        requested = {"s": args.s, "t": args.t, "profile": analysis.profile(args.s, args.t)}
 
     report = {
         "command": "analyze",
@@ -136,7 +130,6 @@ def _cmd_analyze(args) -> int:
             "kappa": sym.kappa if isinstance(sym, Symmetrizer) else None,
             "not_symmetrizable": None if isinstance(sym, Symmetrizer) else sym,
             "constant_profile_positions": constant_positions,
-            "requested": requested,
         },
         "verdict": f"order-{n} matrix classified {spectral.kind.value}",
     }
@@ -155,30 +148,17 @@ def _cmd_analyze(args) -> int:
                 yield f"constant profile at ({item['s']}, {item['t']}): {_fmt(item['value'])}"
             if not constant_positions:
                 yield "constant profile positions: none"
-        if requested is not None and requested["profile"] is not None:
-            p = requested["profile"]
-            yield (
-                f"profile ({args.s}, {args.t}): {_fmt_vec(p.values)} "
-                f"spread {_fmt(p.spread)} threshold {_fmt(p.threshold)}"
-            )
 
     _emit(report, args.json, lines())
     return EXIT_TRUE
 
 
 def _cmd_check(args) -> int:
-    from .equivalence import (
-        analyze_matrix,
-        check_distance_characterization,
-        check_path_characterization,
-    )
+    from .equivalence import analyze_matrix, check_characterization
 
     tol = _tol_from_args(args)
     analysis = analyze_matrix(read_matrix(args.matrix), tol)
-    checker = (
-        check_path_characterization if args.form == "path" else check_distance_characterization
-    )
-    rep = checker(analysis, args.s, args.t)
+    rep = check_characterization(analysis, args.form, args.s, args.t)
     profile = rep.profile
     verdict, code = _verdict(rep.condition_i, rep.condition_ii)
     report = {
@@ -346,8 +326,6 @@ _COMMON = (
 _COMMANDS = {
     "analyze": (_cmd_analyze, "analyze a matrix file", (
         ("matrix", {"help": "matrix file (first line order n, then n rows)"}),
-        ("--s", {"type": int, "default": None, "help": "row of a position to profile"}),
-        ("--t", {"type": int, "default": None, "help": "column of a position to profile"}),
     ) + _COMMON),
     "check": (_cmd_check, "two-sided equivalence check at one position", (
         ("matrix", {}),

@@ -4,7 +4,9 @@ The pattern graph of a matrix has an arc i -> j exactly when the (i, j)
 entry is structurally nonzero and i != j.  `gamma` is the one place that
 decides structural nonzeros; everything here and downstream reads its
 mask.  The structural questions asked of it are: is the undirected pattern
-a path, and what is the directed distance between two vertices.
+a path, and what is the directed distance between two vertices.  One
+breadth-first search, `_bfs`, answers both and gives the symmetrizer search
+its spanning forest.
 """
 
 from __future__ import annotations
@@ -46,22 +48,30 @@ def _out_lists(mask: np.ndarray) -> tuple:
     return tuple([tuple(cols[a:b]) for a, b in zip(ends, ends[1:])])
 
 
-def _bfs(adj: tuple, s: int, t: int):
-    """Distances and parents from `s` over the adjacency lists `adj`, neighbors in ascending order."""
+def _bfs(adj: tuple, roots):
+    """Breadth-first forest over the out-lists `adj`: each root not yet reached starts a tree.
+
+    Returns (order, dist, parent): the vertices in the order reached, and per
+    vertex its distance from the root of its tree and its parent, -1 where
+    there is none.  Neighbours are visited in ascending order.
+    """
     n = len(adj)
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"vertices ({s}, {t}) outside range 0..{n - 1}")
     dist = [-1] * n
     parent = [-1] * n
-    dist[s] = 0
-    queue = [s]
-    for v in queue:  # first in, first out: the loop reaches every vertex appended
-        for w in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                parent[w] = v
-                queue.append(w)
-    return dist, parent
+    order = []
+    for root in roots:
+        if dist[root] >= 0:
+            continue
+        dist[root] = 0
+        queue = [root]
+        for v in queue:  # first in, first out: the loop reaches every vertex appended
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    parent[w] = v
+                    queue.append(w)
+        order += queue
+    return order, dist, parent
 
 
 def bidirected_path_endpoints(masks) -> list:
@@ -70,8 +80,8 @@ def bidirected_path_endpoints(masks) -> list:
     A mask qualifies when it is symmetric, the diagonal aside, and its
     undirected graph is a single path through every vertex.  One array pass
     keeps the masks with two vertices of degree 1 and every other of
-    degree 2; `_walk` walks each survivor without repeating those tests.
-    For n = 1 every ordering is (0,).
+    degree 2; `_bfs` from the smaller-labelled endpoint of each survivor
+    must then reach every vertex.  For n = 1 every ordering is (0,).
     """
     masks = np.array(masks, dtype=bool)  # a copy: its diagonals are cleared
     m, n = masks.shape[0], masks.shape[-1]
@@ -87,15 +97,17 @@ def bidirected_path_endpoints(masks) -> list:
     )
     orders = [None] * m
     for g in np.flatnonzero(keep).tolist():
-        orders[g] = _walk(_out_lists(masks[g]), int(np.argmax(deg[g] == 1)))
+        order = _bfs(_out_lists(masks[g]), (int(np.argmax(deg[g] == 1)),))[0]
+        orders[g] = tuple(order) if len(order) == n else None
     return orders
 
 
 def _path_order(mask: np.ndarray, adj: tuple):
     """Vertex ordering of one mask with a clear diagonal as a bidirected path, or None.
 
-    The lengths of the out-lists `adj` are the degrees of a symmetric `mask`.  Degree
-    counts also admit a path plus disjoint cycles, so `_walk` must reach every vertex.
+    The lengths of the out-lists `adj` are the degrees of a symmetric `mask`.
+    Degree counts also admit a path plus disjoint cycles, so the search from
+    the smaller-labelled endpoint must reach every vertex.
     """
     n = len(adj)
     if n == 1:
@@ -103,14 +115,5 @@ def _path_order(mask: np.ndarray, adj: tuple):
     deg = list(map(len, adj))
     if deg.count(1) != 2 or deg.count(2) != n - 2 or not (mask == mask.T).all():
         return None
-    return _walk(adj, deg.index(1))
-
-
-def _walk(adj: tuple, start: int):
-    """The walk along path-shaped out-lists `adj` from endpoint `start`; None unless it reaches every vertex."""
-    order = [start, adj[start][0]]
-    while len(adj[order[-1]]) == 2:
-        a, b = adj[order[-1]]
-        order.append(b if a == order[-2] else a)
-    return tuple(order) if len(order) == len(adj) else None
-
+    order = _bfs(adj, (deg.index(1),))[0]
+    return tuple(order) if len(order) == n else None

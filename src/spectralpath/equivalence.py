@@ -1,7 +1,7 @@
 """Equivalence checks between pattern structure and spectral profiles.
 
-Two checks for a nonnegative square matrix A of order d+1 and an entry
-position (s, t):
+Two forms of one check for a nonnegative square matrix A of order d+1
+and an entry position (s, t):
 
 * path form: the nonzero pattern of A is a bidirected path with endpoints
   {s, t}  <=>  A is symmetrizable by a positive diagonal, multiplicity-free,
@@ -11,8 +11,14 @@ position (s, t):
   distance from s to t in its pattern graph equals d  <=>  A is
   multiplicity-free and the profile at (s, t) is a nonzero constant.
 
-Both sides of each check are evaluated independently; a report in which
-they disagree is a numerical diagnostic, never silently repaired.
+On a symmetric pattern, distance d from s to t is the same as a
+bidirected path with endpoints {s, t}: each breadth-first layer holds one
+vertex.  So both forms test distance d on the pattern side and a nonzero
+constant profile on the spectral side, and differ only in their gates:
+a path order and a symmetrizer for the path form, a diagonalizable
+spectrum for the distance form.  The two sides are evaluated
+independently; a report in which they disagree is a numerical
+diagnostic, never silently repaired.
 """
 
 from __future__ import annotations
@@ -37,8 +43,7 @@ __all__ = [
     "MatrixAnalysis",
     "EquivalenceReport",
     "analyze_matrix",
-    "check_path_characterization",
-    "check_distance_characterization",
+    "check_characterization",
     "clamp_nonnegative",
     "NegativeEntryError",
 ]
@@ -65,8 +70,8 @@ class MatrixAnalysis:
     """One-shot structural and spectral analysis of a nonnegative matrix.
 
     The one way to ask a per-position question of a matrix: `profile`,
-    `distance` and `constant_positions` here, and both equivalence checks
-    take it.  Sweeping over many (s, t) positions costs one classification,
+    `distance` and `constant_positions` here, and `check_characterization`
+    takes it.  Sweeping over many (s, t) positions costs one classification,
     not one per position.  `pattern` is the boolean mask of the pattern
     graph, from `gamma`; `_adj` its out-lists.
     """
@@ -87,7 +92,7 @@ class MatrixAnalysis:
     def distance(self, s: int, t: int) -> int | None:
         """Directed distance from s to t in the pattern graph, or None if unreachable."""
         self._check_position(s, t)
-        dist = _bfs(self._adj, s, t)[0][t]
+        dist = _bfs(self._adj, (s,))[1][t]
         return dist if dist >= 0 else None
 
     def profile(self, s: int, t: int) -> EntryProfile | None:
@@ -140,59 +145,35 @@ class EquivalenceReport:
     def equivalent(self) -> bool:
         return self.condition_i == self.condition_ii
 
-    @property
-    def both_true(self) -> bool:
-        return self.condition_i and self.condition_ii
 
+def check_characterization(analysis: MatrixAnalysis, form: str, s: int, t: int) -> EquivalenceReport:
+    """The path or distance form of the check at (s, t); `form` is "path" or "distance".
 
-def _spectral_side(analysis: MatrixAnalysis, s: int, t: int):
-    """condition (ii): multiplicity-free with constant nonzero profile."""
-    profile = analysis.profile(s, t)
-    ok = profile is not None and profile.is_constant and profile.common_value is not None
-    return ok, profile
-
-
-def check_path_characterization(analysis: MatrixAnalysis, s: int, t: int) -> EquivalenceReport:
-    """Bidirected-path pattern with endpoints {s, t} vs spectral profile.
-
-    A sweep over the positions of one matrix shares one `analyze_matrix`.
+    Pattern side: distance n - 1 from s to t, given a path order (path form)
+    or a diagonalizable spectrum (distance form).  Spectral side: a nonzero
+    constant profile, given a symmetrizer in the path form.  A sweep over
+    the positions of one matrix shares one `analyze_matrix`.
     """
-    order = analysis.path_order
-    cond_i = order is not None and {order[0], order[-1]} == {s, t}
-    symmetrizable = isinstance(analysis.symmetrizer, Symmetrizer)
-    spectral_ok, profile = _spectral_side(analysis, s, t)
-    cond_ii = symmetrizable and spectral_ok
-    return EquivalenceReport(
-        form="path",
-        s=s,
-        t=t,
-        condition_i=cond_i,
-        condition_ii=cond_ii,
-        spectral_kind=analysis.spectral.kind,
-        symmetrizable=symmetrizable,
-        path_order=order,
-        distance=analysis.distance(s, t),
-        profile=profile,
-    )
-
-
-def check_distance_characterization(analysis: MatrixAnalysis, s: int, t: int) -> EquivalenceReport:
-    """Directed distance d from s to t plus diagonalizability vs profile."""
+    if form not in ("path", "distance"):
+        raise ValueError(f"unknown form {form!r}; expected 'path' or 'distance'")
     kind = analysis.spectral.kind
-    diagonalizable = kind in (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)
+    symmetrizable = isinstance(analysis.symmetrizer, Symmetrizer)
+    if form == "path":
+        pattern_gate, spectral_gate = analysis.path_order is not None, symmetrizable
+    else:
+        pattern_gate = kind in (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)
+        spectral_gate = True
     dist = analysis.distance(s, t)
-    cond_i = bool(diagonalizable and dist == len(analysis.A) - 1)
-    spectral_ok, profile = _spectral_side(analysis, s, t)
+    profile = analysis.profile(s, t)
     return EquivalenceReport(
-        form="distance",
+        form=form,
         s=s,
         t=t,
-        condition_i=cond_i,
-        condition_ii=spectral_ok,
+        condition_i=pattern_gate and dist == len(analysis.A) - 1,
+        condition_ii=spectral_gate and profile is not None and profile.common_value is not None,
         spectral_kind=kind,
-        symmetrizable=isinstance(analysis.symmetrizer, Symmetrizer),
+        symmetrizable=symmetrizable,
         path_order=analysis.path_order,
         distance=dist,
         profile=profile,
     )
-

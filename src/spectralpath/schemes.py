@@ -461,10 +461,6 @@ class SchemeCharacterizationReport:
     def equivalent(self) -> bool:
         return self.side_i == self.side_ii
 
-    @property
-    def both_true(self) -> bool:
-        return self.side_i and self.side_ii
-
 
 def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
     """Column b of `eigen` against row c of `dual`: (P, Q) or, dually, (Q, P)."""

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import gamma
+from .digraph import _out_lists, gamma
 from .linalg import (
     DEFAULT_TOL, DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products, as_matrix,
 )
@@ -243,7 +243,8 @@ def classify(A, tol: Tolerance = DEFAULT_TOL) -> SpectralClass:
     surface as numpy.linalg.LinAlgError.
     """
     A = as_matrix(A)
-    return _classify(A, _search(A, gamma(A, tol), None, tol), tol)
+    mask = gamma(A, tol)
+    return _classify(A, _search(A, mask, _out_lists(mask), tol), tol)
 
 
 def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:

@@ -3,9 +3,10 @@
 A matrix A is symmetrizable here when some diagonal D with positive entries
 makes D A D^-1 symmetric.  Writing w_i = D_ii^2, that is equivalent to the
 detailed-balance relations w_i A_ij = w_j A_ji, so the search reduces to
-propagating entry ratios over a spanning forest of the support graph and
-checking consistency on the remaining pairs.  Squares absorb sign choices,
-so restricting D to positive entries loses no generality.
+propagating entry ratios over a spanning forest of the support graph (the
+breadth-first forest of `digraph._bfs`) and checking consistency on the
+remaining pairs.  Squares absorb sign choices, so restricting D to positive
+entries loses no generality.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import inf
 
 import numpy as np
 
-from .digraph import _out_lists, gamma
+from .digraph import _bfs, _out_lists, gamma
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix
 
 __all__ = [
@@ -69,18 +70,20 @@ def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
 
     Weights are propagated along a breadth-first spanning forest of the
     support graph (w_j = w_i * A_ij / A_ji, root weight 1 per component)
-    and then every pair is checked for consistency with a relative
-    tolerance.  Returns a Symmetrizer on success and a NotSymmetrizable
+    and then every pair is checked for consistency, relative to the larger
+    of |w_i A_ij| and |w_j A_ji|, so the answer does not change with the
+    scale of `A`.  Returns a Symmetrizer on success and a NotSymmetrizable
     witness otherwise; a witness is the first offending pair i < j in
     row-major order.  Raises RuntimeError, naming the vertex, when a
     propagated weight underflows to 0 or overflows to inf.
     """
     A = as_matrix(A)
-    return _search(A, gamma(A, tol), None, tol)
+    nz = gamma(A, tol)
+    return _search(A, nz, _out_lists(nz), tol)
 
 
-def _search(A: np.ndarray, nz: np.ndarray, adj, tol: Tolerance):
-    """`find_symmetrizer` of a validated `A`: pattern mask `nz`, its out-lists `adj` or None."""
+def _search(A: np.ndarray, nz: np.ndarray, adj: tuple, tol: Tolerance):
+    """`find_symmetrizer` of a validated `A`: pattern mask `nz` and its out-lists `adj`."""
     n = A.shape[0]
     asymmetric = nz != nz.T
     # both masks tested are symmetric, clear on the diagonal: their first True is a pair i < j
@@ -89,29 +92,20 @@ def _search(A: np.ndarray, nz: np.ndarray, adj, tol: Tolerance):
         reason = "asymmetric_pattern" if asymmetric[pair] else "nonpositive_ratio"
         return NotSymmetrizable(reason, pair)
 
-    adj = _out_lists(nz) if adj is None else adj
+    order, _, parent = _bfs(adj, range(n))
     a = A.tolist()
     w = [1.0] * n
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        for i in queue:  # first in, first out: the loop reaches every vertex appended
-            wi, ai = w[i], a[i]
-            for j in adj[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    w[j] = wj = wi * ai[j] / a[j][i]
-                    if not 0.0 < wj < inf:
-                        raise RuntimeError(f"symmetrizer weight of vertex {j} is {wj!r}, out of float range")
-                    queue.append(j)
+    for j in order:  # a parent comes before its children
+        i = parent[j]
+        if i >= 0:
+            w[j] = wj = w[i] * a[i][j] / a[j][i]
+            if not 0.0 < wj < inf:
+                raise RuntimeError(f"symmetrizer weight of vertex {j} is {wj!r}, out of float range")
 
     w = np.array(w)
     lhs = w[:, None] * A  # lhs.T[i, j] = w_j A_ji
     mag = np.abs(lhs)
-    bound = tol.residual_tol * np.maximum(np.maximum(mag, mag.T), 1.0)
+    bound = tol.residual_tol * np.maximum(mag, mag.T)
     pair = _first_pair(nz & (np.abs(lhs - lhs.T) > bound))
     if pair is not None:
         return NotSymmetrizable("inconsistent_cycle", pair)

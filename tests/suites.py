@@ -10,11 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from spectralpath import schemes
-from spectralpath.equivalence import (
-    analyze_matrix,
-    check_distance_characterization,
-    check_path_characterization,
-)
+from spectralpath.equivalence import analyze_matrix, check_characterization
 from spectralpath.linalg import DEFAULT_TOL
 from spectralpath.spectra import SpectralKind
 from spectralpath.symmetrize import Symmetrizer, find_symmetrizer
@@ -174,12 +170,12 @@ def path_equivalence(trials=25, d_max=6, seed=0, tol=DEFAULT_TOL):
             hits = set()
             for s in range(d + 1):
                 for t in range(d + 1):
-                    rep = check_path_characterization(analysis, s, t)
+                    rep = check_characterization(analysis, "path", s, t)
                     assert rep.equivalent, (
                         f"d={d} trial={trial} (s,t)=({s},{t}): "
                         f"pattern={rep.condition_i} spectral={rep.condition_ii}"
                     )
-                    if rep.both_true:
+                    if rep.condition_i and rep.condition_ii:
                         hits.add(frozenset((s, t)))
             cases += (d + 1) ** 2
             assert hits == {frozenset((order[0], order[-1]))}, f"d={d} trial={trial}: endpoint pairs {hits}"
@@ -225,7 +221,7 @@ def distance_equivalence(trials=25, d_max=6, seed=0, tol=DEFAULT_TOL):
             )
         for s in range(n):
             for t in range(n):
-                rep = check_distance_characterization(analysis, s, t)
+                rep = check_characterization(analysis, "distance", s, t)
                 assert rep.equivalent, (
                     f"idx={idx} d={d} (s,t)=({s},{t}): distance-side={rep.condition_i} "
                     f"spectral={rep.condition_ii} kind={kind.value}"
@@ -297,18 +293,19 @@ def symmetrizer(trials=25, d_max=10, seed=0, tol=DEFAULT_TOL) -> float:
 def degenerate(seed=0, tol=DEFAULT_TOL):
     """Smallest sizes: one vertex, one edge, and the one-class scheme on two points."""
     rng = np.random.default_rng([seed, 99])
-    rep = check_path_characterization(analyze_matrix(np.array([[rng.uniform(0.0, 2.0)]]), tol), 0, 0)
-    assert rep.both_true, "d=0: single vertex should satisfy both sides at (0, 0)"
+    rep = check_characterization(analyze_matrix(np.array([[rng.uniform(0.0, 2.0)]]), tol), "path", 0, 0)
+    assert rep.condition_i and rep.condition_ii, "d=0: single vertex should satisfy both sides at (0, 0)"
     assert abs(rep.profile.common_value - 1.0) <= tol.residual_tol, rep.profile
 
     analysis = analyze_matrix(random_instance("tridiagonal", 1, seed=[seed, 1]), tol)
     for s in range(2):
         for t in range(2):
-            for check in (check_path_characterization, check_distance_characterization):
-                rep = check(analysis, s, t)
-                assert rep.equivalent and rep.both_true == (s != t), (check.__name__, s, t)
+            for form in ("path", "distance"):
+                rep = check_characterization(analysis, form, s, t)
+                assert rep.equivalent and rep.condition_i == (s != t), (form, s, t)
 
     ed = schemes.eigendata(schemes.builtin_scheme("complete", 2), tol, seed=seed)
     assert float(np.max(np.abs(ed.P - [[1.0, 1.0], [1.0, -1.0]]))) <= tol.residual_tol, ed.P
-    assert schemes.check_p_polynomial_characterization(ed, 1, 1).both_true
-    assert schemes.check_q_polynomial_characterization(ed, 1, 1).both_true
+    for check in (schemes.check_p_polynomial_characterization, schemes.check_q_polynomial_characterization):
+        rep = check(ed, 1, 1)
+        assert rep.side_i and rep.side_ii, check.__name__

@@ -152,10 +152,10 @@ def test_accept_cube3_end_to_end(announce):
 
     expected = np.array([1.0, -3.0, 3.0, -1.0])
     pc = check_p_polynomial_characterization(ed, 1, 3)
-    assert pc.both_true
+    assert pc.side_i and pc.side_ii
     assert np.max(np.abs(pc.actual - expected)) <= 1e-9
     qc = check_q_polynomial_characterization(ed, 1, 3)
-    assert qc.both_true
+    assert qc.side_i and qc.side_ii
     assert np.max(np.abs(qc.actual - expected)) <= 1e-9
     wrong = check_p_polynomial_characterization(ed, 1, 2)
     assert not wrong.side_i and not wrong.side_ii
@@ -178,10 +178,10 @@ def test_accept_cube4_end_to_end(announce):
     assert np.max(np.abs(theta - np.array([4.0, 2.0, 0.0, -2.0, -4.0]))) <= 1e-9
     expected = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
     pc = check_p_polynomial_characterization(ed, 1, 4)
-    assert pc.both_true
+    assert pc.side_i and pc.side_ii
     assert np.max(np.abs(pc.actual - expected)) <= 1e-9
     qc = check_q_polynomial_characterization(ed, 1, 4)
-    assert qc.both_true
+    assert qc.side_i and qc.side_ii
 
     # even cubes carry the antipodal second ordering besides the usual one
     structs = set(detect_p_polynomial(scheme))

@@ -39,6 +39,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_exit(capsys, *argv):
+    """`run` for an argv that argparse rejects, exiting through SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
 def test_analyze_human_output(capsys, path3_file):
     code, out, err = run(capsys, "analyze", path3_file)
     assert code == 0
@@ -58,11 +66,11 @@ def test_analyze_json_report(capsys, path3_file):
     assert positions == {(0, 2), (2, 0)}
 
 
-def test_analyze_with_requested_position(capsys, path3_file):
-    code, out, _ = run(capsys, "analyze", path3_file, "--s", "0", "--t", "1", "--json")
-    assert code == 0
-    report = json.loads(out)
-    prof = report["result"]["requested"]["profile"]
+def test_check_json_reports_the_position_profile(capsys, path3_file):
+    # the one way to ask for the profile at one position
+    code, out, _ = run(capsys, "check", path3_file, "--form", "path", "--s", "0", "--t", "1", "--json")
+    assert code == 1
+    prof = json.loads(out)["result"]["profile"]
     assert prof["is_constant"] is False
     assert len(prof["values"]) == 3
 
@@ -118,7 +126,7 @@ TOLERANCE_KEYS = {"zero_tol", "eig_tol", "residual_tol"}
 PROFILE_KEYS = {"values", "is_constant", "common_value", "constant_zero", "spread", "threshold"}
 ANALYZE_KEYS = {
     "order", "arc_count", "path_order", "spectral_kind", "eigenvalues", "symmetrizable", "kappa",
-    "not_symmetrizable", "constant_profile_positions", "requested",
+    "not_symmetrizable", "constant_profile_positions",
 }
 CHECK_KEYS = {
     "form", "s", "t", "condition_i", "condition_ii", "equivalent", "spectral_kind", "symmetrizable",
@@ -137,7 +145,7 @@ CUBE = "builtin:hypercube(3)"
 @pytest.mark.parametrize(
     "argv, keys, nested",
     [
-        (("analyze", "{path}", "--s", "0", "--t", "2"), ANALYZE_KEYS, {("requested", "profile"): PROFILE_KEYS}),
+        (("analyze", "{path}"), ANALYZE_KEYS, {("constant_profile_positions", 0): {"s", "t", "value"}}),
         (("analyze", "{nonsym}"), ANALYZE_KEYS, {("not_symmetrizable",): {"reason", "witness"}}),
         (("check", "{path}", "--form", "path", "--s", "0", "--t", "2"), CHECK_KEYS, {("profile",): PROFILE_KEYS}),
         (("check", "{path}", "--form", "distance", "--s", "0", "--t", "1"), CHECK_KEYS, {("profile",): PROFILE_KEYS}),
@@ -231,26 +239,31 @@ def test_out_of_range_position_exit_two(capsys, path3_file):
     assert "error:" in err
 
 
-def test_analyze_position_out_of_range_exits_two(capsys, tmp_path, path3_file):
+def test_check_position_out_of_range_exits_two(capsys, tmp_path, path3_file):
     # the identity is not multiplicity-free, so no profile is formed; the
-    # position is still checked, as it is on a multiplicity-free matrix
+    # position is still checked, in both forms, as it is on a multiplicity-free matrix
     ident = tmp_path / "identity.txt"
     ident.write_text("2\n1 0\n0 1\n")
     for matrix in (str(ident), path3_file):
         for s, t in (("99", "0"), ("0", "-1")):
-            code, out, err = run(capsys, "analyze", matrix, "--s", s, "--t", t, "--json")
-            assert (code, out) == (2, "")
-            assert f"entry position ({s}, {t}) outside" in err
-    code, out, _ = run(capsys, "analyze", str(ident), "--s", "1", "--t", "0", "--json")
-    assert code == 0
-    assert json.loads(out)["result"]["requested"] == {"s": 1, "t": 0, "profile": None}
+            for form in ("path", "distance"):
+                code, out, err = run(capsys, "check", matrix, "--form", form, "--s", s, "--t", t, "--json")
+                assert (code, out) == (2, "")
+                assert f"entry position ({s}, {t}) outside" in err
+    code, out, _ = run(capsys, "check", str(ident), "--form", "distance", "--s", "1", "--t", "0", "--json")
+    assert code == 1
+    assert json.loads(out)["result"]["profile"] is None
 
 
 @pytest.mark.parametrize("half", [("--s", "0"), ("--t", "1")])
 def test_analyze_half_given_position_exits_two(capsys, path3_file, half):
-    code, out, err = run(capsys, "analyze", path3_file, *half, "--json")
+    # analyze takes no position, whole or half: `check --json` reports the profile at one
+    code, out, err = run_exit(capsys, "analyze", path3_file, *half, "--json")
     assert (code, out) == (2, "")
-    assert "--s and --t must be given together" in err
+    assert f"unrecognized arguments: {' '.join(half)}" in err
+    code, out, err = run_exit(capsys, "analyze", path3_file, "--s", "0", "--t", "1")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --s 0 --t 1" in err
 
 
 def _hamming_p_tensor(n):
@@ -461,7 +474,7 @@ def test_parser_is_built_once_and_reused(capsys, path3_file):
         ("analyze", path3_file),
         ("check", path3_file, "--form", "path", "--s", "0", "--t", "2"),
         ("scheme", "builtin:hypercube(3)", "p-check", "1", "2", "--json"),
-        ("analyze", path3_file, "--s", "0", "--t", "2"),
+        ("check", path3_file, "--form", "distance", "--s", "2", "--t", "0", "--json"),
         # every command's cold path: a missing import in a handler shows
         # only in a fresh interpreter
         ("scheme", CUBE, "info"),
@@ -553,7 +566,7 @@ _POSITIONALS = {
     ],
 }
 _OPTIONS = {
-    "analyze": ["--s", "--t"],
+    "analyze": [],
     "check": ["--form", "--s", "--t"],
     "scheme": ["--seed"],
 }
@@ -661,7 +674,7 @@ def test_rejected_argv_behave_as_argparse():
     "argv",
     [
         ["analyze", "m.txt", "--seed", "3"],  # plain: the fast path would take it without --seed
-        ["analyze", "m.txt", "--s=0", "--t", "2", "--seed", "3"],  # argparse's form
+        ["analyze", "m.txt", "--zero-tol=0", "--json", "--seed", "3"],  # argparse's form
         ["check", "m.txt", "--form", "path", "--s", "0", "--t", "2", "--seed", "3"],
         ["check", "m.txt", "--form=path", "--s", "0", "--t", "2", "--seed", "3"],
     ],

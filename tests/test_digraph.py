@@ -92,12 +92,20 @@ def test_gamma_rejects_non_finite_and_non_square():
 
 def test_directed_distance_and_unreachable():
     # the BFS behind MatrixAnalysis.distance; -1 marks an unreachable vertex
-    mask = mask_of(3, [(0, 1), (1, 2)])
-    assert _bfs(_out_lists(mask), 0, 2)[0][2] == 2
-    assert _bfs(_out_lists(mask), 2, 0)[0][0] == -1
-    assert _bfs(_out_lists(mask), 1, 1)[0][1] == 0
-    with pytest.raises(ValueError):
-        _bfs(_out_lists(mask), 0, 3)
+    adj = _out_lists(mask_of(3, [(0, 1), (1, 2)]))
+    assert _bfs(adj, (0,)) == ([0, 1, 2], [0, 1, 2], [-1, 0, 1])
+    assert _bfs(adj, (2,)) == ([2], [-1, -1, 0], [-1, -1, -1])
+    assert _bfs(adj, (1,))[1][1] == 0
+
+
+def test_bfs_forest_starts_a_tree_at_each_root_not_yet_reached():
+    # arcs 3 -> 1 -> 0 and 2 <-> 4: roots 0..4 start trees at 0, 1, 2 and 3; 2 reaches 4
+    adj = _out_lists(mask_of(5, [(3, 1), (1, 0), (2, 4), (4, 2)]))
+    assert _bfs(adj, range(5)) == ([0, 1, 2, 4, 3], [0, 0, 0, 0, 1], [-1, -1, -1, -1, 2])
+    # neighbours in ascending order, each vertex reached once, from its first discoverer
+    adj = _out_lists(mask_of(4, [(0, 3), (0, 1), (1, 2), (3, 2), (2, 0)]))
+    assert _bfs(adj, (0, 2)) == ([0, 1, 3, 2], [0, 1, 2, 1], [-1, 0, 1, 0])
+    assert _bfs(adj, ()) == ([], [-1] * 4, [-1] * 4)
 
 
 def test_distance_matches_boolean_walk_powers():
@@ -118,7 +126,7 @@ def test_distance_matches_boolean_walk_powers():
                 reach |= power
             for s in range(n):
                 for t in range(n):
-                    assert _bfs(_out_lists(M), s, t)[0][t] == first[s, t]
+                    assert _bfs(_out_lists(M), (s,))[1][t] == first[s, t]
 
 
 def test_bidirected_path_recognition_with_relabeling():

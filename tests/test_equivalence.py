@@ -7,12 +7,13 @@ from spectralpath.equivalence import (
     EquivalenceReport,
     NegativeEntryError,
     analyze_matrix,
-    check_distance_characterization,
-    check_path_characterization,
+    check_characterization,
     clamp_nonnegative,
 )
 from spectralpath.spectra import SpectralKind
+from spectralpath.symmetrize import Symmetrizer
 from suites import INSTANCE_KINDS, random_instance
+from test_digraph import seeded_mask
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
 
@@ -34,15 +35,15 @@ def test_path_check_holds_exactly_at_endpoints():
     hits = set()
     for s in range(3):
         for t in range(3):
-            rep = check_path_characterization(analysis, s, t)
+            rep = check_characterization(analysis, "path", s, t)
             assert rep.equivalent, (s, t)
-            if rep.both_true:
+            if rep.condition_i and rep.condition_ii:
                 hits.add(frozenset((s, t)))
     assert hits == {frozenset((0, 2))}
 
 
 def test_path_check_report_fields():
-    rep = check_path_characterization(analyze_matrix(PATH3), 0, 2)
+    rep = check_characterization(analyze_matrix(PATH3), "path", 0, 2)
     assert rep.form == "path"
     assert rep.condition_i and rep.condition_ii
     assert rep.spectral_kind is SpectralKind.MULTIPLICITY_FREE
@@ -57,33 +58,33 @@ def test_path_check_on_relabeled_path():
     B = PATH3[np.ix_(perm, perm)]
     analysis = analyze_matrix(B)
     # old endpoints 0 and 2 now live at positions 1 and 0
-    rep = check_path_characterization(analysis, 0, 1)
-    assert rep.both_true
+    rep = check_characterization(analysis, "path", 0, 1)
+    assert rep.condition_i and rep.condition_ii
     for s, t in [(0, 2), (1, 2)]:
-        rep = check_path_characterization(analysis, s, t)
-        assert rep.equivalent and not rep.both_true
+        rep = check_characterization(analysis, "path", s, t)
+        assert rep.equivalent and not rep.condition_i
 
 
 def test_distance_check_with_diagonal_shift():
     # adding I to the path matrix keeps projectors and gap products intact
     A = np.eye(3) + PATH3
     analysis = analyze_matrix(A)
-    rep = check_distance_characterization(analysis, 0, 2)
-    assert rep.both_true
+    rep = check_characterization(analysis, "distance", 0, 2)
+    assert rep.condition_i and rep.condition_ii
     assert np.allclose(rep.profile.values, [1.0, 1.0, 1.0], atol=1e-10)
-    rep = check_distance_characterization(analysis, 0, 1)
-    assert rep.equivalent and not rep.both_true
+    rep = check_characterization(analysis, "distance", 0, 1)
+    assert rep.equivalent and not rep.condition_i
 
 
 def test_distance_check_asymmetric_hessenberg():
     A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
-    rep = check_distance_characterization(analyze_matrix(A), 0, 2)
-    assert rep.both_true
+    rep = check_characterization(analyze_matrix(A), "distance", 0, 2)
+    assert rep.condition_i and rep.condition_ii
 
 
 def test_rotation_matrix_fails_both_sides():
     cyc = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    rep = check_distance_characterization(analyze_matrix(cyc), 0, 2)
+    rep = check_characterization(analyze_matrix(cyc), "distance", 0, 2)
     assert rep.spectral_kind is SpectralKind.COMPLEX_SPECTRUM
     assert not rep.condition_i and not rep.condition_ii
     assert rep.equivalent
@@ -102,16 +103,20 @@ def test_report_equivalence_is_derived():
         profile=None,
     )
     agree = EquivalenceReport(condition_i=True, condition_ii=True, **base)
-    assert agree.equivalent and agree.both_true
+    assert agree.equivalent
     split = EquivalenceReport(condition_i=True, condition_ii=False, **base)
-    assert not split.equivalent and not split.both_true
+    assert not split.equivalent
+    both_fail = EquivalenceReport(condition_i=False, condition_ii=False, **base)
+    assert both_fail.equivalent
 
 
 def test_position_validation():
-    with pytest.raises(ValueError):
-        check_path_characterization(analyze_matrix(PATH3), 0, 3)
-    with pytest.raises(ValueError):
-        check_distance_characterization(analyze_matrix(PATH3), -1, 0)
+    with pytest.raises(ValueError, match=r"entry position \(0, 3\) outside"):
+        check_characterization(analyze_matrix(PATH3), "path", 0, 3)
+    with pytest.raises(ValueError, match=r"entry position \(-1, 0\) outside"):
+        check_characterization(analyze_matrix(PATH3), "distance", -1, 0)
+    with pytest.raises(ValueError, match="unknown form 'walk'"):
+        check_characterization(analyze_matrix(PATH3), "walk", 0, 2)
 
 
 def test_analysis_distances_match_pattern():
@@ -219,9 +224,9 @@ def test_path_equivalence_sweep_on_random_paths():
         endpoint_pairs = set()
         for s in range(d + 1):
             for t in range(d + 1):
-                rep = check_path_characterization(analysis, s, t)
+                rep = check_characterization(analysis, "path", s, t)
                 assert rep.equivalent, (seed, s, t)
-                if rep.both_true:
+                if rep.condition_i and rep.condition_ii:
                     endpoint_pairs.add(frozenset((s, t)))
         if d == 0:
             assert endpoint_pairs == {frozenset((0,))}
@@ -238,7 +243,7 @@ def test_distance_equivalence_sweep_on_random_nonneg():
         analysis = analyze_matrix(A)
         for s in range(d + 1):
             for t in range(d + 1):
-                rep = check_distance_characterization(analysis, s, t)
+                rep = check_characterization(analysis, "distance", s, t)
                 assert rep.equivalent, (seed, s, t)
                 agree += 1
     assert agree > 0
@@ -246,7 +251,72 @@ def test_distance_equivalence_sweep_on_random_nonneg():
 
 def test_single_vertex_degenerate_case():
     A = np.array([[0.7]])
-    for checker in (check_path_characterization, check_distance_characterization):
-        rep = checker(analyze_matrix(A), 0, 0)
-        assert rep.both_true
+    for form in ("path", "distance"):
+        rep = check_characterization(analyze_matrix(A), form, 0, 0)
+        assert rep.condition_i and rep.condition_ii
         assert np.allclose(rep.profile.values, [1.0])
+
+
+def _reference_check(analysis, form, s, t) -> EquivalenceReport:
+    """The two check bodies that `check_characterization` replaced, kept as its reference.
+
+    The path form compares the ends of the path order with {s, t}; the
+    distance form compares the directed distance with n - 1.
+    """
+    profile = analysis.profile(s, t)
+    spectral_ok = profile is not None and profile.is_constant and profile.common_value is not None
+    symmetrizable = isinstance(analysis.symmetrizer, Symmetrizer)
+    kind = analysis.spectral.kind
+    order = analysis.path_order
+    dist = analysis.distance(s, t)
+    if form == "path":
+        cond_i = order is not None and {order[0], order[-1]} == {s, t}
+        cond_ii = symmetrizable and spectral_ok
+    else:
+        diagonalizable = kind in (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)
+        cond_i = bool(diagonalizable and dist == len(analysis.A) - 1)
+        cond_ii = spectral_ok
+    return EquivalenceReport(form, s, t, cond_i, cond_ii, kind, symmetrizable, order, dist, profile)
+
+
+def _report_fields(rep: EquivalenceReport) -> dict:
+    """Every field of `rep`, the profile's values as bytes, so two reports compare exactly."""
+    fields = {**vars(rep), "types": (type(rep.condition_i), type(rep.condition_ii))}
+    if rep.profile is not None:
+        fields["profile"] = {**vars(rep.profile), "values": rep.profile.values.tobytes()}
+    return fields
+
+
+def test_one_check_body_matches_the_two_it_replaced():
+    """Distance n - 1 gated by a path order is the path form: every field agrees, in both forms.
+
+    Paths hold at their ends; trees, a path beside a cycle, a path with one
+    arc made one-way, the empty mask and random Hessenberg and general
+    matrices are the decoys, some of them at distance n - 1 with no path order.
+    """
+    rng = np.random.default_rng(20261019)
+    matrices = []
+    for n in range(1, 9):
+        for kind in ("path", "tree", "path_and_cycle", "one_arc_removed", "empty"):
+            if kind == "path_and_cycle" and n < 4:  # a path beside a cycle needs four vertices
+                continue
+            for _ in range(3):
+                mask = seeded_mask(rng, n, kind)
+                weights = rng.uniform(0.1, 2.0, (n, n))
+                matrices.append(np.where(mask, weights, 0.0) + np.diag(rng.uniform(0.0, 2.0, n)))
+        for kind in ("hessenberg", "general_nonneg"):
+            matrices += [random_instance(kind, n - 1, seed=[n, i], density=0.4) for i in range(3)]
+    held = {"path": 0, "distance": 0}
+    decoys = 0
+    for A in matrices:
+        analysis = analyze_matrix(A)
+        n = len(A)
+        for s in range(n):
+            for t in range(n):
+                for form in ("path", "distance"):
+                    got = check_characterization(analysis, form, s, t)
+                    assert _report_fields(got) == _report_fields(_reference_check(analysis, form, s, t)), (
+                        A, form, s, t)
+                    held[form] += got.condition_i
+                decoys += n > 1 and analysis.distance(s, t) == n - 1 and analysis.path_order is None
+    assert min(held.values()) > 50 and decoys > 20, (held, decoys)

@@ -1,12 +1,15 @@
-"""Every name in a module's `__all__` resolves to an object, and every name the
-package root exports is exported by the module that defines it."""
+"""Every name in a module's `__all__` resolves to an object, every name the
+package root exports is exported by the module that defines it, and the
+README's Python example runs."""
 
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +61,11 @@ def test_importing_the_root_loads_no_module():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_readme_python_block_runs():
+    # a renamed or removed name fails here, not in a reader's hands
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -328,20 +328,20 @@ def test_tensor_scan_matches_per_generator_walk():
 def test_endpoint_check_cube3():
     ed = eigendata(builtin_scheme("hypercube", 3))
     rep = check_p_polynomial_characterization(ed, 1, 3)
-    assert rep.both_true
+    assert rep.side_i and rep.side_ii
     assert np.allclose(rep.theta, [3.0, 1.0, -1.0, -3.0], atol=1e-9)
     assert np.allclose(rep.expected, [1.0, -3.0, 3.0, -1.0], atol=1e-9)
     assert rep.max_deviation <= 1e-9
     wrong_last = check_p_polynomial_characterization(ed, 1, 2)
     assert rep.equivalent and not wrong_last.side_i and not wrong_last.side_ii
     dual = check_q_polynomial_characterization(ed, 1, 3)
-    assert dual.both_true
+    assert dual.side_i and dual.side_ii
 
 
 def test_endpoint_check_cube4():
     ed = eigendata(builtin_scheme("hypercube", 4))
     rep = check_p_polynomial_characterization(ed, 1, 4)
-    assert rep.both_true
+    assert rep.side_i and rep.side_ii
     assert np.allclose(rep.theta, [4.0, 2.0, 0.0, -2.0, -4.0], atol=1e-9)
     assert np.allclose(rep.expected, [1.0, -4.0, 6.0, -4.0, 1.0], atol=1e-9)
     assert float(np.min(ed.q)) >= -1e-9
@@ -497,7 +497,8 @@ def test_q_side_detection_on_johnson_schemes():
                 exact.add((i, order, order[-1]))
         assert exact == want, v
         assert set(detect_q_polynomial(ed)) == exact
-        assert check_q_polynomial_characterization(ed, 1, k).both_true
+        rep = check_q_polynomial_characterization(ed, 1, k)
+        assert rep.side_i and rep.side_ii
         for c in range(1, k):
             rep = check_q_polynomial_characterization(ed, 1, c)
             assert not rep.side_i and not rep.side_ii, (v, c)

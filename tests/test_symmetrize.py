@@ -73,6 +73,15 @@ def test_inconsistent_cycle_witness():
     assert out.reason == "inconsistent_cycle"
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1e-4, 1e-8, 1e-9])
+def test_inconsistent_cycle_found_at_every_scale(alpha):
+    # cycle ratio 1/2 at every scale: w_1 A_12 = alpha / 2 against w_2 A_21 =
+    # alpha.  An absolute floor of 1 in the consistency bound let it pass
+    # below alpha = 2e-8, with weights (1, 0.5, 1).
+    T = np.array([[0.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    assert find_symmetrizer(alpha * T) == NotSymmetrizable("inconsistent_cycle", (1, 2))
+
+
 def test_disconnected_components_each_rooted_at_one():
     A = np.zeros((4, 4))
     A[0, 1] = 2.0
@@ -166,7 +175,7 @@ def _loop_symmetrizer(A, tol=DEFAULT_TOL):
                 continue
             lhs = w[i] * A[i, j]
             rhs = w[j] * A[j, i]
-            if abs(lhs - rhs) > tol.residual_tol * max(abs(lhs), abs(rhs), 1.0):
+            if abs(lhs - rhs) > tol.residual_tol * max(abs(lhs), abs(rhs)):
                 return NotSymmetrizable("inconsistent_cycle", (i, j))
     return Symmetrizer(kappa=w)
 
