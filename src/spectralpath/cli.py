@@ -113,9 +113,16 @@ def _cmd_analyze(args) -> int:
     sym = analysis.symmetrizer
     spectral = analysis.spectral
 
-    constant_positions = [
-        {"s": s, "t": t, "value": v} for s, t, v in analysis.constant_positions()
-    ]
+    positions = analysis.constant_positions()
+    constant_positions = [{"s": s, "t": t, "value": v} for s, t, v in positions]
+    # the distance form at every position: the pairs at distance n - 1 must be the nonzero constants
+    far = analysis.far_pairs()
+    differ = sorted(set(far).symmetric_difference([(s, t) for s, t, _ in positions]))
+    verdict, code = f"order-{n} matrix classified {spectral.kind.value}", EXIT_TRUE
+    if differ:
+        (s, t), code = differ[0], EXIT_NUMERICAL
+        verdict = (f"sides disagree at ({s}, {t}): pattern side {(s, t) in far}, "
+                   f"spectral side {(s, t) not in far}: numerical inconsistency")
 
     report = {
         "command": "analyze",
@@ -131,7 +138,7 @@ def _cmd_analyze(args) -> int:
             "not_symmetrizable": None if isinstance(sym, Symmetrizer) else sym,
             "constant_profile_positions": constant_positions,
         },
-        "verdict": f"order-{n} matrix classified {spectral.kind.value}",
+        "verdict": verdict,
     }
 
     def lines():
@@ -148,9 +155,11 @@ def _cmd_analyze(args) -> int:
                 yield f"constant profile at ({item['s']}, {item['t']}): {_fmt(item['value'])}"
             if not constant_positions:
                 yield "constant profile positions: none"
+        if differ:
+            yield f"verdict: {verdict}"
 
     _emit(report, args.json, lines())
-    return EXIT_TRUE
+    return code
 
 
 def _cmd_check(args) -> int:

@@ -80,8 +80,8 @@ def bidirected_path_endpoints(masks) -> list:
     A mask qualifies when it is symmetric, the diagonal aside, and its
     undirected graph is a single path through every vertex.  One array pass
     keeps the masks with two vertices of degree 1 and every other of
-    degree 2; `_bfs` from the smaller-labelled endpoint of each survivor
-    must then reach every vertex.  For n = 1 every ordering is (0,).
+    degree 2; `_path_order` then tests each survivor.  For n = 1 every
+    ordering is (0,).
     """
     masks = np.array(masks, dtype=bool)  # a copy: its diagonals are cleared
     m, n = masks.shape[0], masks.shape[-1]
@@ -97,8 +97,7 @@ def bidirected_path_endpoints(masks) -> list:
     )
     orders = [None] * m
     for g in np.flatnonzero(keep).tolist():
-        order = _bfs(_out_lists(masks[g]), (int(np.argmax(deg[g] == 1)),))[0]
-        orders[g] = tuple(order) if len(order) == n else None
+        orders[g] = _path_order(masks[g], _out_lists(masks[g]))
     return orders
 
 

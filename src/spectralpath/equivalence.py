@@ -34,8 +34,7 @@ from .spectra import (
     SpectralClass,
     SpectralKind,
     _classify,
-    _constant_positions,
-    _profile,
+    _profiles,
 )
 from .symmetrize import Symmetrizer, _search
 
@@ -47,6 +46,9 @@ __all__ = [
     "clamp_nonnegative",
     "NegativeEntryError",
 ]
+
+PROFILE_BLOCK = 1 << 20  # profile values formed at once by `constant_positions`
+_DIAGONALIZABLE = (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)  # the distance form's gate
 
 
 class NegativeEntryError(ValueError):
@@ -95,18 +97,43 @@ class MatrixAnalysis:
         dist = _bfs(self._adj, (s,))[1][t]
         return dist if dist >= 0 else None
 
+    def far_pairs(self) -> list:
+        """The distance form's pattern side: (s, t) at distance n - 1, given a diagonalizable spectrum, row-major.
+
+        On a symmetric pattern they are the ends of a path or none; otherwise
+        one breadth-first search per vertex finds them.
+        """
+        n, order = len(self.A), self.path_order
+        if self.spectral.kind not in _DIAGONALIZABLE or (order is None and (self.pattern == self.pattern.T).all()):
+            return []
+        if order is not None:
+            return sorted({(order[0], order[-1]), (order[-1], order[0])})
+        return [(s, t) for s in range(n) for t, dist in enumerate(_bfs(self._adj, (s,))[1]) if dist == n - 1]
+
     def profile(self, s: int, t: int) -> EntryProfile | None:
         """Entry-product profile at (s, t); None when `A` is not multiplicity-free."""
         self._check_position(s, t)
         if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
             return None
-        return _profile(self.A, s, t, self.tol, self.spectral.spectrum)
+        # the whole row s: numpy would sum a lone column pairwise, a row in the sweep's order
+        C, threshold, mean, spread, constant, zero = _profiles(
+            self.A, self.spectral.spectrum, self.tol, slice(s, s + 1))
+        constant, zero = bool(constant[0, t]), bool(zero[0, t])
+        common = float(mean[0, t]) if constant and not zero else None
+        return EntryProfile(C[:, 0, t], constant, common, zero, float(spread[0, t]), threshold)
 
     def constant_positions(self) -> list:
-        """(s, t, common value) for every position with a nonzero constant profile."""
+        """(s, t, common value) in row-major order for every position with a nonzero constant profile."""
         if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
             return []
-        return _constant_positions(self.A, self.spectral.spectrum, self.tol)
+        n = len(self.A)
+        step = max(1, PROFILE_BLOCK // (n * n))  # rows per block
+        found = []
+        for first in range(0, n, step):
+            _, _, mean, _, constant, zero = _profiles(
+                self.A, self.spectral.spectrum, self.tol, slice(first, first + step))
+            found += [(first + int(r), int(t), float(mean[r, t])) for r, t in np.argwhere(constant & ~zero)]
+        return found
 
 
 def analyze_matrix(A, tol: Tolerance = DEFAULT_TOL) -> MatrixAnalysis:
@@ -161,7 +188,7 @@ def check_characterization(analysis: MatrixAnalysis, form: str, s: int, t: int) 
     if form == "path":
         pattern_gate, spectral_gate = analysis.path_order is not None, symmetrizable
     else:
-        pattern_gate = kind in (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)
+        pattern_gate = kind in _DIAGONALIZABLE
         spectral_gate = True
     dist = analysis.distance(s, t)
     profile = analysis.profile(s, t)

@@ -282,42 +282,17 @@ def _profile_threshold(A, tol: Tolerance) -> float:
     return threshold
 
 
-def _constancy(values: np.ndarray, threshold: float):
-    """Mean, spread and verdicts of profiles stacked along axis 0."""
-    mean = values.mean(axis=0)
-    spread = np.abs(values - mean).max(axis=0)
-    is_constant = spread <= threshold
-    return mean, spread, is_constant, is_constant & (np.abs(mean) <= threshold)
+def _profiles(A: np.ndarray, spectrum: Spectrum, tol: Tolerance, rows: slice):
+    """Profiles c_i = (E_i)_{st} * gaps[i] of a validated `A` and its own `spectrum`, at the rows `rows`.
 
-
-def _profile(A: np.ndarray, s: int, t: int, tol: Tolerance, spectrum: Spectrum) -> EntryProfile:
-    """Profile c_i = (E_i)_{st} * gaps[i] of a validated `A` and its own `spectrum`, at an in-range (s, t).
-
-    The constancy threshold scales with the d-th power of the largest entry
-    magnitude, matching the growth of the gap products.  A profile that is
-    constant but below the threshold in magnitude is reported as
-    constant_zero with no common value.
+    The one place they are formed: C[i, r, t] = X[s, i] * gaps[i] * Yt[i, t]
+    for each row s and every t, summed along axis 0 in one order everywhere.
+    Returns C, the threshold (which grows with max|A|^d, as the gap products
+    do), and per position the mean, spread, is_constant and constant_zero.
     """
-    values = spectrum.X[s, :] * spectrum.Yt[:, t] * spectrum.gaps
+    C = (spectrum.X[rows].T * spectrum.gaps[:, None])[:, :, None] * spectrum.Yt[:, None, :]
     threshold = _profile_threshold(A, tol)
-    mean, spread, is_constant, constant_zero = _constancy(values, threshold)
-    return EntryProfile(
-        values=values,
-        is_constant=bool(is_constant),
-        common_value=float(mean) if is_constant and not constant_zero else None,
-        constant_zero=bool(constant_zero),
-        spread=float(spread),
-        threshold=threshold,
-    )
-
-
-def _constant_positions(A: np.ndarray, spectrum: Spectrum, tol: Tolerance) -> list:
-    """Every (s, t, common value) of a validated `A` whose profile is a nonzero constant.
-
-    All n^2 profiles come from one (n, n, n) tensor
-    C[i, s, t] = X[s, i] * Yt[i, t] * gap_i, judged with the threshold and
-    constancy rule of `_profile`.  Positions are listed in row-major order.
-    """
-    C = (spectrum.X.T * spectrum.gaps[:, None])[:, :, None] * spectrum.Yt[:, None, :]
-    mean, _, is_constant, constant_zero = _constancy(C, _profile_threshold(A, tol))
-    return [(int(s), int(t), float(mean[s, t])) for s, t in np.argwhere(is_constant & ~constant_zero)]
+    mean = np.add.reduce(C, axis=0) / len(C)
+    spread = np.abs(C - mean).max(axis=0)
+    is_constant = spread <= threshold
+    return C, threshold, mean, spread, is_constant, is_constant & (np.abs(mean) <= threshold)

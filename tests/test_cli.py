@@ -17,7 +17,7 @@ import pytest
 
 import spectralpath
 from spectralpath.cli import main
-from suites import write_scheme
+from suites import random_instance, write_matrix, write_scheme
 
 # Directory holding the imported package, so child processes run this copy.
 SRC_DIR = str(Path(spectralpath.__file__).resolve().parent.parent)
@@ -64,6 +64,21 @@ def test_analyze_json_report(capsys, path3_file):
     assert report["result"]["spectral_kind"] == "multiplicity_free"
     positions = {(i["s"], i["t"]) for i in report["result"]["constant_profile_positions"]}
     assert positions == {(0, 2), (2, 0)}
+
+
+def test_analyze_exits_three_naming_the_first_position_where_its_sides_disagree(capsys, tmp_path):
+    # the path 0 - 2 - 3 - 1 plus 462 I: the profile threshold outgrows the profile at the end (0, 1)
+    path = tmp_path / "shifted.txt"
+    write_matrix(random_instance("permuted_path", 3, 1) + 462.0 * np.eye(4), path)
+    verdict = "sides disagree at (0, 1): pattern side True, spectral side False: numerical inconsistency"
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 3
+    report = json.loads(out)
+    assert report["verdict"] == verdict
+    assert report["result"]["path_order"] == [0, 2, 3, 1]
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 3
+    assert out.splitlines()[-1] == f"verdict: {verdict}"
 
 
 def test_check_json_reports_the_position_profile(capsys, path3_file):

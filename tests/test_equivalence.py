@@ -1,8 +1,11 @@
 """Two-sided pattern/spectrum equivalence checks and instance generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from spectralpath import equivalence
 from spectralpath.equivalence import (
     EquivalenceReport,
     NegativeEntryError,
@@ -10,7 +13,7 @@ from spectralpath.equivalence import (
     check_characterization,
     clamp_nonnegative,
 )
-from spectralpath.spectra import SpectralKind
+from spectralpath.spectra import SpectralKind, _profile_threshold
 from spectralpath.symmetrize import Symmetrizer
 from suites import INSTANCE_KINDS, random_instance
 from test_digraph import seeded_mask
@@ -320,3 +323,94 @@ def test_one_check_body_matches_the_two_it_replaced():
                     held[form] += got.condition_i
                 decoys += n > 1 and analysis.distance(s, t) == n - 1 and analysis.path_order is None
     assert min(held.values()) > 50 and decoys > 20, (held, decoys)
+
+
+def test_far_pairs_are_the_distance_form_pattern_side():
+    """`far_pairs` lists exactly the positions where `check --form distance` finds its pattern side."""
+    rng = np.random.default_rng(20261020)
+    matrices = [np.array([[1.0, 1.0], [0.0, 2.0]]), np.eye(3), np.ones((1, 1))]
+    for n in range(2, 9):
+        for kind in ("path", "tree", "one_arc_removed", "empty"):
+            mask = seeded_mask(rng, n, kind)
+            matrices.append(np.where(mask, rng.uniform(0.1, 2.0, (n, n)), 0.0) + np.diag(rng.uniform(0.0, 2.0, n)))
+        matrices += [random_instance(kind, n - 1, seed=[n, i], density=0.4)
+                     for kind in ("hessenberg", "general_nonneg") for i in range(3)]
+    held = 0
+    for A in matrices:
+        analysis = analyze_matrix(A)
+        n = len(A)
+        expected = [(s, t) for s in range(n) for t in range(n)
+                    if check_characterization(analysis, "distance", s, t).condition_i]
+        assert analysis.far_pairs() == expected, A
+        held += len(expected)
+    assert held > 25
+
+
+def test_check_and_analyze_read_one_profile_body():
+    """At every position `analyze` lists, `check --form distance` reports the same common value, bit for bit."""
+    rng = np.random.default_rng(20261019)
+    matrices = [random_instance(kind, d, seed) for kind in ("permuted_path", "tridiagonal", "hessenberg")
+                for d in range(2, 24) for seed in range(3)]
+    for n in range(2, 25):
+        mask = seeded_mask(rng, n, "tree")
+        matrices.append(np.where(mask, rng.uniform(0.1, 2.0, (n, n)), 0.0) + np.diag(rng.uniform(0.0, 2.0, n)))
+    listed = 0
+    for A in matrices:
+        analysis = analyze_matrix(A)
+        for s, t, value in analysis.constant_positions():
+            assert check_characterization(analysis, "distance", s, t).profile.common_value == value, (A, s, t)
+            listed += 1
+    assert listed > 200
+
+
+def test_constant_positions_sweep_stays_small():
+    """The sweep holds blocks of rows, not the (n, n, n) tensor of 64 MB at n = 200."""
+    analysis = analyze_matrix(random_instance("permuted_path", 199, 3))
+    tracemalloc.start()
+    try:
+        analysis.constant_positions()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
+def _tensor_sweep(analysis):
+    """The (n, n, n) tensor sweep that `constant_positions` replaced, kept as its reference.
+
+    Returns every profile C[:, s, t], the mean and spread per position, and
+    the (s, t, common value) list in row-major order.
+    """
+    sp = analysis.spectral.spectrum
+    threshold = _profile_threshold(analysis.A, analysis.tol)
+    C = (sp.X.T * sp.gaps[:, None])[:, :, None] * sp.Yt[:, None, :]
+    mean = C.mean(axis=0)
+    spread = np.abs(C - mean).max(axis=0)
+    is_constant = spread <= threshold
+    nonzero = is_constant & (np.abs(mean) > threshold)
+    return C, mean, spread, [(int(s), int(t), float(mean[s, t])) for s, t in np.argwhere(nonzero)]
+
+
+@pytest.mark.parametrize("block", [equivalence.PROFILE_BLOCK, 1000])
+def test_row_blocks_match_the_tensor_sweep(monkeypatch, block):
+    """Positions, values and every profile agree bitwise with the tensor sweep, in one block or many."""
+    monkeypatch.setattr(equivalence, "PROFILE_BLOCK", block)
+    matrices = [random_instance(kind, d, seed) for kind in ("permuted_path", "hessenberg", "general_nonneg")
+                for d in (1, 5, 12, 30, 59) for seed in range(2)]
+    matrices += [random_instance("permuted_path", 3, 1) + 462.0 * np.eye(4), np.ones((1, 1))]
+    listed = 0
+    for A in matrices:
+        analysis = analyze_matrix(A)
+        if analysis.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
+            continue
+        C, mean, spread, positions = _tensor_sweep(analysis)
+        assert analysis.constant_positions() == positions
+        listed += len(positions)
+        n = len(A)
+        for s in range(0, n, max(1, n // 7)):
+            for t in range(n):
+                prof = analysis.profile(s, t)
+                assert prof.values.tobytes() == C[:, s, t].tobytes()
+                assert (prof.spread, prof.common_value is not None) == (spread[s, t], (s, t, mean[s, t]) in positions)
+                assert prof.common_value in (None, mean[s, t])
+    assert listed > 10
