@@ -33,15 +33,12 @@ _EXPORTS = {
     ),
     "schemes": (
         "AssociationScheme", "PolyStructure", "SchemeCharacterizationReport", "SchemeEigendata",
-        "SchemeValidationError", "builtin_scheme", "check_p_polynomial_characterization",
-        "check_q_polynomial_characterization", "detect_p_polynomial", "detect_q_polynomial",
-        "eigendata", "krein_parameters", "read_scheme", "scheme_from_p_tensor",
-        "scheme_from_relations",
+        "SchemeValidationError", "builtin_scheme", "check_scheme_characterization",
+        "detect_p_polynomial", "detect_q_polynomial", "eigendata", "krein_parameters", "read_scheme",
+        "scheme_from_p_tensor", "scheme_from_relations",
     ),
-    "spectra": (
-        "EntryProfile", "SpectralClass", "SpectralKind", "Spectrum", "classify",
-    ),
-    "symmetrize": ("NotSymmetrizable", "Symmetrizer", "find_symmetrizer"),
+    "spectra": ("EntryProfile", "SpectralClass", "SpectralKind", "Spectrum"),
+    "symmetrize": ("NotSymmetrizable", "Symmetrizer"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -261,7 +261,7 @@ def _cmd_scheme(args) -> int:
             "result": {
                 "size": scheme.size,
                 "d": scheme.d,
-                "valencies": ed.k,
+                "valencies": scheme.k,
                 "multiplicities": ed.m,
                 "P": ed.P,
                 "Q": ed.Q,
@@ -274,7 +274,7 @@ def _cmd_scheme(args) -> int:
 
         def lines():
             yield f"|X| = {scheme.size}   d = {scheme.d}"
-            yield f"valencies k: {_fmt_vec(ed.k)}"
+            yield f"valencies k: {_fmt_vec(scheme.k)}"
             yield f"multiplicities m: {_fmt_vec(ed.m)}"
             yield "P:"
             yield _fmt_matrix(ed.P)
@@ -289,10 +289,7 @@ def _cmd_scheme(args) -> int:
         return _report_structures(args, "q", scheme, schemes.detect_q_polynomial(ed), tol, args.seed)
 
     b, c = int(extra[0]), int(extra[1])
-    if action == "p-check":
-        rep = schemes.check_p_polynomial_characterization(ed, b, c)
-    else:
-        rep = schemes.check_q_polynomial_characterization(ed, b, c)
+    rep = schemes.check_scheme_characterization(ed, action[0], b, c)
     verdict, code = _verdict(rep.side_i, rep.side_ii)
     report = {
         "command": f"scheme {action}",

@@ -46,8 +46,7 @@ __all__ = [
     "krein_parameters",
     "detect_p_polynomial",
     "detect_q_polynomial",
-    "check_p_polynomial_characterization",
-    "check_q_polynomial_characterization",
+    "check_scheme_characterization",
     "read_scheme",
     "SchemeValidationError",
 ]
@@ -141,7 +140,7 @@ def _relations_p_tensor(mats, labels: np.ndarray, first: np.ndarray):
     return p
 
 
-def _validate_p_tensor(p: np.ndarray, k: np.ndarray, size: int):
+def _validate_p_tensor(p: np.ndarray, k: np.ndarray):
     dp1 = p.shape[0]
     if p.shape != (dp1, dp1, dp1):
         raise SchemeValidationError("tensor_shape", p.shape, "intersection tensor must be cubic")
@@ -150,9 +149,6 @@ def _validate_p_tensor(p: np.ndarray, k: np.ndarray, size: int):
         raise SchemeValidationError("nonnegativity", (int(h), int(i), int(j)), "negative count")
     if np.any(k <= 0) or k[0] != 1:
         raise SchemeValidationError("valencies", tuple(int(x) for x in k), "need k_0 = 1, all k_i > 0")
-    total = sum(k.tolist())  # Python ints: no int64 wrap
-    if total != size:
-        raise SchemeValidationError("valencies", total, f"valencies sum to {total}, expected |X| = {size}")
     bad = p[:, 0, :] != np.eye(dp1, dtype=p.dtype)
     if bad.any():
         h, j = np.argwhere(bad)[0]
@@ -222,7 +218,7 @@ def scheme_from_relations(mats) -> AssociationScheme:
 
     p = _relations_p_tensor(cleaned, labels, first)
     k = p[0].diagonal().copy()
-    _validate_p_tensor(p, k, size)
+    _validate_p_tensor(p, k)
     return AssociationScheme(size=size, d=dp1 - 1, k=k, p=p, relations=tuple(cleaned))
 
 
@@ -244,7 +240,7 @@ def scheme_from_p_tensor(p, k) -> AssociationScheme:
     if ki.shape != pi.shape[:1] or not exact:
         raise SchemeValidationError("valencies", np.shape(k), f"expected {pi.shape[0]} integer valencies")
     size = sum(ki.tolist())  # Python ints: no int64 wrap
-    _validate_p_tensor(pi, ki, size)
+    _validate_p_tensor(pi, ki)
     return AssociationScheme(size=size, d=pi.shape[0] - 1, k=ki, p=pi, relations=None)
 
 
@@ -305,18 +301,6 @@ class SchemeEigendata:
     seed: int
     tol: Tolerance
     residuals: dict = field(compare=False)
-
-    @property
-    def d(self) -> int:
-        return self.scheme.d
-
-    @property
-    def size(self) -> int:
-        return self.scheme.size
-
-    @property
-    def k(self) -> np.ndarray:
-        return self.scheme.k
 
 
 def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> SchemeEigendata:
@@ -462,8 +446,21 @@ class SchemeCharacterizationReport:
         return self.side_i == self.side_ii
 
 
-def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
-    """Column b of `eigen` against row c of `dual`: (P, Q) or, dually, (Q, P)."""
+def check_scheme_characterization(ed: SchemeEigendata, kind: str, b: int, c: int) -> SchemeCharacterizationReport:
+    """The P- or Q-polynomial endpoint check, generator b ending at c; `kind` is "p" or "q".
+
+    For "p": side_i asks `detect_p_polynomial` for the structure, and side_ii
+    compares row c of Q against f_0(theta_0)/f_i(theta_i) built from the
+    eigenvalue column theta_i = P[i, b].  For "q", the dual statement:
+    `detect_q_polynomial`, theta*_i = Q[i, b] and row c of P.  Read at `ed.tol`.
+    """
+    if kind == "p":
+        structures, eigen, dual = detect_p_polynomial(ed.scheme, ed.tol), ed.P, ed.Q
+    elif kind == "q":
+        structures, eigen, dual = detect_q_polynomial(ed), ed.Q, ed.P
+    else:
+        raise ValueError(f"unknown kind {kind!r}; expected 'p' or 'q'")
+    tol = ed.tol
     d = eigen.shape[0] - 1
     if not (1 <= b <= d and 1 <= c <= d):
         raise ValueError(f"indices ({b}, {c}) outside 1..{d}")
@@ -492,24 +489,6 @@ def _endpoint_check(kind, structures, eigen, dual, b, c, tol: Tolerance):
         actual=actual.copy(),
         max_deviation=max_dev,
     )
-
-
-def check_p_polynomial_characterization(ed: SchemeEigendata, b: int, c: int) -> SchemeCharacterizationReport:
-    """P-polynomial with generator b ending at c vs dual-eigenvalue ratios, at `ed.tol`.
-
-    side_ii compares row c of Q against f_0(theta_0)/f_i(theta_i) built
-    from the eigenvalue column theta_i = P[i, b].
-    """
-    return _endpoint_check("p", detect_p_polynomial(ed.scheme, ed.tol), ed.P, ed.Q, b, c, ed.tol)
-
-
-def check_q_polynomial_characterization(ed: SchemeEigendata, e: int, f: int) -> SchemeCharacterizationReport:
-    """Q-polynomial with generator e ending at f vs eigenvalue ratios, at `ed.tol`.
-
-    Dual statement: theta*_i = Q[i, e] and row f of P against the same
-    gap-product form.
-    """
-    return _endpoint_check("q", detect_q_polynomial(ed), ed.Q, ed.P, e, f, ed.tol)
 
 
 def _load_p_tensor(lines, n: int):

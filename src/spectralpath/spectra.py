@@ -31,18 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .digraph import _out_lists, gamma
-from .linalg import (
-    DEFAULT_TOL, DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products, as_matrix,
-)
-from .symmetrize import Symmetrizer, _search
+from .linalg import DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products
+from .symmetrize import Symmetrizer
 
 __all__ = [
     "SpectralKind",
     "Spectrum",
     "SpectralClass",
     "EntryProfile",
-    "classify",
 ]
 
 EPS = float(np.finfo(float).eps)
@@ -69,10 +65,6 @@ class Spectrum:
     Yt: np.ndarray
     gaps: np.ndarray
     residuals: dict = field(compare=False)
-
-    @property
-    def d(self) -> int:
-        return len(self.theta) - 1
 
 
 @dataclass(frozen=True)
@@ -231,8 +223,8 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
     return SpectralClass(kind=kind, eigenvalues=eigenvalues, rank_defects=tuple(defects))
 
 
-def classify(A, tol: Tolerance = DEFAULT_TOL) -> SpectralClass:
-    """Classify the spectrum of a square real matrix.
+def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
+    """Classify the spectrum of a validated `A` whose symmetrizer search outcome is `sym`.
 
     A positive-diagonal symmetrizer D, when one exists, reduces the problem
     to `eigh` on D A D^-1 with guaranteed real spectrum; eigenvalues count
@@ -242,13 +234,6 @@ def classify(A, tol: Tolerance = DEFAULT_TOL) -> SpectralClass:
     with a rank test for missing eigenvector directions.  LAPACK failures
     surface as numpy.linalg.LinAlgError.
     """
-    A = as_matrix(A)
-    mask = gamma(A, tol)
-    return _classify(A, _search(A, mask, _out_lists(mask), tol), tol)
-
-
-def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
-    """`classify` of a validated `A` whose `find_symmetrizer` outcome is `sym`."""
     if not isinstance(sym, Symmetrizer):
         return _classify_general(A, tol)
 

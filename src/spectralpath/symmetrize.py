@@ -16,13 +16,12 @@ from math import inf
 
 import numpy as np
 
-from .digraph import _bfs, _out_lists, gamma
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix
+from .digraph import _bfs
+from .linalg import Tolerance
 
 __all__ = [
     "Symmetrizer",
     "NotSymmetrizable",
-    "find_symmetrizer",
 ]
 
 
@@ -51,8 +50,8 @@ class Symmetrizer:
 class NotSymmetrizable:
     """Witness that no positive-diagonal symmetrizer exists.
 
-    reason is one of 'asymmetric_pattern', 'nonpositive_ratio',
-    'inconsistent_cycle'; witness is the offending index pair.
+    reason is 'asymmetric_pattern' or 'inconsistent_cycle'; witness is the
+    offending index pair.
     """
 
     reason: str
@@ -65,32 +64,24 @@ def _first_pair(mask: np.ndarray):
     return divmod(k, mask.shape[1]) if mask.size and mask.flat[k] else None
 
 
-def find_symmetrizer(A, tol: Tolerance = DEFAULT_TOL):
+def _search(A: np.ndarray, nz: np.ndarray, adj: tuple, tol: Tolerance):
     """Search for positive weights w with w_i A_ij = w_j A_ji.
 
-    Weights are propagated along a breadth-first spanning forest of the
-    support graph (w_j = w_i * A_ij / A_ji, root weight 1 per component)
-    and then every pair is checked for consistency, relative to the larger
-    of |w_i A_ij| and |w_j A_ji|, so the answer does not change with the
-    scale of `A`.  Returns a Symmetrizer on success and a NotSymmetrizable
-    witness otherwise; a witness is the first offending pair i < j in
-    row-major order.  Raises RuntimeError, naming the vertex, when a
-    propagated weight underflows to 0 or overflows to inf.
+    `A` is a validated nonnegative matrix, `nz` its pattern mask and `adj`
+    the out-lists of `nz`.  Weights are propagated along a breadth-first
+    spanning forest of the support graph (w_j = w_i * A_ij / A_ji, root
+    weight 1 per component) and then every pair is checked for consistency,
+    relative to the larger of |w_i A_ij| and |w_j A_ji|, so the answer does
+    not change with the scale of `A`.  Returns a Symmetrizer on success and
+    a NotSymmetrizable witness otherwise; a witness is the first offending
+    pair i < j in row-major order.  Raises RuntimeError, naming the vertex,
+    when a propagated weight underflows to 0 or overflows to inf.
     """
-    A = as_matrix(A)
-    nz = gamma(A, tol)
-    return _search(A, nz, _out_lists(nz), tol)
-
-
-def _search(A: np.ndarray, nz: np.ndarray, adj: tuple, tol: Tolerance):
-    """`find_symmetrizer` of a validated `A`: pattern mask `nz` and its out-lists `adj`."""
     n = A.shape[0]
-    asymmetric = nz != nz.T
-    # both masks tested are symmetric, clear on the diagonal: their first True is a pair i < j
-    pair = _first_pair(asymmetric | (nz & ((A < 0.0) != (A.T < 0.0))))  # signs: A * A.T may overflow
+    # the mask is symmetric, clear on the diagonal: its first True is a pair i < j
+    pair = _first_pair(nz != nz.T)
     if pair is not None:
-        reason = "asymmetric_pattern" if asymmetric[pair] else "nonpositive_ratio"
-        return NotSymmetrizable(reason, pair)
+        return NotSymmetrizable("asymmetric_pattern", pair)
 
     order, _, parent = _bfs(adj, range(n))
     a = A.tolist()

@@ -13,7 +13,7 @@ from spectralpath import schemes
 from spectralpath.equivalence import analyze_matrix, check_characterization
 from spectralpath.linalg import DEFAULT_TOL
 from spectralpath.spectra import SpectralKind
-from spectralpath.symmetrize import Symmetrizer, find_symmetrizer
+from spectralpath.symmetrize import Symmetrizer
 
 INSTANCE_KINDS = ("tridiagonal", "permuted_path", "hessenberg", "general_nonneg")
 # distance_equivalence: the arc density of its instances, and the largest d
@@ -74,8 +74,8 @@ def tridiagonal_symmetrizer(A) -> Symmetrizer:
 
     kappa_i is the ratio of the superdiagonal product A_01 ... A_{i-1,i}
     to the subdiagonal product A_10 ... A_{i,i-1}, with kappa_0 = 1; these
-    weights satisfy K A = A^T K exactly.  The reference `find_symmetrizer`
-    is compared against.
+    weights satisfy K A = A^T K exactly.  The reference the symmetrizer
+    search of `analyze_matrix` is compared against.
     """
     A = np.asarray(A, dtype=float)
     off = np.abs(np.subtract.outer(np.arange(len(A)), np.arange(len(A))))
@@ -273,7 +273,7 @@ def symmetrizer(trials=25, d_max=10, seed=0, tol=DEFAULT_TOL) -> float:
         worst = max(worst, balance / scale)
         assert balance <= 1e-9 * scale, f"idx={idx}: K A - A^T K residual {balance:.3e}"
 
-        general = find_symmetrizer(A, tol)
+        general = analyze_matrix(A, tol).symmetrizer
         assert isinstance(general, Symmetrizer), f"idx={idx}: general symmetrizer failed with {general}"
         rel = float(np.max(np.abs(general.kappa / general.kappa[0] - closed.kappa)))
         rel /= max(1.0, float(np.max(closed.kappa)))
@@ -282,7 +282,7 @@ def symmetrizer(trials=25, d_max=10, seed=0, tol=DEFAULT_TOL) -> float:
         rng = np.random.default_rng([seed, idx, 7])
         for rep in range(10):
             perm = rng.permutation(d + 1)
-            found = find_symmetrizer(A[np.ix_(perm, perm)], tol)
+            found = analyze_matrix(A[np.ix_(perm, perm)], tol).symmetrizer
             assert isinstance(found, Symmetrizer), f"idx={idx} perm={rep}: permuted matrix not symmetrizable"
             ratio = found.kappa / closed.kappa[perm]
             dev = float(np.max(ratio) / np.min(ratio) - 1.0)
@@ -306,6 +306,6 @@ def degenerate(seed=0, tol=DEFAULT_TOL):
 
     ed = schemes.eigendata(schemes.builtin_scheme("complete", 2), tol, seed=seed)
     assert float(np.max(np.abs(ed.P - [[1.0, 1.0], [1.0, -1.0]]))) <= tol.residual_tol, ed.P
-    for check in (schemes.check_p_polynomial_characterization, schemes.check_q_polynomial_characterization):
-        rep = check(ed, 1, 1)
-        assert rep.side_i and rep.side_ii, check.__name__
+    for kind in ("p", "q"):
+        rep = schemes.check_scheme_characterization(ed, kind, 1, 1)
+        assert rep.side_i and rep.side_ii, kind

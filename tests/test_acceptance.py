@@ -14,8 +14,7 @@ from spectralpath.cli import main as cli_main
 from spectralpath.equivalence import analyze_matrix
 from spectralpath.schemes import (
     builtin_scheme,
-    check_p_polynomial_characterization,
-    check_q_polynomial_characterization,
+    check_scheme_characterization,
     detect_p_polynomial,
     detect_q_polynomial,
     eigendata,
@@ -151,13 +150,13 @@ def test_accept_cube3_end_to_end(announce):
     assert detect_q_polynomial(ed) == ((1, (0, 1, 2, 3), 3),)
 
     expected = np.array([1.0, -3.0, 3.0, -1.0])
-    pc = check_p_polynomial_characterization(ed, 1, 3)
+    pc = check_scheme_characterization(ed, "p", 1, 3)
     assert pc.side_i and pc.side_ii
     assert np.max(np.abs(pc.actual - expected)) <= 1e-9
-    qc = check_q_polynomial_characterization(ed, 1, 3)
+    qc = check_scheme_characterization(ed, "q", 1, 3)
     assert qc.side_i and qc.side_ii
     assert np.max(np.abs(qc.actual - expected)) <= 1e-9
-    wrong = check_p_polynomial_characterization(ed, 1, 2)
+    wrong = check_scheme_characterization(ed, "p", 1, 2)
     assert not wrong.side_i and not wrong.side_ii
 
     elapsed = time.perf_counter() - t0
@@ -177,10 +176,10 @@ def test_accept_cube4_end_to_end(announce):
     theta = ed.P[:, 1]
     assert np.max(np.abs(theta - np.array([4.0, 2.0, 0.0, -2.0, -4.0]))) <= 1e-9
     expected = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
-    pc = check_p_polynomial_characterization(ed, 1, 4)
+    pc = check_scheme_characterization(ed, "p", 1, 4)
     assert pc.side_i and pc.side_ii
     assert np.max(np.abs(pc.actual - expected)) <= 1e-9
-    qc = check_q_polynomial_characterization(ed, 1, 4)
+    qc = check_scheme_characterization(ed, "q", 1, 4)
     assert qc.side_i and qc.side_ii
 
     # even cubes carry the antipodal second ordering besides the usual one

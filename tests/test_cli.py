@@ -55,6 +55,36 @@ def test_analyze_human_output(capsys, path3_file):
     assert "constant profile at (0, 2): 1" in out
 
 
+@pytest.mark.parametrize(
+    "rows, lines",
+    [
+        (  # the 3-cycle permutation: no symmetrizer, eigenvalues 1 and a complex pair
+            "0 1 0\n0 0 1\n1 0 0\n",
+            ["order: 3   arcs: 3", "path order: not a bidirected path", "spectral class: complex_spectrum",
+             "eigenvalues: 1 (x1)", "not symmetrizable: asymmetric_pattern at (0, 1)"],
+        ),
+        (  # a weighted triangle: multiplicity-free, but no profile is a nonzero constant
+            "0 1 2\n1 0 3\n2 3 0\n",
+            ["order: 3   arcs: 6", "path order: not a bidirected path", "spectral class: multiplicity_free",
+             "eigenvalues: 4.11309 (x1), -0.911179 (x1), -3.20191 (x1)", "symmetrizer weights: (1, 1, 1)",
+             "constant profile positions: none"],
+        ),
+        (  # K3: eigenvalue -1 twice, clustered on the symmetric route
+            "0 1 1\n1 0 1\n1 1 0\n",
+            ["order: 3   arcs: 6", "path order: not a bidirected path", "spectral class: diagonalizable_not_mf",
+             "eigenvalues: 2 (x1), -1 (x2)", "symmetrizer weights: (1, 1, 1)"],
+        ),
+    ],
+    ids=["cycle3", "weighted_triangle", "K3"],
+)
+def test_analyze_human_output_off_the_path(capsys, tmp_path, rows, lines):
+    path = tmp_path / "matrix.txt"
+    path.write_text("3\n" + rows)
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, err) == (0, "")
+    assert out.splitlines() == lines
+
+
 def test_analyze_json_report(capsys, path3_file):
     code, out, _ = run(capsys, "analyze", path3_file, "--json")
     assert code == 0

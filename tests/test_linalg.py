@@ -1,6 +1,6 @@
 """Tolerances and matrix text I/O, plus the numpy routes the package leans
-on: `eigh` behind the symmetric route of `classify`, the rank test of its
-`eig` route, and the solve that gives a scheme's second eigenmatrix."""
+on: `eigh` behind the symmetric route of `spectra._classify`, the rank test
+of its `eig` route, and the solve that gives a scheme's second eigenmatrix."""
 
 import io
 import math
@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from spectralpath.equivalence import analyze_matrix
 from spectralpath.linalg import (
     DEFAULT_TOL,
     ParseError,
@@ -17,7 +18,8 @@ from spectralpath.linalg import (
     read_matrix,
 )
 from spectralpath.schemes import builtin_scheme, eigendata, read_scheme
-from spectralpath.spectra import SpectralKind, classify
+from spectralpath.spectra import SpectralKind, _classify
+from spectralpath.symmetrize import Symmetrizer
 from suites import write_matrix
 
 # second eigenmatrix of the 3-cube; squares to 8 I
@@ -57,8 +59,10 @@ def test_as_matrix_validates_shape_and_finiteness():
     assert M.dtype == np.float64
 
 
-def _symmetric_spectrum(A):
-    out = classify(A)
+def _symmetric_spectrum(A, kappa=None):
+    """The `eigh` route for a matrix that diag(sqrt(kappa)) symmetrizes, unit weights by default."""
+    A = as_matrix(A)
+    out = _classify(A, Symmetrizer(kappa=np.ones(len(A)) if kappa is None else kappa), DEFAULT_TOL)
     assert out.kind is SpectralKind.MULTIPLICITY_FREE
     return out.spectrum
 
@@ -81,8 +85,8 @@ def test_sym_eigen_path_of_three_vertices():
 
 
 def test_sym_eigen_descending_order_and_reconstruction_random():
-    # D S D^-1 with S symmetric: classify finds the symmetrizer, runs eigh on
-    # the symmetrized matrix and maps the eigenvectors back through D
+    # D S D^-1 with S symmetric: weights 1 / delta^2 symmetrize it, eigh runs
+    # on the symmetrized matrix and the eigenvectors map back through D
     rng = np.random.default_rng(20240811)
     for n in (1, 2, 3, 5, 8, 13):
         for _ in range(6):
@@ -90,7 +94,7 @@ def test_sym_eigen_descending_order_and_reconstruction_random():
             S = S + S.T
             delta = rng.uniform(0.5, 2.0, size=n)
             A = S * delta[:, None] / delta[None, :]
-            sp = _symmetric_spectrum(A)
+            sp = _symmetric_spectrum(A, 1.0 / delta**2)
             assert np.all(np.diff(sp.theta) < 0)
             recon = (sp.X * sp.theta[None, :]) @ sp.Yt
             assert np.allclose(recon, A, atol=1e-11 * max(1.0, np.max(np.abs(A))))
@@ -113,7 +117,7 @@ def test_numeric_rank_basic_cases():
     # the eig route counts eigenvector directions of a repeated eigenvalue
     # mu as n - rank(A - mu I); the rank-defect list reports the missing ones
     def defects(A):
-        out = classify(np.array(A, dtype=float))
+        out = analyze_matrix(A).spectral
         return out.kind, out.rank_defects
 
     nilpotent_plus_zero = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]

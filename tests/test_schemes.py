@@ -1,6 +1,8 @@
 """Association schemes: construction, eigenmatrices, Krein parameters,
 polynomial structure detection, endpoint checks, file format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,15 +14,13 @@ from spectralpath.schemes import (
     PolyStructure,
     SchemeValidationError,
     builtin_scheme,
-    check_p_polynomial_characterization,
-    check_q_polynomial_characterization,
+    check_scheme_characterization,
     detect_p_polynomial,
     detect_q_polynomial,
     eigendata,
     read_scheme,
     scheme_from_p_tensor,
     scheme_from_relations,
-    _endpoint_check,
     _polynomial_orderings,
 )
 from suites import write_scheme
@@ -59,21 +59,21 @@ def projectors_from_relations(scheme, ed):
     """Spectral projectors as explicit |X| x |X| matrices; test-side oracle."""
     mats = [np.asarray(m, dtype=float) for m in scheme.relations]
     return [
-        sum(ed.Q[s, i] * mats[s] for s in range(ed.d + 1)) / ed.size
-        for i in range(ed.d + 1)
+        sum(ed.Q[s, i] * mats[s] for s in range(scheme.d + 1)) / scheme.size
+        for i in range(scheme.d + 1)
     ]
 
 
 def krein_by_trace(scheme, ed):
     """q^h_ij = |X| tr((E_i o E_j) E_h) / m_h from explicit projectors."""
     E = projectors_from_relations(scheme, ed)
-    dp1 = ed.d + 1
+    dp1 = scheme.d + 1
     q = np.empty((dp1, dp1, dp1))
     for i in range(dp1):
         for j in range(dp1):
             H = E[i] * E[j]
             for h in range(dp1):
-                q[h, i, j] = ed.size * np.trace(H @ E[h]) / ed.m[h]
+                q[h, i, j] = scheme.size * np.trace(H @ E[h]) / ed.m[h]
     return q
 
 
@@ -174,7 +174,7 @@ def test_rho_idempotents_representation():
     scheme = builtin_scheme("hypercube", 3)
     ed = eigendata(scheme)
     dp1 = scheme.d + 1
-    rhos = [np.outer(ed.Q[:, i], ed.P[i, :]) / ed.size for i in range(dp1)]
+    rhos = [np.outer(ed.Q[:, i], ed.P[i, :]) / scheme.size for i in range(dp1)]
     total = sum(rhos)
     assert np.allclose(total, np.eye(dp1), atol=1e-9)
     for i in range(dp1):
@@ -233,12 +233,12 @@ def test_scheme_checks_read_the_eigendata_tolerance():
     ed = eigendata(cube, loose)
     assert ed.tol is loose
     assert detect_q_polynomial(ed) == ()
-    assert not check_q_polynomial_characterization(ed, 1, 4).side_i
+    assert not check_scheme_characterization(ed, "q", 1, 4).side_i
     hamming = {(1, (0, 1, 2, 3, 4), 4), (3, (0, 3, 2, 1, 4), 4)}
     ed = eigendata(cube)
     assert ed.tol == DEFAULT_TOL
     assert set(detect_q_polynomial(ed)) == hamming
-    assert check_q_polynomial_characterization(ed, 1, 4).side_i
+    assert check_scheme_characterization(ed, "q", 1, 4).side_i
 
 
 def test_even_cube_second_structure():
@@ -327,20 +327,20 @@ def test_tensor_scan_matches_per_generator_walk():
 
 def test_endpoint_check_cube3():
     ed = eigendata(builtin_scheme("hypercube", 3))
-    rep = check_p_polynomial_characterization(ed, 1, 3)
+    rep = check_scheme_characterization(ed, "p", 1, 3)
     assert rep.side_i and rep.side_ii
     assert np.allclose(rep.theta, [3.0, 1.0, -1.0, -3.0], atol=1e-9)
     assert np.allclose(rep.expected, [1.0, -3.0, 3.0, -1.0], atol=1e-9)
     assert rep.max_deviation <= 1e-9
-    wrong_last = check_p_polynomial_characterization(ed, 1, 2)
+    wrong_last = check_scheme_characterization(ed, "p", 1, 2)
     assert rep.equivalent and not wrong_last.side_i and not wrong_last.side_ii
-    dual = check_q_polynomial_characterization(ed, 1, 3)
+    dual = check_scheme_characterization(ed, "q", 1, 3)
     assert dual.side_i and dual.side_ii
 
 
 def test_endpoint_check_cube4():
     ed = eigendata(builtin_scheme("hypercube", 4))
-    rep = check_p_polynomial_characterization(ed, 1, 4)
+    rep = check_scheme_characterization(ed, "p", 1, 4)
     assert rep.side_i and rep.side_ii
     assert np.allclose(rep.theta, [4.0, 2.0, 0.0, -2.0, -4.0], atol=1e-9)
     assert np.allclose(rep.expected, [1.0, -4.0, 6.0, -4.0, 1.0], atol=1e-9)
@@ -351,7 +351,7 @@ def test_endpoint_check_repeated_theta_column():
     # generator 2 of the 4-cube: eigenvalue column (6, 0, -2, 0, 6) repeats,
     # and the distance-2 matrix is not a path either; both sides fail
     ed = eigendata(builtin_scheme("hypercube", 4))
-    rep = check_p_polynomial_characterization(ed, 2, 4)
+    rep = check_scheme_characterization(ed, "p", 2, 4)
     assert not rep.side_i and not rep.side_ii
     assert rep.expected is None
     assert rep.equivalent
@@ -363,16 +363,19 @@ def test_endpoint_check_gap_product_overflow_is_a_numerical_error():
     d = 119
     eigen = np.zeros((d + 1, d + 1))
     eigen[:, 1] = np.linspace(2000.0, 0.0, d + 1)
+    ed = dataclasses.replace(eigendata(builtin_scheme("complete", 4)), P=eigen, Q=np.ones((d + 1, d + 1)))
     with pytest.raises(DegenerateSpectrumError, match="gap products overflow the float range"):
-        _endpoint_check("p", [], eigen, np.ones((d + 1, d + 1)), 1, d, DEFAULT_TOL)
+        check_scheme_characterization(ed, "p", 1, d)
 
 
 def test_endpoint_check_index_validation():
     ed = eigendata(builtin_scheme("complete", 4))
     with pytest.raises(ValueError):
-        check_p_polynomial_characterization(ed, 0, 1)
+        check_scheme_characterization(ed, "p", 0, 1)
     with pytest.raises(ValueError):
-        check_q_polynomial_characterization(ed, 1, 2)
+        check_scheme_characterization(ed, "q", 1, 2)
+    with pytest.raises(ValueError, match="unknown kind 'P'"):
+        check_scheme_characterization(ed, "P", 1, 1)
 
 
 def test_builtin_validation():
@@ -415,6 +418,42 @@ def test_relations_regularity_witness():
     with pytest.raises(SchemeValidationError) as info:
         scheme_from_relations([np.eye(3, dtype=np.int8), adj, rest])
     assert info.value.axiom in ("regularity", "row_sums", "valency_balance")
+
+
+K2_PTENSOR = "K 1 1\nP 0\n1 0\n0 1\nP 1\n0 1\n1 0\n"  # the one-class scheme on two points
+
+
+def _negative_count():
+    p = builtin_scheme("hypercube", 3).p.copy()
+    p[2, 1, 3] = -1
+    return scheme_from_p_tensor(p, [1, 3, 3, 1])
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: scheme_from_p_tensor(np.zeros((2, 3, 3), dtype=np.int64), [1, 1]), "tensor_shape"),
+        (lambda: scheme_from_p_tensor(np.full((2, 2, 2), 1.5), [1, 1]), "tensor_shape"),
+        (_negative_count, "nonnegativity"),
+        (lambda: scheme_from_p_tensor(
+            [np.diag([1, 2, 3]), [[0, 1, 0], [1, 0, 1], [0, 1, 2]], [[0, 0, 1], [0, 0, 2], [1, 2, 0]]], [1, 2, 3]),
+         "valency_balance"),
+        (lambda: scheme_from_relations([]), "partition"),
+        (lambda: scheme_from_relations([np.eye(2, dtype=np.int8), np.ones((3, 3), dtype=np.int8)]), "shape"),
+        (lambda: read_scheme("SCHEME X=2 D=1 FORM=PTENSOR\nK 1\n"),
+         "line 2: expected 'K' line with 2 valencies"),
+        (lambda: read_scheme("SCHEME X=5 D=1 FORM=PTENSOR\n" + K2_PTENSOR),
+         "line 1: header says X=5 D=1, content gives X=2 D=1"),
+    ],
+    ids=["tensor_not_cubic", "tensor_not_integer", "nonnegativity", "valency_balance", "no_relation",
+         "relation_sizes", "short_K_line", "header_size"],
+)
+def test_scheme_validation_sites(build, error):
+    """The axiom tag of each SchemeValidationError, or the whole ParseError message."""
+    with pytest.raises((SchemeValidationError, ParseError)) as info:
+        build()
+    got = info.value.axiom if isinstance(info.value, SchemeValidationError) else str(info.value)
+    assert got == error
 
 
 def triple_count_oracle(mats):
@@ -497,10 +536,10 @@ def test_q_side_detection_on_johnson_schemes():
                 exact.add((i, order, order[-1]))
         assert exact == want, v
         assert set(detect_q_polynomial(ed)) == exact
-        rep = check_q_polynomial_characterization(ed, 1, k)
+        rep = check_scheme_characterization(ed, "q", 1, k)
         assert rep.side_i and rep.side_ii
         for c in range(1, k):
-            rep = check_q_polynomial_characterization(ed, 1, c)
+            rep = check_scheme_characterization(ed, "q", 1, c)
             assert not rep.side_i and not rep.side_ii, (v, c)
 
 

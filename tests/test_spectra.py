@@ -15,9 +15,11 @@ from spectralpath.spectra import (
     _eigenvalue_groups,
     _profile_threshold,
     _spectrum,
+    _classify,
+    _classify_general,
     _verify_spectrum,
-    classify,
 )
+from spectralpath.symmetrize import Symmetrizer
 from suites import INSTANCE_KINDS, random_instance
 
 PATH3 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
@@ -35,7 +37,7 @@ def _companion(coeffs) -> np.ndarray:
 
 def _real_roots(coeffs):
     """Real roots with multiplicities, ascending, as eigenvalues of the companion matrix."""
-    return sorted(classify(_companion(coeffs)).eigenvalues)
+    return sorted(_classify_general(_companion(coeffs), DEFAULT_TOL).eigenvalues)
 
 
 def test_real_roots_distinct():
@@ -48,7 +50,7 @@ def test_real_roots_distinct():
 
 def test_real_roots_triple():
     # (x - 1)^3: a single Jordan block, eigenvalues spread by eps^(1/3) in eig
-    out = classify(_companion([1.0, -3.0, 3.0, -1.0]))
+    out = _classify_general(_companion([1.0, -3.0, 3.0, -1.0]), DEFAULT_TOL)
     assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
     assert len(out.eigenvalues) == 1
     r, m = out.eigenvalues[0]
@@ -64,7 +66,7 @@ def test_real_roots_mixed_multiplicity():
 
 
 def test_real_roots_complex_pair():
-    out = classify(_companion([1.0, 0.0, 1.0]))
+    out = _classify_general(_companion([1.0, 0.0, 1.0]), DEFAULT_TOL)
     assert out.kind is SpectralKind.COMPLEX_SPECTRUM
     assert out.eigenvalues == ()
     # x^3 - 1: one real root, two complex
@@ -92,7 +94,7 @@ def test_real_roots_random_factored_polynomials():
 
 def test_primitive_idempotents_frozen_path3():
     theta = np.array([math.sqrt(2.0), 0.0, -math.sqrt(2.0)])
-    sp = classify(PATH3).spectrum
+    sp = analyze_matrix(PATH3).spectral.spectrum
     assert np.allclose(sp.theta, theta, atol=1e-12)
     E = [np.outer(sp.X[:, i], sp.Yt[i, :]) for i in range(3)]
     middle = np.array([[0.5, 0.0, -0.5], [0.0, 0.0, 0.0], [-0.5, 0.0, 0.5]])
@@ -112,14 +114,13 @@ def test_primitive_idempotents_rejects_wrong_eigenvalues():
 
 
 def test_spectrum_of_sorts_descending():
-    sp = classify(np.diag([1.0, 3.0, 2.0])).spectrum
+    sp = analyze_matrix(np.diag([1.0, 3.0, 2.0])).spectral.spectrum
     assert sp.theta.tolist() == [3.0, 2.0, 1.0]
-    assert sp.d == 2
     assert sp.residuals["idempotency"] <= 1e-12
 
 
 def test_classify_multiplicity_free_symmetric_route():
-    out = classify(PATH3)
+    out = analyze_matrix(PATH3).spectral
     assert out.kind is SpectralKind.MULTIPLICITY_FREE
     assert out.spectrum is not None
     values = [v for v, _ in out.eigenvalues]
@@ -127,21 +128,21 @@ def test_classify_multiplicity_free_symmetric_route():
 
 
 def test_classify_repeated_eigenvalue_symmetric():
-    out = classify(np.eye(2))
+    out = analyze_matrix(np.eye(2)).spectral
     assert out.kind is SpectralKind.DIAGONALIZABLE_NOT_MF
     assert out.eigenvalues == ((1.0, 2),)
     assert out.spectrum is None
 
 
 def test_classify_triangular_goes_through_polynomial_fallback():
-    out = classify(np.array([[1.0, 1.0], [0.0, 2.0]]))
+    out = analyze_matrix(np.array([[1.0, 1.0], [0.0, 2.0]])).spectral
     assert out.kind is SpectralKind.MULTIPLICITY_FREE
     values = sorted(v for v, _ in out.eigenvalues)
     assert np.allclose(values, [1.0, 2.0], atol=1e-9)
 
 
 def test_classify_nilpotent_jordan_block():
-    out = classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    out = analyze_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])).spectral
     assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
     assert out.rank_defects == ((0.0, 1),)
 
@@ -152,17 +153,17 @@ def test_nilpotent_jordan_block_takes_the_pinv_fallback(monkeypatch):
     calls = []
     pinv = np.linalg.pinv
     monkeypatch.setattr(np.linalg, "pinv", lambda X: calls.append(X) or pinv(X))
-    out = classify(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    out = analyze_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])).spectral
     assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
     assert out.rank_defects == ((0.0, 1),)
     assert len(calls) == 1
-    classify(np.array([[1.0, 1.0], [0.0, 2.0]]))  # well separated: inv alone
+    analyze_matrix(np.array([[1.0, 1.0], [0.0, 2.0]]))  # well separated: inv alone
     assert len(calls) == 1
 
 
 def _classification(A):
     try:
-        out = classify(A)
+        out = analyze_matrix(A).spectral
     except DegenerateSpectrumError as exc:
         return "DegenerateSpectrumError", str(exc)
     return out.kind, [m for _, m in out.eigenvalues], [d for _, d in out.rank_defects]
@@ -193,7 +194,7 @@ def test_inv_route_classifies_as_the_pinv_route(monkeypatch):
 
 def test_classify_rotation_has_complex_spectrum():
     cyc = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    out = classify(cyc)
+    out = analyze_matrix(cyc).spectral
     assert out.kind is SpectralKind.COMPLEX_SPECTRUM
     assert len(out.eigenvalues) == 1
     assert abs(out.eigenvalues[0][0] - 1.0) < 1e-9
@@ -202,7 +203,7 @@ def test_classify_rotation_has_complex_spectrum():
 def test_classify_defective_but_asymmetric_pattern():
     # [[1, 1, 0], [0, 1, 0], [1, 0, 2]]: eigenvalue 1 doubled with defect
     A = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
-    out = classify(A)
+    out = analyze_matrix(A).spectral
     assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
 
 
@@ -231,9 +232,9 @@ def test_gap_product_uses_callers_eig_tol():
     assert gap_at(theta, 0) == pytest.approx(1e-5)
     with pytest.raises(DegenerateSpectrumError):
         gap_at(theta, 0, Tolerance(eig_tol=1e-4))
-    # the gap products stored with a spectrum; classify merges eigenvalues
+    # the gap products stored with a spectrum; _classify merges eigenvalues
     # closer than eig_tol before it forms them, so the raise is _gap_products'
-    sp = classify(np.diag([1e-5, 0.0])).spectrum
+    sp = analyze_matrix(np.diag([1e-5, 0.0])).spectral.spectrum
     assert sp.gaps.tolist() == pytest.approx([1e-5, -1e-5])
 
 
@@ -295,7 +296,7 @@ def test_projector_identities_on_random_symmetric_matrices():
         for _ in range(6):
             S = rng.normal(size=(n, n))
             S = S + S.T
-            out = classify(S)
+            out = _classify(S, Symmetrizer(kappa=np.ones(n)), DEFAULT_TOL)  # unit weights symmetrize S
             if out.kind is not SpectralKind.MULTIPLICITY_FREE:
                 continue  # random ties are vanishingly rare but tolerated
             sp = out.spectrum

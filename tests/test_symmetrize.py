@@ -5,8 +5,10 @@ from collections import deque
 import numpy as np
 import pytest
 
+from spectralpath.digraph import _out_lists, gamma
+from spectralpath.equivalence import analyze_matrix, clamp_nonnegative
 from spectralpath.linalg import DEFAULT_TOL
-from spectralpath.symmetrize import NotSymmetrizable, Symmetrizer, find_symmetrizer
+from spectralpath.symmetrize import NotSymmetrizable, Symmetrizer, _search
 from suites import tridiagonal_symmetrizer
 
 # intersection matrix of the nearest-neighbor relation in the 3-cube
@@ -20,9 +22,16 @@ B1_CUBE3 = np.array(
 )
 
 
+def search(A, tol=DEFAULT_TOL):
+    """The symmetrizer search of `A` alone, with no spectrum classified: what `analyze_matrix` stores."""
+    A = clamp_nonnegative(A, tol)
+    nz = gamma(A, tol)
+    return _search(A, nz, _out_lists(nz), tol)
+
+
 def test_two_by_two_weights_and_conjugation():
     A = np.array([[0.0, 2.0], [8.0, 0.0]])
-    sym = find_symmetrizer(A)
+    sym = analyze_matrix(A).symmetrizer
     assert isinstance(sym, Symmetrizer)
     # detailed balance: w_0 A_01 = w_1 A_10 forces w_1 = 2/8
     assert np.allclose(sym.kappa, [1.0, 0.25], atol=1e-14)
@@ -35,7 +44,7 @@ def test_two_by_two_weights_and_conjugation():
 def test_closed_form_matches_propagation_on_cube_matrix():
     closed = tridiagonal_symmetrizer(B1_CUBE3)
     assert np.allclose(closed.kappa, [1.0, 3.0, 3.0, 1.0], atol=1e-14)
-    searched = find_symmetrizer(B1_CUBE3)
+    searched = analyze_matrix(B1_CUBE3).symmetrizer
     assert isinstance(searched, Symmetrizer)
     assert np.allclose(searched.kappa, closed.kappa, atol=1e-13)
     S = closed.conjugate(B1_CUBE3)
@@ -44,31 +53,23 @@ def test_closed_form_matches_propagation_on_cube_matrix():
 
 def test_symmetric_input_gets_unit_weights():
     A = np.array([[1.0, 2.0], [2.0, 3.0]])
-    sym = find_symmetrizer(A)
+    sym = analyze_matrix(A).symmetrizer
     assert isinstance(sym, Symmetrizer)
     assert np.allclose(sym.kappa, [1.0, 1.0])
 
 
 def test_asymmetric_pattern_witness():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    out = find_symmetrizer(A)
+    out = analyze_matrix(A).symmetrizer
     assert isinstance(out, NotSymmetrizable)
     assert out.reason == "asymmetric_pattern"
-    assert out.witness == (0, 1)
-
-
-def test_nonpositive_ratio_witness():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = find_symmetrizer(A)
-    assert isinstance(out, NotSymmetrizable)
-    assert out.reason == "nonpositive_ratio"
     assert out.witness == (0, 1)
 
 
 def test_inconsistent_cycle_witness():
     # triangle with product of ratios around the cycle not equal to 1
     A = np.array([[0.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    out = find_symmetrizer(A)
+    out = analyze_matrix(A).symmetrizer
     assert isinstance(out, NotSymmetrizable)
     assert out.reason == "inconsistent_cycle"
 
@@ -79,7 +80,7 @@ def test_inconsistent_cycle_found_at_every_scale(alpha):
     # alpha.  An absolute floor of 1 in the consistency bound let it pass
     # below alpha = 2e-8, with weights (1, 0.5, 1).
     T = np.array([[0.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
-    assert find_symmetrizer(alpha * T) == NotSymmetrizable("inconsistent_cycle", (1, 2))
+    assert search(alpha * T) == NotSymmetrizable("inconsistent_cycle", (1, 2))
 
 
 def test_disconnected_components_each_rooted_at_one():
@@ -88,7 +89,7 @@ def test_disconnected_components_each_rooted_at_one():
     A[1, 0] = 1.0
     A[2, 3] = 1.0
     A[3, 2] = 4.0
-    sym = find_symmetrizer(A)
+    sym = analyze_matrix(A).symmetrizer
     assert isinstance(sym, Symmetrizer)
     assert np.allclose(sym.kappa, [1.0, 2.0, 1.0, 0.25], atol=1e-14)
 
@@ -99,10 +100,10 @@ def test_detailed_balance_on_random_conjugates():
     for n in (2, 4, 7, 10):
         for _ in range(8):
             S = rng.normal(size=(n, n))
-            S = S + S.T + 0.1  # offset keeps most entries structurally nonzero
+            S = np.abs(S + S.T) + 0.1  # nonnegative; the offset keeps every entry structurally nonzero
             d = rng.uniform(0.25, 4.0, size=n)
             A = (S * d[:, None]) / d[None, :]
-            sym = find_symmetrizer(A)
+            sym = search(A)
             assert isinstance(sym, Symmetrizer)
             K = np.diag(sym.kappa)
             assert np.max(np.abs(K @ A - A.T @ K)) <= 1e-9 * max(1.0, np.max(np.abs(A)))
@@ -116,7 +117,7 @@ def test_weights_unique_up_to_scale_on_connected_support():
     diag = rng.uniform(0.0, 2.0, size=n)
     off = rng.uniform(0.1, 2.0, size=(2, n - 1))
     A = np.diag(diag) + np.diag(off[0], 1) + np.diag(off[1], -1)
-    sym = find_symmetrizer(A)
+    sym = analyze_matrix(A).symmetrizer
     closed = tridiagonal_symmetrizer(A)
     ratio = sym.kappa / closed.kappa
     assert np.max(ratio) / np.min(ratio) - 1.0 <= 1e-12
@@ -129,7 +130,7 @@ def test_weights_out_of_float_range_raise_naming_the_vertex():
     for sup, sub, message in ((1e-9, 1e150, "vertex 3 is 0.0"), (1e150, 1e-9, "vertex 2 is inf")):
         A = np.diag([sup] * 4, 1) + np.diag([sub] * 4, -1)
         with pytest.raises(RuntimeError, match=f"weight of {message}"):
-            find_symmetrizer(A)
+            analyze_matrix(A)
 
 
 def test_closed_form_rejects_bad_shapes():
@@ -143,7 +144,7 @@ def test_closed_form_rejects_bad_shapes():
 
 
 def _loop_symmetrizer(A, tol=DEFAULT_TOL):
-    """Entry-by-entry reference: pattern and ratio tests, BFS propagation, consistency."""
+    """Entry-by-entry reference: pattern test, BFS propagation, consistency."""
     A = np.array(A, dtype=float)
     n = A.shape[0]
     nz = np.abs(A) > tol.zero_tol
@@ -151,8 +152,6 @@ def _loop_symmetrizer(A, tol=DEFAULT_TOL):
         for j in range(i + 1, n):
             if nz[i, j] != nz[j, i]:
                 return NotSymmetrizable("asymmetric_pattern", (i, j))
-            if nz[i, j] and A[i, j] * A[j, i] <= 0.0:
-                return NotSymmetrizable("nonpositive_ratio", (i, j))
     w = np.ones(n)
     visited = np.zeros(n, dtype=bool)
     for root in range(n):
@@ -201,19 +200,19 @@ def _fuzz_matrix(rng, case: int) -> np.ndarray:
     i, j = rng.integers(0, n, size=2)
     if case == 3:  # asymmetric pattern
         A[i, j] = 0.0
-    elif case == 4:  # nonpositive ratio
-        A[i, j] = -abs(A[i, j]) - 0.5
+    elif case == 4:  # a negative entry within the clamp threshold, which the clamp zeroes
+        A[i, j] = -rng.choice([1.0, 0.5]) * DEFAULT_TOL.zero_tol
     elif case == 5:  # inconsistent cycle, large or near the residual bound
         A[i, j] *= 1.0 + rng.choice([0.5, 3e-8, 1e-8, 3e-9]) * rng.choice([-1.0, 1.0])
-    elif case == 6:  # entries at and next to the zero threshold, either sign
+    elif case == 6:  # entries at and next to the zero threshold
         z = DEFAULT_TOL.zero_tol
-        near = [z, -z, np.nextafter(z, 1.0), -np.nextafter(z, 1.0), np.nextafter(z, 0.0)]
+        near = [z, np.nextafter(z, 1.0), np.nextafter(z, 0.0)]
         mask = rng.random((n, n)) < 0.3
         A[mask] = rng.choice(near, size=int(mask.sum()))
     return A
 
 
-def test_find_symmetrizer_matches_loop_reference():
+def test_symmetrizer_search_matches_loop_reference():
     """Same class, bitwise kappa, same reason and witness as the entry-by-entry loop,
     and the same error when a weight leaves the floating-point range."""
     rng = np.random.default_rng(4242)
@@ -225,11 +224,11 @@ def test_find_symmetrizer_matches_loop_reference():
                 ref = _loop_symmetrizer(A)
             except RuntimeError as exc:
                 with pytest.raises(RuntimeError) as info:
-                    find_symmetrizer(A)
+                    search(A)
                 assert str(info.value) == str(exc), trial
                 seen.add("out_of_range")
                 continue
-            got = find_symmetrizer(A)
+            got = search(A)
             assert type(got) is type(ref), trial
             if isinstance(ref, Symmetrizer):
                 assert got.kappa.dtype == ref.kappa.dtype
@@ -239,4 +238,4 @@ def test_find_symmetrizer_matches_loop_reference():
                 assert (got.reason, got.witness) == (ref.reason, ref.witness), trial
                 assert all(type(x) is int for x in got.witness)
                 seen.add(ref.reason)
-    assert seen == {"symmetrizable", "asymmetric_pattern", "nonpositive_ratio", "inconsistent_cycle", "out_of_range"}
+    assert seen == {"symmetrizable", "asymmetric_pattern", "inconsistent_cycle", "out_of_range"}
