@@ -26,7 +26,7 @@ import numpy as np
 # Each command's own modules (equivalence, spectra and symmetrize; schemes)
 # and argparse are imported in the functions that use them, so a command
 # loads only its own.
-from .linalg import Tolerance, read_matrix
+from .linalg import DEFAULT_TOL, Tolerance, read_matrix
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -193,7 +193,7 @@ def _cmd_check(args) -> int:
     return code
 
 
-_BUILTIN_RE = re.compile(r"^builtin:(hypercube|complete)\((\d+)\)$")
+_BUILTIN_RE = re.compile(r"^builtin:(\w+)\((\d+)\)$")  # builtin_scheme names the families
 
 
 def _load_scheme(source: str):
@@ -324,9 +324,10 @@ def nonnegative_int(text: str) -> int:
 # One table for build_parser and _fast_args: per command, its handler, help
 # and arguments as (flag, add_argument keywords), positionals first.
 _COMMON = (
-    ("--zero-tol", {"type": float, "default": 1e-10, "help": "structural zero threshold"}),
-    ("--eig-tol", {"type": float, "default": 1e-8, "help": "eigenvalue distinctness threshold"}),
-    ("--residual-tol", {"type": float, "default": 1e-8, "help": "verified identity residual bound"}),
+    ("--zero-tol", {"type": float, "default": DEFAULT_TOL.zero_tol, "help": "structural zero threshold"}),
+    ("--eig-tol", {"type": float, "default": DEFAULT_TOL.eig_tol, "help": "eigenvalue distinctness threshold"}),
+    ("--residual-tol", {
+        "type": float, "default": DEFAULT_TOL.residual_tol, "help": "verified identity residual bound"}),
     ("--json", {"action": "store_true", "default": False, "help": "emit a full-precision JSON report"}),
 )
 _COMMANDS = {

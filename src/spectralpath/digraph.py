@@ -15,11 +15,6 @@ import numpy as np
 
 from .linalg import DEFAULT_TOL, Tolerance
 
-__all__ = [
-    "gamma",
-    "bidirected_path_endpoints",
-]
-
 
 def gamma(A, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Pattern graph of `A` as a boolean mask: |A[i, j]| > zero_tol and i != j.

@@ -38,15 +38,6 @@ from .spectra import (
 )
 from .symmetrize import Symmetrizer, _search
 
-__all__ = [
-    "MatrixAnalysis",
-    "EquivalenceReport",
-    "analyze_matrix",
-    "check_characterization",
-    "clamp_nonnegative",
-    "NegativeEntryError",
-]
-
 PROFILE_BLOCK = 1 << 20  # profile values formed at once by `constant_positions`
 _DIAGONALIZABLE = (SpectralKind.MULTIPLICITY_FREE, SpectralKind.DIAGONALIZABLE_NOT_MF)  # the distance form's gate
 

@@ -5,10 +5,11 @@ Everything downstream works with square matrices of double-precision reals.
 validates an input into a float64 square matrix, and `read_matrix` reads
 the text format.  The matrix side
 (:mod:`spectralpath.spectra`) and the scheme side
-(:mod:`spectralpath.schemes`) share the two numerical errors and the
-eigenvalue gap products defined here, so neither imports the other.  The
-linear algebra itself (LAPACK `eigh`, `eig`, `solve` and SVD rank) is called
-through numpy where it is needed, in those two modules.
+(:mod:`spectralpath.schemes`) share the two numerical errors, the
+symmetrized eigensolve and the eigenvalue gap products defined here, so
+neither imports the other.  The rest of the linear algebra (LAPACK `eig`,
+`solve` and SVD rank) is called through numpy where it is needed, in those
+two modules.
 """
 
 from __future__ import annotations
@@ -18,16 +19,6 @@ from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
-
-__all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
-    "as_matrix",
-    "read_matrix",
-    "ParseError",
-    "SpectralIdentityError",
-    "DegenerateSpectrumError",
-]
 
 
 @dataclass(frozen=True)
@@ -85,11 +76,10 @@ class DegenerateSpectrumError(RuntimeError):
     """
 
 
-def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
-    """prod_{j != i} (theta_i - theta_j) for each i in `rows`, with the underflow and overflow guards."""
-    rows = np.asarray(rows)
-    diff = theta[rows, None] - theta[None, :]
-    diff[np.arange(len(rows)), rows] = 1.0
+def _gap_products(theta: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """prod_{j != i} (theta_i - theta_j) for each i, with the underflow and overflow guards."""
+    diff = theta[:, None] - theta[None, :]
+    np.fill_diagonal(diff, 1.0)
     try:
         with np.errstate(over="raise"):
             g = diff.prod(axis=1)
@@ -99,11 +89,21 @@ def _gap_products(theta: np.ndarray, rows, tol: Tolerance) -> np.ndarray:
     if d >= 1:
         small = np.flatnonzero(np.abs(g) < max(tol.eig_tol**d, 5e-324))
         if small.size:
-            i = int(rows[small[0]])
+            i = int(small[0])
             raise DegenerateSpectrumError(
-                f"gap product at index {i} underflowed ({g[small[0]]:.3e}); eigenvalues nearly coincide"
+                f"gap product at index {i} underflowed ({g[i]:.3e}); eigenvalues nearly coincide"
             )
     return g
+
+
+def _symmetrized_eigh(C: np.ndarray, delta: np.ndarray):
+    """Descending eigenvalues w and orthonormal eigenvectors V (column i for w[i]) of D C D^-1, D = diag(delta).
+
+    `eigh` reads the symmetric part, which is D C D^-1 itself when D symmetrizes C.
+    """
+    S = C * delta[:, None] / delta[None, :]
+    w, V = np.linalg.eigh(0.5 * (S + S.T))
+    return w[::-1], V[:, ::-1]
 
 
 def as_matrix(A) -> np.ndarray:

@@ -30,26 +30,8 @@ import numpy as np
 from .digraph import bidirected_path_endpoints, gamma
 from .linalg import (
     DEFAULT_TOL, DegenerateSpectrumError, ParseError, SpectralIdentityError, Tolerance, _content_lines,
-    _gap_products,
+    _gap_products, _symmetrized_eigh,
 )
-
-__all__ = [
-    "AssociationScheme",
-    "SchemeEigendata",
-    "PolyStructure",
-    "SchemeCharacterizationReport",
-    "scheme_from_relations",
-    "scheme_from_p_tensor",
-    "builtin_scheme",
-    "BUILTIN_SIZE_CAP",
-    "eigendata",
-    "krein_parameters",
-    "detect_p_polynomial",
-    "detect_q_polynomial",
-    "check_scheme_characterization",
-    "read_scheme",
-    "SchemeValidationError",
-]
 
 BUILTIN_SIZE_CAP = 4096
 
@@ -321,9 +303,7 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed: int
         rng = np.random.default_rng([seed, attempt])
         coeffs = rng.uniform(1.0, 2.0, size=dp1)
         C = np.add.reduce(coeffs[:, None, None] * B, axis=0)  # summed in index order
-        S = C * delta[:, None] / delta[None, :]
-        w, V = np.linalg.eigh(0.5 * (S + S.T))
-        w, V = w[::-1], V[:, ::-1]
+        w, V = _symmetrized_eigh(C, delta)
         if dp1 > 1:
             gap = float((w[:-1] - w[1:]).min())
             last_gap = gap
@@ -473,7 +453,7 @@ def check_scheme_characterization(ed: SchemeEigendata, kind: str, b: int, c: int
     # rounding is monotone, so the closest sorted neighbours give the smallest |theta_i - theta_j|
     srt = np.sort(theta)
     if float((srt[1:] - srt[:-1]).min()) > tol.eig_tol:
-        g = _gap_products(theta, np.arange(d + 1), tol)
+        g = _gap_products(theta, tol)
         expected = g[0] / g
         max_dev = float(np.max(np.abs(actual - expected)))
         bound = tol.residual_tol * max(1.0, float(np.max(np.abs(expected))))

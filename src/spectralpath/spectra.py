@@ -31,15 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products
+from .linalg import DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products, _symmetrized_eigh
 from .symmetrize import Symmetrizer
-
-__all__ = [
-    "SpectralKind",
-    "Spectrum",
-    "SpectralClass",
-    "EntryProfile",
-]
 
 EPS = float(np.finfo(float).eps)
 
@@ -122,7 +115,7 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
     order = np.argsort(-theta, kind="stable")
     theta, X, Yt = theta[order], X[:, order], Yt[order, :]
     residuals = _verify_spectrum(A, theta, X, Yt, tol)
-    gaps = _gap_products(theta, np.arange(len(theta)), tol)
+    gaps = _gap_products(theta, tol)
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
@@ -145,15 +138,16 @@ def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     members about the mean plus 4 n eps ||A||_F ||P||_F, where P is the
     group's spectral projector: the first-order perturbation bound for a
     backward error of 4 n eps ||A||_F, with ||P|| as condition number, and
-    never less than the floor eig_tol * scale.  A factor of 1 in place of 4
-    leaves some eig-split Jordan blocks of order 2 apart.  Groups merge closest pair
-    first while some pair of disks overlaps, and each merged group is
-    conditioned anew through its own projector: the members of a repeated
-    eigenvalue have nearly parallel eigenvectors and huge separate condition
-    numbers, but their projectors sum to a moderate one.
+    never less than the floor eig_tol * max|A| (positive: a matrix with no
+    symmetrizer has an arc).  A factor of 1 in place of 4 leaves some
+    eig-split Jordan blocks of order 2 apart.  Groups merge closest pair first
+    while some pair of disks overlaps, and each merged group is conditioned
+    anew through its own projector: the members of a repeated eigenvalue have
+    nearly parallel eigenvectors and huge separate condition numbers, but
+    their projectors sum to a moderate one.
     """
     n = len(w)
-    floor = tol.eig_tol * max(1.0, float(np.abs(A).max()))
+    floor = tol.eig_tol * float(np.abs(A).max())
     unit = 4 * n * EPS * float(np.linalg.norm(A))
     groups = [[i] for i in range(n)]
     center = w.astype(complex)
@@ -239,9 +233,7 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
 
     n = A.shape[0]
     delta = sym.delta
-    S = sym.conjugate(A)
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    w, V = w[::-1], V[:, ::-1]
+    w, V = _symmetrized_eigh(A, delta)
     if n > 1 and float((w[:-1] - w[1:]).min()) <= tol.eig_tol:
         return SpectralClass(
             kind=SpectralKind.DIAGONALIZABLE_NOT_MF,

@@ -19,11 +19,6 @@ import numpy as np
 from .digraph import _bfs
 from .linalg import Tolerance
 
-__all__ = [
-    "Symmetrizer",
-    "NotSymmetrizable",
-]
-
 
 @dataclass(frozen=True)
 class Symmetrizer:
@@ -38,12 +33,6 @@ class Symmetrizer:
     @property
     def delta(self) -> np.ndarray:
         return np.sqrt(self.kappa)
-
-    def conjugate(self, A) -> np.ndarray:
-        """D A D^-1 for D = diag(delta)."""
-        A = np.asarray(A, dtype=float)
-        d = self.delta
-        return (A * d[:, None]) / d[None, :]
 
 
 @dataclass(frozen=True)

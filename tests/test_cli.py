@@ -243,6 +243,13 @@ def test_json_report_leaves_no_cyclic_garbage(path3_file):
             gc.enable()
 
 
+def test_unknown_builtin_scheme_exits_two_naming_it(capsys):
+    # builtin_scheme alone knows the family names
+    code, out, err = run(capsys, "scheme", "builtin:petersen(10)", "info")
+    assert (code, out) == (2, "")
+    assert "unknown builtin scheme 'petersen'" in err
+
+
 def test_malformed_inputs_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("2\n1 2\n")

@@ -414,3 +414,28 @@ def test_row_blocks_match_the_tensor_sweep(monkeypatch, block):
                 assert (prof.spread, prof.common_value is not None) == (spread[s, t], (s, t, mean[s, t]) in positions)
                 assert prof.common_value in (None, mean[s, t])
     assert listed > 10
+
+
+def _answers(analysis, label):
+    """Spectral kind, constant positions (with values) and far pairs, positions mapped by `label`."""
+    positions = sorted((*label(s, t), value) for s, t, value in analysis.constant_positions())
+    return analysis.spectral.kind, positions, sorted(label(s, t) for s, t in analysis.far_pairs())
+
+
+@pytest.mark.parametrize("kind", INSTANCE_KINDS)
+def test_answers_follow_relabeling_and_transposition(kind):
+    # exact metamorphic relations: P A P^T moves every answer with its labels,
+    # and A^T turns (s, t) into (t, s), since E_i(A^T) = E_i(A)^T
+    for d in range(1, 12):
+        for seed in range(5):
+            A = random_instance(kind, d, seed)
+            perm = np.random.default_rng([seed, d]).permutation(d + 1)
+            kinds, positions, far = _answers(analyze_matrix(A), lambda s, t: (s, t))
+            for B, label in (  # label: a position of B as a position of A
+                (A[np.ix_(perm, perm)], lambda s, t: (int(perm[s]), int(perm[t]))),
+                (A.T, lambda s, t: (t, s)),
+            ):
+                got_kind, got_positions, got_far = _answers(analyze_matrix(B), label)
+                assert (got_kind, got_far) == (kinds, far), (kind, d, seed)
+                assert [p[:2] for p in got_positions] == [p[:2] for p in positions], (kind, d, seed)
+                assert np.allclose([p[2] for p in got_positions], [p[2] for p in positions], rtol=1e-9, atol=0.0)

@@ -1,6 +1,6 @@
-"""Every name in a module's `__all__` resolves to an object, every name the
-package root exports is exported by the module that defines it, and the
-README's Python example runs."""
+"""Every name the package root exports, listed once in its `_EXPORTS` table,
+resolves to the same object in the module that defines it, and the README's
+Python example runs."""
 
 import importlib
 import os
@@ -8,7 +8,6 @@ import pkgutil
 import re
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import pytest
@@ -22,24 +21,10 @@ MODULES = sorted(
 
 @pytest.mark.parametrize("module", ["spectralpath"] + [f"spectralpath.{m}" for m in MODULES])
 def test_all_names_resolve(module):
+    # the root's `_EXPORTS` is the one list of public names, by module
     mod = importlib.import_module(module)
-    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
-    assert missing == []
-
-
-def test_root_exports_are_exported_where_defined():
-    """A name removed from its module's `__all__` must leave the root's too."""
-    stale = []
-    for name in spectralpath.__all__:
-        obj = getattr(spectralpath, name)
-        if isinstance(obj, (type, types.FunctionType)):
-            homes = [obj.__module__]
-        else:  # a constant: every module that binds the same object
-            homes = [f"spectralpath.{m}" for m in MODULES]
-            homes = [h for h in homes if getattr(importlib.import_module(h), name, None) is obj]
-        if not any(name in importlib.import_module(h).__all__ for h in homes):
-            stale.append(name)
-    assert stale == []
+    names = spectralpath.__all__ if mod is spectralpath else spectralpath._EXPORTS.get(module.split(".")[1], ())
+    assert [name for name in names if not hasattr(mod, name)] == []
 
 
 def test_root_lists_its_names_and_rejects_others():

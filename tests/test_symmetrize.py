@@ -7,7 +7,7 @@ import pytest
 
 from spectralpath.digraph import _out_lists, gamma
 from spectralpath.equivalence import analyze_matrix, clamp_nonnegative
-from spectralpath.linalg import DEFAULT_TOL
+from spectralpath.linalg import DEFAULT_TOL, _symmetrized_eigh
 from spectralpath.symmetrize import NotSymmetrizable, Symmetrizer, _search
 from suites import tridiagonal_symmetrizer
 
@@ -29,6 +29,12 @@ def search(A, tol=DEFAULT_TOL):
     return _search(A, nz, _out_lists(nz), tol)
 
 
+def conjugate(sym, A):
+    """D A D^-1 for D = diag(sym.delta)."""
+    d = sym.delta
+    return (A * d[:, None]) / d[None, :]
+
+
 def test_two_by_two_weights_and_conjugation():
     A = np.array([[0.0, 2.0], [8.0, 0.0]])
     sym = analyze_matrix(A).symmetrizer
@@ -36,7 +42,7 @@ def test_two_by_two_weights_and_conjugation():
     # detailed balance: w_0 A_01 = w_1 A_10 forces w_1 = 2/8
     assert np.allclose(sym.kappa, [1.0, 0.25], atol=1e-14)
     assert np.allclose(sym.delta, [1.0, 0.5], atol=1e-14)
-    S = sym.conjugate(A)
+    S = conjugate(sym, A)
     assert np.allclose(S, [[0.0, 4.0], [4.0, 0.0]], atol=1e-14)
     assert np.allclose(S, S.T, atol=1e-14)
 
@@ -47,8 +53,11 @@ def test_closed_form_matches_propagation_on_cube_matrix():
     searched = analyze_matrix(B1_CUBE3).symmetrizer
     assert isinstance(searched, Symmetrizer)
     assert np.allclose(searched.kappa, closed.kappa, atol=1e-13)
-    S = closed.conjugate(B1_CUBE3)
-    assert np.allclose(S, S.T, atol=1e-13)
+    # the eigensolve both sides share: D A D^-1 = V diag(w) V^T, w descending
+    w, V = _symmetrized_eigh(B1_CUBE3, closed.delta)
+    assert np.allclose(w, [3.0, 1.0, -1.0, -3.0], atol=1e-13)
+    assert np.allclose((V * w) @ V.T, conjugate(closed, B1_CUBE3), atol=1e-13)
+    assert np.allclose(V.T @ V, np.eye(4), atol=1e-13)
 
 
 def test_symmetric_input_gets_unit_weights():
@@ -107,7 +116,7 @@ def test_detailed_balance_on_random_conjugates():
             assert isinstance(sym, Symmetrizer)
             K = np.diag(sym.kappa)
             assert np.max(np.abs(K @ A - A.T @ K)) <= 1e-9 * max(1.0, np.max(np.abs(A)))
-            back = sym.conjugate(A)
+            back = conjugate(sym, A)
             assert np.allclose(back, back.T, atol=1e-9 * max(1.0, np.max(np.abs(A))))
 
 
