@@ -17,11 +17,11 @@ Zhang, arXiv:1908.03795).
 
 Eigenvectors come from LAPACK.  When a positive diagonal D symmetrizes A,
 `eigh` gives D A D^-1 = V diag(theta) V^T, so X = D^-1 V and Y^T = V^T D.
-Otherwise `eig` gives X and Y^T = X^-1; its eigenvalues are grouped by
-perturbation disks whose radii follow from the projector condition numbers,
-and a group that neither separates nor passes the rank test raises
-DegenerateSpectrumError instead of guessing.  Every spectrum is checked once
-against the projector identities.
+Otherwise `eig` gives X and Y^T = X^-1.  On both routes the eigenvalues are
+grouped by perturbation disks whose radii follow from the projector
+condition numbers; on the `eig` route a group that neither separates nor
+passes the rank test raises DegenerateSpectrumError instead of guessing.
+Every spectrum is checked once against the projector identities.
 """
 
 from __future__ import annotations
@@ -119,18 +119,6 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
-def _cluster_eigenvalues(values, eig_tol):
-    """Group sorted values into (mean, multiplicity) clusters within eig_tol."""
-    values = sorted(values, reverse=True)
-    clusters = [[values[0]]]
-    for v in values[1:]:
-        if clusters[-1][-1] - v <= eig_tol:
-            clusters[-1].append(v)
-        else:
-            clusters.append([v])
-    return tuple([(sum(g) / len(g), len(g)) for g in clusters])  # list: see digraph._out_lists
-
-
 def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     """(index list, complex center, float radius) for groups of eigenvalues no perturbation can tell apart.
 
@@ -138,17 +126,18 @@ def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     members about the mean plus 4 n eps ||A||_F ||P||_F, where P is the
     group's spectral projector: the first-order perturbation bound for a
     backward error of 4 n eps ||A||_F, with ||P|| as condition number, and
-    never less than the floor eig_tol * max|A| (positive: a matrix with no
-    symmetrizer has an arc).  A factor of 1 in place of 4 leaves some
-    eig-split Jordan blocks of order 2 apart.  Groups merge closest pair first
-    while some pair of disks overlaps, and each merged group is conditioned
-    anew through its own projector: the members of a repeated eigenvalue have
-    nearly parallel eigenvectors and huge separate condition numbers, but
-    their projectors sum to a moderate one.
+    never less than the floor eig_tol * max|A|.  A factor of 1 in place of 4
+    leaves some eig-split Jordan blocks of order 2 apart.  Groups merge
+    closest pair first while some pair of disks overlaps, and each merged
+    group is conditioned anew through its own projector: the members of a
+    repeated eigenvalue have nearly parallel eigenvectors and huge separate
+    condition numbers, but their projectors sum to a moderate one.
     """
     n = len(w)
-    floor = tol.eig_tol * float(np.abs(A).max())
-    unit = 4 * n * EPS * float(np.linalg.norm(A))
+    peak = float(np.abs(A).max())
+    floor = tol.eig_tol * peak
+    e = np.frexp(peak)[1]  # ||A||_F formed at the scale 2^-e, where it cannot overflow
+    unit = float(np.ldexp(4 * n * EPS * float(np.linalg.norm(np.ldexp(A, -e))), e))
     groups = [[i] for i in range(n)]
     center = w.astype(complex)
     radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
@@ -171,22 +160,35 @@ def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     return list(zip(groups, center.tolist(), radius.tolist()))
 
 
-def _classify_general(A, tol: Tolerance) -> SpectralClass:
-    """Classification by LAPACK `eig` for matrices without a symmetrizer."""
+def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
+    """Classify the spectrum of a validated `A` whose symmetrizer search outcome is `sym`.
+
+    The route (`eigh` with a symmetrizer, `eig` without) chooses only X and
+    Y^T.  A group of `_eigenvalue_groups` off the real axis by more than its
+    radius makes the spectrum complex, and n groups make it multiplicity-free.
+    A repeated group is diagonalizable on the `eigh` route, as D A D^-1 is
+    symmetric; on the `eig` route a rank test probes it for missing
+    eigenvector directions.  LAPACK failures surface as LinAlgError.
+    """
     n = A.shape[0]
-    w, X = np.linalg.eig(A)
-    # X^-1 by LU while ||X||_F ||X^-1||_F >= cond(X) is below 1e13: pinv's cutoff
-    # 1e-15 sigma_max drops nothing there.  Past it the eigenvectors are dependent to
-    # working precision (as for some repeated eigenvalues), and pinv drops those
-    # directions instead of flooding every condition number with them
-    try:
-        Yt = np.linalg.inv(X)
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm fails the test
-            separated = np.linalg.norm(X) * np.linalg.norm(Yt) < 1e13
-    except np.linalg.LinAlgError:
-        separated = False
-    if not separated:
-        Yt = np.linalg.pinv(X)
+    symmetrized = isinstance(sym, Symmetrizer)
+    if symmetrized:
+        w, V = _symmetrized_eigh(A, sym.delta)
+        X, Yt = V / sym.delta[:, None], V.T * sym.delta[None, :]
+    else:
+        w, X = np.linalg.eig(A)
+        # X^-1 by LU while ||X||_F ||X^-1||_F >= cond(X) is below 1e13: pinv's cutoff
+        # 1e-15 sigma_max drops nothing there.  Past it the eigenvectors are dependent to
+        # working precision (as for some repeated eigenvalues), and pinv drops those
+        # directions instead of flooding every condition number with them
+        try:
+            Yt = np.linalg.inv(X)
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm fails the test
+                separated = np.linalg.norm(X) * np.linalg.norm(Yt) < 1e13
+        except np.linalg.LinAlgError:
+            separated = False
+        if not separated:
+            Yt = np.linalg.pinv(X)
     groups = _eigenvalue_groups(A, w, X, Yt, tol)
     real = [(float(c.real), len(g)) for g, c, r in groups if abs(c.imag) <= r]
     eigenvalues = tuple(sorted(real, key=lambda p: -p[0]))
@@ -194,13 +196,10 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
         return SpectralClass(kind=SpectralKind.COMPLEX_SPECTRUM, eigenvalues=eigenvalues)
     if len(groups) == n:
         sp = _spectrum(A, w.real, X.real, Yt.real, tol)
-        return SpectralClass(
-            kind=SpectralKind.MULTIPLICITY_FREE,
-            eigenvalues=tuple([(float(t), 1) for t in sp.theta]),  # list: see digraph._out_lists
-            spectrum=sp,
-        )
+        eigenvalues = tuple([(float(t), 1) for t in sp.theta])  # list: see digraph._out_lists
+        return SpectralClass(kind=SpectralKind.MULTIPLICITY_FREE, eigenvalues=eigenvalues, spectrum=sp)
     defects = []
-    for mu, m in eigenvalues:
+    for mu, m in () if symmetrized else eigenvalues:
         if m < 2:
             continue
         shifted = A - mu * np.eye(n)
@@ -215,36 +214,6 @@ def _classify_general(A, tol: Tolerance) -> SpectralClass:
             defects.append((mu, m - geometric))
     kind = SpectralKind.NOT_DIAGONALIZABLE if defects else SpectralKind.DIAGONALIZABLE_NOT_MF
     return SpectralClass(kind=kind, eigenvalues=eigenvalues, rank_defects=tuple(defects))
-
-
-def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
-    """Classify the spectrum of a validated `A` whose symmetrizer search outcome is `sym`.
-
-    A positive-diagonal symmetrizer D, when one exists, reduces the problem
-    to `eigh` on D A D^-1 with guaranteed real spectrum; eigenvalues count
-    as distinct when their gaps exceed eig_tol.  Otherwise `eig` is used:
-    a group of eigenvalues whose mean is off the real axis by more than its
-    radius makes the spectrum complex, and repeated real groups are probed
-    with a rank test for missing eigenvector directions.  LAPACK failures
-    surface as numpy.linalg.LinAlgError.
-    """
-    if not isinstance(sym, Symmetrizer):
-        return _classify_general(A, tol)
-
-    n = A.shape[0]
-    delta = sym.delta
-    w, V = _symmetrized_eigh(A, delta)
-    if n > 1 and float((w[:-1] - w[1:]).min()) <= tol.eig_tol:
-        return SpectralClass(
-            kind=SpectralKind.DIAGONALIZABLE_NOT_MF,
-            eigenvalues=_cluster_eigenvalues(w, tol.eig_tol),
-        )
-    sp = _spectrum(A, w, V / delta[:, None], V.T * delta[None, :], tol)
-    return SpectralClass(
-        kind=SpectralKind.MULTIPLICITY_FREE,
-        eigenvalues=tuple([(float(t), 1) for t in sp.theta]),  # list: see digraph._out_lists
-        spectrum=sp,
-    )
 
 
 def _profile_threshold(A, tol: Tolerance) -> float:

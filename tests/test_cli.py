@@ -376,17 +376,28 @@ def test_unresolvable_eigenvalue_group_exits_three(capsys, tmp_path):
     assert "cannot be resolved" in err
 
 
+_HUGE_SYMMETRIC = "3\n0 1e160 0\n1e160 0 1\n0 1 0\n"
+_HUGE_CYCLE = "3\n0 1e160 1\n2e160 0 1\n1 1 0\n"
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [("analyze",), ("check", "--form", "path", "--s", "0", "--t", "2")],
-    ids=["analyze", "check"],
+    "text, argv",
+    [
+        pytest.param(text, argv, id=f"{cmd}{suffix}")
+        for text, suffix in ((_HUGE_SYMMETRIC, ""), (_HUGE_CYCLE, "-eig"))
+        for cmd, argv in (("analyze", ("analyze",)), ("check", ("check", "--form", "path", "--s", "0", "--t", "2")))
+    ],
 )
-def test_overflow_exits_three_with_one_error_line(capsys, tmp_path, argv):
-    # eigenvalues 0 and +-1e160: the gap products leave the float range.  An
-    # uncaught OverflowError exited 1, the "not equivalent" code, after the
-    # symmetrizer's sign test A * A^T had warned about overflow
+def test_overflow_exits_three_with_one_error_line(capsys, tmp_path, text, argv):
+    # eigenvalues near 0 and +-1e160 or +-1.4e160: the gap products leave the
+    # float range.  On the symmetric matrix an uncaught OverflowError exited 1,
+    # the "not equivalent" code, after the symmetrizer's sign test A * A^T had
+    # warned about overflow.  The second matrix has no symmetrizer (the cycle
+    # 0 -> 1 -> 2 -> 0 has ratio 1/2), and the sum of its squared entries
+    # overflows: the eigenvalue grouping must form ||A||_F at a scale, or every
+    # disk merges and `analyze` reports a wrong kind
     path = tmp_path / "huge.txt"
-    path.write_text("3\n0 1e160 0\n1e160 0 1\n0 1 0\n")
+    path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])

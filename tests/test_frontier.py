@@ -26,6 +26,13 @@ EXIT_NUMERICAL = 3
 # T has the cycle 0 -> 1 -> 2 -> 0 with ratio 1/2, so no diagonal
 # symmetrizes it; its eigenvalues (1 +- sqrt(13))/2 and -1 are distinct.
 T = np.array([[0.0, 1.0, 1.0], [2.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+# K3 is symmetric, the triangle with weights 1, 2 and 3; its eigenvalues are the
+# three distinct real roots of x^3 - 14x - 12, about 4.06, -0.91 and -3.15.
+K3 = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+_EIGENVALUES = {
+    "T": np.array([(1.0 + np.sqrt(13.0)) / 2.0, -1.0, (1.0 - np.sqrt(13.0)) / 2.0]),
+    "K3": np.sort(np.roots([1.0, 0.0, -14.0, -12.0]).real)[::-1],
+}
 
 
 def _main(argv):
@@ -70,6 +77,7 @@ def _shifted_path():
 
 _J = "direction J of ROADMAP"
 _F = "direction F of ROADMAP"
+_E = "direction E of ROADMAP"
 
 
 def _similar_path(n, seed):
@@ -112,9 +120,7 @@ def test_analyze_lists_exactly_the_path_ends(tmp_path, build):
         1e-4,
         1e-8,
         1e-10,
-        pytest.param(1e-20, marks=pytest.mark.xfail(strict=True, reason=(
-            f"check --form path --s 2 --t 8 on 1e-20 * random_instance('permuted_path', 11, 5) exits 1: "
-            f"every entry is below the absolute zero_tol, so the pattern side fails; {_J} (scale)"))),
+        1e-20,
     ],
 )
 def test_scaled_path_ends_hold_or_exit_three(tmp_path, alpha):
@@ -141,18 +147,59 @@ def test_hessenberg_far_corner_holds_or_exits_three(tmp_path):
     assert code in (0, EXIT_NUMERICAL)
 
 
-@pytest.mark.parametrize("alpha", [1e-8, 1e-9])
-def test_scaled_distinct_spectrum_is_multiplicity_free(tmp_path, alpha):
-    code, report = _run(tmp_path, alpha * T, "analyze")
+@pytest.mark.parametrize(
+    "name, alpha",
+    [pytest.param(name, alpha, id=f"{prefix}{alpha:g}") for name, prefix in (("T", ""), ("K3", "K3-"))
+     for alpha in (1e-8, 1e-9)],
+)
+def test_scaled_distinct_spectrum_is_multiplicity_free(tmp_path, name, alpha):
+    code, report = _run(tmp_path, alpha * {"T": T, "K3": K3}[name], "analyze")
     if code == EXIT_NUMERICAL:
         return
     assert code == 0
     assert report["result"]["spectral_kind"] == "multiplicity_free"
-    root = np.sqrt(13.0)
-    expected = alpha * np.array([(1.0 + root) / 2.0, -1.0, (1.0 - root) / 2.0])
     values, counts = zip(*report["result"]["eigenvalues"])
     assert counts == (1, 1, 1)
-    assert np.allclose(values, expected, rtol=1e-6, atol=0.0)
+    assert np.allclose(values, alpha * _EIGENVALUES[name], rtol=1e-6, atol=0.0)
+
+
+def _bidiagonal(n, c):
+    """Upper bidiagonal: diagonal 0, 1, ..., n - 1 and superdiagonal c.  Its
+    eigenvalues are exactly 0 .. n - 1, and the arcs i -> i + 1 put 0 and
+    n - 1 at distance n - 1, where the profile is the constant c^(n - 1)."""
+    return np.diag(np.arange(float(n))) + np.diag([float(c)] * (n - 1), 1)
+
+
+def _merged(repro):
+    return pytest.mark.xfail(strict=True, reason=(
+        f"{repro}: eig's perturbation disks merge distinct eigenvalues and the merge is reported as equality; {_E}"))
+
+
+# Triangular matrices with distinct diagonals, so multiplicity-free; every
+# pair at distance n - 1 has a constant profile, so both sides hold: exit 0.
+@pytest.mark.parametrize(
+    "A, s, t",
+    [
+        pytest.param(np.array([[0.0, 0.0], [2.0**20, 2.0**-10]]), 1, 0, id="2x2", marks=_merged(
+            "check --form distance --s 1 --t 0 on [[0, 0], [2^20, 2^-10]] exits 1, the gap 2^-10 below the floor")),
+        *(pytest.param(_bidiagonal(n, 2.0**e), 0, n - 1, id=f"bidiagonal-{n}-2^{e}", marks=_merged(
+            f"check --form distance --s 0 --t {n - 1} on the bidiagonal matrix at n = {n}, c = 2^{e} exits 1"))
+          for n, e in ((3, 16), (4, 12), (6, 10), (8, 8))),
+    ],
+)
+def test_distinct_triangular_far_pair_holds_or_exits_three(tmp_path, A, s, t):
+    code, _ = _run(tmp_path, A, "check", "--form", "distance", "--s", str(s), "--t", str(t))
+    assert code in (0, EXIT_NUMERICAL)
+
+
+@_merged("analyze on the bidiagonal matrix at n = 6, c = 2^20 exits 0 with 'eigenvalues: 2.5 (x6)'")
+def test_bidiagonal_spectrum_is_multiplicity_free_or_exits_three(tmp_path):
+    code, report = _run(tmp_path, _bidiagonal(6, 2.0**20), "analyze")
+    if code == EXIT_NUMERICAL:
+        return
+    assert code == 0
+    assert report["result"]["spectral_kind"] == "multiplicity_free"
+    assert report["result"]["eigenvalues"] == [[float(v), 1] for v in range(5, -1, -1)]
 
 
 def _hamming(n):

@@ -16,7 +16,6 @@ from spectralpath.spectra import (
     _profile_threshold,
     _spectrum,
     _classify,
-    _classify_general,
     _verify_spectrum,
 )
 from spectralpath.symmetrize import Symmetrizer
@@ -37,7 +36,7 @@ def _companion(coeffs) -> np.ndarray:
 
 def _real_roots(coeffs):
     """Real roots with multiplicities, ascending, as eigenvalues of the companion matrix."""
-    return sorted(_classify_general(_companion(coeffs), DEFAULT_TOL).eigenvalues)
+    return sorted(_classify(_companion(coeffs), None, DEFAULT_TOL).eigenvalues)
 
 
 def test_real_roots_distinct():
@@ -50,7 +49,7 @@ def test_real_roots_distinct():
 
 def test_real_roots_triple():
     # (x - 1)^3: a single Jordan block, eigenvalues spread by eps^(1/3) in eig
-    out = _classify_general(_companion([1.0, -3.0, 3.0, -1.0]), DEFAULT_TOL)
+    out = _classify(_companion([1.0, -3.0, 3.0, -1.0]), None, DEFAULT_TOL)
     assert out.kind is SpectralKind.NOT_DIAGONALIZABLE
     assert len(out.eigenvalues) == 1
     r, m = out.eigenvalues[0]
@@ -66,7 +65,7 @@ def test_real_roots_mixed_multiplicity():
 
 
 def test_real_roots_complex_pair():
-    out = _classify_general(_companion([1.0, 0.0, 1.0]), DEFAULT_TOL)
+    out = _classify(_companion([1.0, 0.0, 1.0]), None, DEFAULT_TOL)
     assert out.kind is SpectralKind.COMPLEX_SPECTRUM
     assert out.eigenvalues == ()
     # x^3 - 1: one real root, two complex
@@ -307,8 +306,10 @@ def _eigenvalue_groups_full_loop(A, w, X, Yt, tol):
     """The merge loop without the early exit, as a reference: every pass
     forms the linked distances and stops on the first infinite minimum."""
     n = len(w)
-    floor = tol.eig_tol * float(np.max(np.abs(A)))
-    unit = 4 * n * EPS * float(np.linalg.norm(A))
+    peak = float(np.max(np.abs(A)))
+    floor = tol.eig_tol * peak
+    e = np.frexp(peak)[1]
+    unit = float(np.ldexp(4 * n * EPS * float(np.linalg.norm(np.ldexp(A, -e))), e))
     groups = [[i] for i in range(n)]
     center = w.astype(complex)
     radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
