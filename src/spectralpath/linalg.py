@@ -97,13 +97,15 @@ def _gap_products(theta: np.ndarray, tol: Tolerance) -> np.ndarray:
 
 
 def _symmetrized_eigh(C: np.ndarray, delta: np.ndarray):
-    """Descending eigenvalues w and orthonormal eigenvectors V (column i for w[i]) of D C D^-1, D = diag(delta).
+    """Descending eigenvalues w, orthonormal eigenvectors V (column i for w[i]) and the matrix H they solve.
 
-    `eigh` reads the symmetric part, which is D C D^-1 itself when D symmetrizes C.
+    H is the symmetric part of D C D^-1, D = diag(delta), which is D C D^-1
+    itself when D symmetrizes C.
     """
     S = C * delta[:, None] / delta[None, :]
-    w, V = np.linalg.eigh(0.5 * (S + S.T))
-    return w[::-1], V[:, ::-1]
+    H = 0.5 * (S + S.T)
+    w, V = np.linalg.eigh(H)
+    return w[::-1], V[:, ::-1], H
 
 
 def as_matrix(A) -> np.ndarray:

@@ -303,7 +303,7 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed: int
         rng = np.random.default_rng([seed, attempt])
         coeffs = rng.uniform(1.0, 2.0, size=dp1)
         C = np.add.reduce(coeffs[:, None, None] * B, axis=0)  # summed in index order
-        w, V = _symmetrized_eigh(C, delta)
+        w, V, _ = _symmetrized_eigh(C, delta)
         if dp1 > 1:
             gap = float((w[:-1] - w[1:]).min())
             last_gap = gap

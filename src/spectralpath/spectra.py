@@ -16,12 +16,12 @@ profile is the eigenvector-eigenvalue identity (Denton, Parke, Tao and
 Zhang, arXiv:1908.03795).
 
 Eigenvectors come from LAPACK.  When a positive diagonal D symmetrizes A,
-`eigh` gives D A D^-1 = V diag(theta) V^T, so X = D^-1 V and Y^T = V^T D.
-Otherwise `eig` gives X and Y^T = X^-1.  On both routes the eigenvalues are
-grouped by perturbation disks whose radii follow from the projector
-condition numbers; on the `eig` route a group that neither separates nor
-passes the rank test raises DegenerateSpectrumError instead of guessing.
-Every spectrum is checked once against the projector identities.
+`eigh` gives D A D^-1 = V diag(theta) V^T, so X = D^-1 V and Y^T = V^T D;
+otherwise `eig` gives X and Y^T = X^-1.  Both routes group the eigenvalues
+by perturbation disks of the matrix LAPACK solved.  On the `eig` route a
+group that neither separates nor passes the rank test raises
+DegenerateSpectrumError instead of guessing.  Every spectrum is checked
+once against the projector identities.
 """
 
 from __future__ import annotations
@@ -120,18 +120,17 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
 
 
 def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
-    """(index list, complex center, float radius) for groups of eigenvalues no perturbation can tell apart.
+    """(index list, complex center, float radius) for groups of the eigenvalues `w` of `A` no perturbation can tell apart.
 
-    A group's disk is centred on its mean.  Its radius is the spread of its
-    members about the mean plus 4 n eps ||A||_F ||P||_F, where P is the
-    group's spectral projector: the first-order perturbation bound for a
-    backward error of 4 n eps ||A||_F, with ||P|| as condition number, and
-    never less than the floor eig_tol * max|A|.  A factor of 1 in place of 4
-    leaves some eig-split Jordan blocks of order 2 apart.  Groups merge
-    closest pair first while some pair of disks overlaps, and each merged
-    group is conditioned anew through its own projector: the members of a
-    repeated eigenvalue have nearly parallel eigenvectors and huge separate
-    condition numbers, but their projectors sum to a moderate one.
+    `A` is the matrix LAPACK solved.  A disk is centred on its group's mean,
+    with the members' spread plus 4 n eps ||A||_F ||P||_F as radius (P the
+    group's projector: the first-order bound for that backward error; a
+    factor of 1 leaves some eig-split Jordan blocks of order 2 apart), and
+    never less than eig_tol * max|A|.  Groups merge closest pair first while
+    disks overlap; a merged group takes its own ||P||, moderate where its
+    members' nearly parallel eigenvectors have huge ones.  X and Yt are None
+    for symmetric `A` and descending `w`: each P is orthogonal, ||P||_F =
+    sqrt(|g|), and the closest touching pair on the real line is adjacent.
     """
     n = len(w)
     peak = float(np.abs(A).max())
@@ -140,22 +139,25 @@ def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     unit = float(np.ldexp(4 * n * EPS * float(np.linalg.norm(np.ldexp(A, -e))), e))
     groups = [[i] for i in range(n)]
     center = w.astype(complex)
-    radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
+    kappa = np.ones(n) if Yt is None else np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1)
+    radius = np.maximum(floor, unit * kappa)
     while len(groups) > 1:
-        dist = np.abs(center[:, None] - center)
-        np.fill_diagonal(dist, np.inf)
-        touching = dist <= radius[:, None] + radius
-        if not touching.any():
+        if Yt is None:  # pairs of neighbours in the descending order
+            dist = center.real[:-1] - center.real[1:]
+            linked = np.where(dist <= radius[:-1] + radius[1:], dist, np.inf)
+        else:
+            dist = np.abs(center[:, None] - center)
+            np.fill_diagonal(dist, np.inf)
+            linked = np.where(dist <= radius[:, None] + radius, dist, np.inf)
+        k = int(np.argmin(linked))
+        if not np.isfinite(linked.flat[k]):  # no pair touches, or each touching pair's distance overflowed
             break
-        linked = np.where(touching, dist, np.inf)
-        a, b = sorted(np.unravel_index(int(np.argmin(linked)), linked.shape))
-        if not np.isfinite(linked[a, b]):  # each touching pair is at a distance that overflowed to inf
-            break
+        a, b = (k, k + 1) if Yt is None else sorted(np.unravel_index(k, linked.shape))
         groups[a] += groups.pop(b)
         center, radius = np.delete(center, b), np.delete(radius, b)
         g = groups[a]
         center[a] = w[g].mean()
-        kappa = float(np.linalg.norm(X[:, g] @ Yt[g, :]))
+        kappa = np.sqrt(len(g)) if Yt is None else float(np.linalg.norm(X[:, g] @ Yt[g, :]))
         radius[a] = max(floor, unit * kappa) + float(np.abs(w[g] - center[a]).max())
     return list(zip(groups, center.tolist(), radius.tolist()))
 
@@ -163,24 +165,23 @@ def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
 def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
     """Classify the spectrum of a validated `A` whose symmetrizer search outcome is `sym`.
 
-    The route (`eigh` with a symmetrizer, `eig` without) chooses only X and
-    Y^T.  A group of `_eigenvalue_groups` off the real axis by more than its
-    radius makes the spectrum complex, and n groups make it multiplicity-free.
-    A repeated group is diagonalizable on the `eigh` route, as D A D^-1 is
-    symmetric; on the `eig` route a rank test probes it for missing
-    eigenvector directions.  LAPACK failures surface as LinAlgError.
+    The route (`eigh` with a symmetrizer, `eig` without) chooses X, Y^T and
+    the matrix `_eigenvalue_groups` draws disks for.  A group off the real
+    axis by more than its radius makes the spectrum complex; n groups are
+    multiplicity-free; a repeated group is diagonalizable on `eigh` (D A D^-1
+    is symmetric) and rank-tested on `eig`.  LAPACK failures raise LinAlgError.
     """
     n = A.shape[0]
     symmetrized = isinstance(sym, Symmetrizer)
     if symmetrized:
-        w, V = _symmetrized_eigh(A, sym.delta)
+        w, V, H = _symmetrized_eigh(A, sym.delta)
         X, Yt = V / sym.delta[:, None], V.T * sym.delta[None, :]
+        groups = _eigenvalue_groups(H, w, None, None, tol)  # H is what eigh solved
     else:
         w, X = np.linalg.eig(A)
-        # X^-1 by LU while ||X||_F ||X^-1||_F >= cond(X) is below 1e13: pinv's cutoff
-        # 1e-15 sigma_max drops nothing there.  Past it the eigenvectors are dependent to
-        # working precision (as for some repeated eigenvalues), and pinv drops those
-        # directions instead of flooding every condition number with them
+        # X^-1 by LU while ||X||_F ||X^-1||_F >= cond(X) is below 1e13, where pinv would drop
+        # nothing; past it pinv drops the directions dependent to working precision instead
+        # of flooding every condition number with them
         try:
             Yt = np.linalg.inv(X)
             with np.errstate(over="ignore", invalid="ignore"):  # an overflowed norm fails the test
@@ -189,7 +190,7 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
             separated = False
         if not separated:
             Yt = np.linalg.pinv(X)
-    groups = _eigenvalue_groups(A, w, X, Yt, tol)
+        groups = _eigenvalue_groups(A, w, X, Yt, tol)
     real = [(float(c.real), len(g)) for g, c, r in groups if abs(c.imag) <= r]
     eigenvalues = tuple(sorted(real, key=lambda p: -p[0]))
     if len(real) < len(groups):

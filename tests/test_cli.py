@@ -405,6 +405,37 @@ def test_overflow_exits_three_with_one_error_line(capsys, tmp_path, text, argv):
     assert err == "error: gap products overflow the float range; eigenvalues spread too far\n"
 
 
+@pytest.mark.parametrize(
+    "text, t",
+    [
+        pytest.param("2\n0 5e7\n2e-8 0\n", 1, id="order-2"),
+        pytest.param("6\n" + "".join(
+            " ".join("1e3" if j == i + 1 else "1e-3" if j == i - 1 else "0" for j in range(6)) + "\n"
+            for i in range(6)), 5, id="order-6"),
+    ],
+)
+def test_weighted_path_keeps_its_distinct_eigenvalues(capsys, tmp_path, text, t):
+    # A = D^-1 P D for the unweighted path P, with D spanning 5e7 or 1e15:
+    # its eigenvalues are P's, 2 cos(k pi / (n + 1)), and perfectly conditioned
+    # in the symmetric matrix eigh solves, but disks sized by A's own norm and
+    # eigenvector condition numbers would merge them all into one group
+    path = tmp_path / "weighted.txt"
+    path.write_text(text)
+    n = t + 1
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code in (0, 3)
+    if out:
+        result = json.loads(out)["result"]
+        assert result["spectral_kind"] == "multiplicity_free"
+        values, counts = zip(*result["eigenvalues"])
+        assert counts == (1,) * n
+        assert np.allclose(values, 2 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1)), rtol=0, atol=1e-12)
+    code, out, _ = run(capsys, "check", str(path), "--form", "path", "--s", "0", "--t", str(t))
+    assert code in (0, 3)
+    if n == 2:
+        assert (code, out.splitlines()[-1]) == (0, "verdict: both sides hold")
+
+
 def test_scheme_commands(capsys):
     code, out, _ = run(capsys, "scheme", "builtin:hypercube(3)", "info")
     assert code == 0

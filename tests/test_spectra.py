@@ -351,3 +351,31 @@ def test_eigenvalue_groups_early_exit_matches_the_full_loop():
     for A in cases[:2]:
         w, X = np.linalg.eig(A)
         assert len(_eigenvalue_groups(A, w, X, np.linalg.pinv(X), DEFAULT_TOL)) < len(A)
+
+
+def test_symmetric_groups_match_the_full_loop_with_unit_vectors():
+    # X = Yt = I makes every projector norm sqrt(|g|), as for orthonormal
+    # eigenvectors, so the neighbour-only merge of the symmetric route must
+    # agree with the all-pairs reference: on the real line the closest pair
+    # of touching disks is adjacent.  eig_tol = 0 lets the norm term set the
+    # radii, and eig_tol = 0.02 or 0.05 chains merges across uniform spectra
+    rng = np.random.default_rng(7)
+    cases = [np.zeros((3, 3)), np.ones((40, 40)) - np.eye(40)]
+    star = np.zeros((30, 30))
+    star[0, 1:] = star[1:, 0] = 1.0
+    cases.append(star)
+    for n in (2, 5, 9, 16):
+        for _ in range(4):
+            B = np.rint(rng.normal(size=(n, n)))
+            cases += [B + B.T, np.diag(rng.integers(0, 3, size=n) + 1e-9 * rng.normal(size=n))]  # near ties
+    cases += [np.diag(rng.uniform(0.0, 1.0, size=n)) for n in (9, 16, 16, 30, 30, 30, 30)]
+    merged = 0
+    for tol in (DEFAULT_TOL, Tolerance(eig_tol=0.0), Tolerance(eig_tol=0.02), Tolerance(eig_tol=0.05)):
+        for H in cases:
+            H = 0.5 * (H + H.T)
+            w = np.linalg.eigvalsh(H)[::-1]
+            got = _eigenvalue_groups(H, w, None, None, tol)
+            eye = np.eye(len(H))
+            assert got == _eigenvalue_groups_full_loop(H, w, eye, eye, tol)
+            merged += any(len(g) > 1 for g, _, _ in got)
+    assert merged >= 30, merged
