@@ -205,7 +205,7 @@ def _load_scheme(source: str):
     return schemes.read_scheme(source)
 
 
-def _report_structures(args, kind: str, scheme, structures, tol: Tolerance, seed=None) -> int:
+def _report_structures(args, kind: str, scheme, structures, tol: Tolerance) -> int:
     """Emit the detected P- or Q-polynomial structures; `kind` is "p" or "q"."""
     name = f"{kind.upper()}-polynomial"
     payload = [st._asdict() for st in structures]
@@ -216,8 +216,6 @@ def _report_structures(args, kind: str, scheme, structures, tol: Tolerance, seed
         "result": {"size": scheme.size, "d": scheme.d, "structures": payload},
         "verdict": verdict,
     }
-    if seed is not None:
-        report["seed"] = seed
 
     def lines():
         yield f"|X| = {scheme.size}   d = {scheme.d}"
@@ -249,7 +247,7 @@ def _cmd_scheme(args) -> int:
     if action == "p-poly":
         return _report_structures(args, "p", scheme, schemes.detect_p_polynomial(scheme, tol), tol)
 
-    ed = schemes.eigendata(scheme, tol, seed=args.seed)
+    ed = schemes.eigendata(scheme, tol)
 
     if action == "info":
         kmin = float(np.min(ed.q))
@@ -257,7 +255,6 @@ def _cmd_scheme(args) -> int:
         report = {
             "command": "scheme info",
             "tolerances": tol,
-            "seed": args.seed,
             "result": {
                 "size": scheme.size,
                 "d": scheme.d,
@@ -286,7 +283,7 @@ def _cmd_scheme(args) -> int:
         return EXIT_TRUE
 
     if action == "q-poly":
-        return _report_structures(args, "q", scheme, schemes.detect_q_polynomial(ed), tol, args.seed)
+        return _report_structures(args, "q", scheme, schemes.detect_q_polynomial(ed), tol)
 
     b, c = int(extra[0]), int(extra[1])
     rep = schemes.check_scheme_characterization(ed, action[0], b, c)
@@ -294,7 +291,6 @@ def _cmd_scheme(args) -> int:
     report = {
         "command": f"scheme {action}",
         "tolerances": tol,
-        "seed": args.seed,
         "result": {**vars(rep), "equivalent": rep.equivalent},
         "verdict": verdict,
     }
@@ -311,14 +307,6 @@ def _cmd_scheme(args) -> int:
 
     _emit(report, args.json, lines())
     return code
-
-
-def nonnegative_int(text: str) -> int:
-    """Parse a seed: numpy's generators take no negative one, so no stream has two names."""
-    value = int(text)
-    if value < 0:
-        raise ValueError(f"negative seed {value}")
-    return value
 
 
 # One table for build_parser and _fast_args: per command, its handler, help
@@ -344,8 +332,6 @@ _COMMANDS = {
         ("source", {"help": "scheme file or builtin:<name>(<n>)"}),
         ("action", {"choices": ("info", "p-poly", "q-poly", "p-check", "q-check")}),
         ("indices", {"nargs": "*", "type": int, "help": "generator and last index for *-check"}),
-        ("--seed", {"type": nonnegative_int, "default": 0,
-                    "help": "seed of the random eigendata combination, read by info, q-poly, p-check and q-check"}),
     ) + _COMMON),
 }
 

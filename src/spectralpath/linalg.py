@@ -71,8 +71,8 @@ class SpectralIdentityError(RuntimeError):
 class DegenerateSpectrumError(RuntimeError):
     """Eigenvalues too close to tell apart or to merge at working precision.
 
-    Also raised when random combinations of a scheme's intersection matrices keep
-    producing colliding eigenvalues, and when a gap product or profile threshold overflows.
+    Also raised when the fixed combination of a scheme's intersection matrices has
+    colliding eigenvalues, and when a gap product or profile threshold overflows.
     """
 
 

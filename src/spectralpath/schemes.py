@@ -266,7 +266,7 @@ def krein_parameters(P, Q, size: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SchemeEigendata:
-    """Eigenmatrices and Krein parameters of a scheme.
+    """Eigenmatrices and Krein parameters of a scheme, bitwise the same on every call.
 
     P rows follow a fixed convention: row 0 is the valency row, the rest
     sort descending by their column-1 entry (then lexicographically).
@@ -280,56 +280,49 @@ class SchemeEigendata:
     Q: np.ndarray
     m: np.ndarray
     q: np.ndarray
-    seed: int
     tol: Tolerance
     residuals: dict = field(compare=False)
 
 
-def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL, seed: int = 0) -> SchemeEigendata:
+def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL) -> SchemeEigendata:
     """Compute P, Q, multiplicities and Krein parameters.
 
-    A seeded random positive combination of the intersection matrices is
+    One fixed random positive combination of the intersection matrices is
     symmetrized by conjugation with diag(sqrt(k)) (the valency balance
     k_h p^h_ij = k_j p^j_ih, checked on construction, makes every B_i
     symmetrizable by the valencies) and diagonalized; left eigenvectors
     normalized at column 0 are the rows of P.  Colliding combination
-    eigenvalues trigger a retry with a derived seed, up to five attempts.
+    eigenvalues, or a left eigenvector vanishing at column 0, raise
+    DegenerateSpectrumError.
     """
     dp1 = scheme.d + 1
     B = scheme.p.transpose(1, 0, 2).astype(float, order="C")  # B[i][h, j] = p^h_ij
     delta = np.sqrt(scheme.k.astype(float))
-    last_gap = None
-    for attempt in range(5):
-        rng = np.random.default_rng([seed, attempt])
-        coeffs = rng.uniform(1.0, 2.0, size=dp1)
-        C = np.add.reduce(coeffs[:, None, None] * B, axis=0)  # summed in index order
-        w, V, _ = _symmetrized_eigh(C, delta)
-        if dp1 > 1:
-            gap = float((w[:-1] - w[1:]).min())
-            last_gap = gap
-            if gap <= tol.eig_tol * max(1.0, float(abs(C).max())):
-                continue
-        U = delta[:, None] * V  # columns are left eigenvectors of C, transposed
-        if float(abs(U[0, :]).min()) < 1e-12:
-            continue
-        rows = (U / U[0, :]).T
-        # eigenvalue of the positive combination is maximal exactly on the
-        # valency row, so the descending sort puts it first; the others sort
-        # descending by their entries from column 1 on, rounded to 9 places
-        order = np.zeros(dp1, dtype=np.intp)
-        if dp1 > 1:
-            order[1:] = np.lexsort(-np.round(rows[1:, :0:-1].T, 9)) + 1
-        P = rows[order]
-        Q = np.linalg.solve(P, scheme.size * np.eye(dp1))
-        m = Q[0, :].copy()
-        q = krein_parameters(P, Q, scheme.size)
-        residuals = _verify_eigendata(scheme, P, Q, m, q, tol)
-        return SchemeEigendata(
-            scheme=scheme, P=P, Q=Q, m=m, q=q, seed=seed, tol=tol, residuals=residuals
-        )
-    raise DegenerateSpectrumError(
-        f"five random combinations produced colliding eigenvalues (last gap {last_gap:.3e})"
-    )
+    # the first draw of the stream earlier releases used by default, kept so
+    # that P, Q and q keep their bits; redrawing rescued no scheme (ROADMAP N)
+    coeffs = np.random.default_rng([0, 0]).uniform(1.0, 2.0, size=dp1)
+    C = np.add.reduce(coeffs[:, None, None] * B, axis=0)  # summed in index order
+    w, V, _ = _symmetrized_eigh(C, delta)
+    if dp1 > 1:
+        gap = float((w[:-1] - w[1:]).min())
+        if gap <= tol.eig_tol * max(1.0, float(abs(C).max())):
+            raise DegenerateSpectrumError(f"random combination has colliding eigenvalues (gap {gap:.3e})")
+    U = delta[:, None] * V  # columns are left eigenvectors of C, transposed
+    if float(abs(U[0, :]).min()) < 1e-12:
+        raise DegenerateSpectrumError("a left eigenvector of the random combination vanishes at column 0")
+    rows = (U / U[0, :]).T
+    # eigenvalue of the positive combination is maximal exactly on the
+    # valency row, so the descending sort puts it first; the others sort
+    # descending by their entries from column 1 on, rounded to 9 places
+    order = np.zeros(dp1, dtype=np.intp)
+    if dp1 > 1:
+        order[1:] = np.lexsort(-np.round(rows[1:, :0:-1].T, 9)) + 1
+    P = rows[order]
+    Q = np.linalg.solve(P, scheme.size * np.eye(dp1))
+    m = Q[0, :].copy()
+    q = krein_parameters(P, Q, scheme.size)
+    residuals = _verify_eigendata(scheme, P, Q, m, q, tol)
+    return SchemeEigendata(scheme=scheme, P=P, Q=Q, m=m, q=q, tol=tol, residuals=residuals)
 
 
 def _verify_eigendata(scheme, P, Q, m, q, tol: Tolerance) -> dict:

@@ -20,8 +20,8 @@ Eigenvectors come from LAPACK.  When a positive diagonal D symmetrizes A,
 otherwise `eig` gives X and Y^T = X^-1.  Both routes group the eigenvalues
 by perturbation disks of the matrix LAPACK solved.  On the `eig` route a
 group that neither separates nor passes the rank test raises
-DegenerateSpectrumError instead of guessing.  Every spectrum is checked
-once against the projector identities.
+DegenerateSpectrumError instead of guessing.  Every spectrum is checked once
+against the projector identities of the matrix LAPACK solved.
 """
 
 from __future__ import annotations
@@ -110,11 +110,15 @@ def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:
     return {"sum_to_identity": r_sum, "idempotency": r_idem, "reconstruction": r_recon}
 
 
-def _spectrum(A, theta, X, Yt, tol: Tolerance) -> Spectrum:
-    """Sort descending, verify the projectors X[:, i] Yt[i, :] once, attach gap products."""
+def _spectrum(A, theta, X, Yt, tol: Tolerance, solved=None) -> Spectrum:
+    """Sort descending, verify the projectors X[:, i] Yt[i, :] once, attach gap products.
+
+    The `eigh` route verifies them on `solved` = (H, V), already descending: D's spread inflates X Yt.
+    """
     order = np.argsort(-theta, kind="stable")
     theta, X, Yt = theta[order], X[:, order], Yt[order, :]
-    residuals = _verify_spectrum(A, theta, X, Yt, tol)
+    M, Xv, Yv = (A, X, Yt) if solved is None else (solved[0], solved[1], solved[1].T)
+    residuals = _verify_spectrum(M, theta, Xv, Yv, tol)
     gaps = _gap_products(theta, tol)
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
@@ -196,7 +200,7 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
     if len(real) < len(groups):
         return SpectralClass(kind=SpectralKind.COMPLEX_SPECTRUM, eigenvalues=eigenvalues)
     if len(groups) == n:
-        sp = _spectrum(A, w.real, X.real, Yt.real, tol)
+        sp = _spectrum(A, w.real, X.real, Yt.real, tol, (H, V) if symmetrized else None)
         eigenvalues = tuple([(float(t), 1) for t in sp.theta])  # list: see digraph._out_lists
         return SpectralClass(kind=SpectralKind.MULTIPLICITY_FREE, eigenvalues=eigenvalues, spectrum=sp)
     defects = []

@@ -304,7 +304,7 @@ def degenerate(seed=0, tol=DEFAULT_TOL):
                 rep = check_characterization(analysis, form, s, t)
                 assert rep.equivalent and rep.condition_i == (s != t), (form, s, t)
 
-    ed = schemes.eigendata(schemes.builtin_scheme("complete", 2), tol, seed=seed)
+    ed = schemes.eigendata(schemes.builtin_scheme("complete", 2), tol)
     assert float(np.max(np.abs(ed.P - [[1.0, 1.0], [1.0, -1.0]]))) <= tol.residual_tol, ed.P
     for kind in ("p", "q"):
         rep = schemes.check_scheme_characterization(ed, kind, 1, 1)

@@ -7,14 +7,12 @@ Usage (from the root of a checkout):
 Writes the inputs of every workload in BENCHMARK.json for each seed once,
 with this checkout's `bench/workloads.build`, under a temporary directory.
 These are `analyze` (which sweeps the profile at every position), `check`
-and `scheme` calls.  No workload passes `--seed`, so every `scheme`
-operation runs once more with `--seed <seed>`.  Every call then runs with
-and without `--json` in each checkout: one fresh interpreter per
-checkout, importing spectralpath from that checkout's `src/` and calling
-`spectralpath.cli.main` in-process.  The exit code, stdout and stderr of
-every call are compared.  Prints the number of calls compared, how many of
-them pass `--seed`, and the first calls that differ; exits 1 on any
-difference, 0 otherwise.
+and `scheme` calls.  Every call then runs with and without `--json` in
+each checkout: one fresh interpreter per checkout, importing spectralpath
+from that checkout's `src/` and calling `spectralpath.cli.main`
+in-process.  The exit code, stdout and stderr of every call are compared.
+Prints the number of calls compared and the first calls that differ;
+exits 1 on any difference, 0 otherwise.
 """
 
 import argparse
@@ -56,8 +54,7 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 
 
 def write_calls(folder: str, seeds: list) -> list:
-    """Every operation of every workload and seed, and each scheme operation again with --seed,
-    all without and with --json."""
+    """Every operation of every workload and seed, without and with --json."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.dont_write_bytecode = True  # leave bench/ as it is
     import workloads
@@ -70,8 +67,6 @@ def write_calls(folder: str, seeds: list) -> list:
             for op in workloads.build(name, seed, os.path.join(folder, f"{name}-seed{seed}")):
                 argv = [a for a in op.argv if a != "--json"]
                 calls += [argv, argv + ["--json"]]
-                if argv[0] == "scheme":
-                    calls += [argv + ["--seed", str(seed)], argv + ["--seed", str(seed), "--json"]]
     return calls
 
 
@@ -101,8 +96,7 @@ def main() -> int:
         ours = run_checkout(ROOT, calls_path, folder, "this")
         theirs = run_checkout(other, calls_path, folder, "against")
         differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
-        seeded = sum("--seed" in argv for argv in calls)
-        print(f"{len(calls)} calls compared ({seeded} with --seed), {len(differ)} differ "
+        print(f"{len(calls)} calls compared, {len(differ)} differ "
               f"(this checkout {ROOT} against {other}, seeds {' '.join(map(str, args.seeds))})")
         for i in differ[:SHOWN]:
             print(f"  spectralpath {' '.join(calls[i]).replace(folder, '<inputs>')}")
