@@ -422,15 +422,16 @@ class SchemeCharacterizationReport:
 def check_scheme_characterization(ed: SchemeEigendata, kind: str, b: int, c: int) -> SchemeCharacterizationReport:
     """The P- or Q-polynomial endpoint check, generator b ending at c; `kind` is "p" or "q".
 
-    For "p": side_i asks `detect_p_polynomial` for the structure, and side_ii
+    For "p": side_i asks whether the pattern of B_b alone is a bidirected
+    path from 0 to c (its structure in `detect_p_polynomial`), and side_ii
     compares row c of Q against f_0(theta_0)/f_i(theta_i) built from the
-    eigenvalue column theta_i = P[i, b].  For "q", the dual statement:
-    `detect_q_polynomial`, theta*_i = Q[i, b] and row c of P.  Read at `ed.tol`.
+    eigenvalue column theta_i = P[i, b].  For "q", the dual statement: the
+    dual pattern of generator b, theta*_i = Q[i, b] and row c of P.  Read at `ed.tol`.
     """
     if kind == "p":
-        structures, eigen, dual = detect_p_polynomial(ed.scheme, ed.tol), ed.P, ed.Q
+        tensor, eigen, dual = ed.scheme.p, ed.P, ed.Q
     elif kind == "q":
-        structures, eigen, dual = detect_q_polynomial(ed), ed.Q, ed.P
+        tensor, eigen, dual = ed.q, ed.Q, ed.P
     else:
         raise ValueError(f"unknown kind {kind!r}; expected 'p' or 'q'")
     tol = ed.tol
@@ -438,7 +439,8 @@ def check_scheme_characterization(ed: SchemeEigendata, kind: str, b: int, c: int
     if not (1 <= b <= d and 1 <= c <= d):
         raise ValueError(f"indices ({b}, {c}) outside 1..{d}")
     theta, actual = eigen[:, b], dual[c, :]
-    side_i = any(st.generator == b and st.last == c for st in structures)
+    order = bidirected_path_endpoints(gamma(tensor[None, :, b], tol))[0]  # generator b's matrix alone
+    side_i = order is not None and {order[0], order[-1]} == {0, c}
 
     expected = None
     max_dev = None

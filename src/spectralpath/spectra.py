@@ -17,8 +17,8 @@ Zhang, arXiv:1908.03795).
 
 Eigenvectors come from LAPACK.  When a positive diagonal D symmetrizes A,
 `eigh` gives D A D^-1 = V diag(theta) V^T, so X = D^-1 V and Y^T = V^T D;
-otherwise `eig` gives X and Y^T = X^-1.  Both routes group the eigenvalues
-by perturbation disks of the matrix LAPACK solved.  On the `eig` route a
+otherwise `eig` gives X and Y^T = X^-1.  `eigh`'s eigenvalues split only at
+gaps a Weyl bound certifies; `eig`'s merge by perturbation disks of A, and a
 group that neither separates nor passes the rank test raises
 DegenerateSpectrumError instead of guessing.  Every spectrum is checked once
 against the projector identities of the matrix LAPACK solved.
@@ -123,45 +123,42 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance, solved=None) -> Spectrum:
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
+def _disk_terms(A, tol: Tolerance):
+    """The least radius eig_tol * max|A| of an eigenvalue disk of `A`, and its unit 4 n eps ||A||_F."""
+    peak = float(np.abs(A).max())
+    e = np.frexp(peak)[1]  # ||A||_F formed at the scale 2^-e, where it cannot overflow
+    return tol.eig_tol * peak, float(np.ldexp(4 * len(A) * EPS * float(np.linalg.norm(np.ldexp(A, -e))), e))
+
+
 def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     """(index list, complex center, float radius) for groups of the eigenvalues `w` of `A` no perturbation can tell apart.
 
-    `A` is the matrix LAPACK solved.  A disk is centred on its group's mean,
-    with the members' spread plus 4 n eps ||A||_F ||P||_F as radius (P the
-    group's projector: the first-order bound for that backward error; a
-    factor of 1 leaves some eig-split Jordan blocks of order 2 apart), and
-    never less than eig_tol * max|A|.  Groups merge closest pair first while
-    disks overlap; a merged group takes its own ||P||, moderate where its
-    members' nearly parallel eigenvectors have huge ones.  X and Yt are None
-    for symmetric `A` and descending `w`: each P is orthogonal, ||P||_F =
-    sqrt(|g|), and the closest touching pair on the real line is adjacent.
+    `A` is the matrix `eig` solved, X and Yt its right and left eigenvectors.
+    A disk is centred on its group's mean, with the members' spread plus
+    unit * ||P||_F as radius (P the group's projector: the first-order bound
+    for a backward error of 4 n eps ||A||_F; a factor of 1 leaves some
+    eig-split Jordan blocks of order 2 apart), and never less than the floor
+    eig_tol * max|A|.  Groups merge closest pair first while disks overlap; a
+    merged group takes its own ||P||, moderate where its members' nearly
+    parallel eigenvectors have huge ones.
     """
-    n = len(w)
-    peak = float(np.abs(A).max())
-    floor = tol.eig_tol * peak
-    e = np.frexp(peak)[1]  # ||A||_F formed at the scale 2^-e, where it cannot overflow
-    unit = float(np.ldexp(4 * n * EPS * float(np.linalg.norm(np.ldexp(A, -e))), e))
-    groups = [[i] for i in range(n)]
+    floor, unit = _disk_terms(A, tol)
+    groups = [[i] for i in range(len(w))]
     center = w.astype(complex)
-    kappa = np.ones(n) if Yt is None else np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1)
-    radius = np.maximum(floor, unit * kappa)
+    radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
     while len(groups) > 1:
-        if Yt is None:  # pairs of neighbours in the descending order
-            dist = center.real[:-1] - center.real[1:]
-            linked = np.where(dist <= radius[:-1] + radius[1:], dist, np.inf)
-        else:
-            dist = np.abs(center[:, None] - center)
-            np.fill_diagonal(dist, np.inf)
-            linked = np.where(dist <= radius[:, None] + radius, dist, np.inf)
+        dist = np.abs(center[:, None] - center)
+        np.fill_diagonal(dist, np.inf)
+        linked = np.where(dist <= radius[:, None] + radius, dist, np.inf)
         k = int(np.argmin(linked))
         if not np.isfinite(linked.flat[k]):  # no pair touches, or each touching pair's distance overflowed
             break
-        a, b = (k, k + 1) if Yt is None else sorted(np.unravel_index(k, linked.shape))
+        a, b = sorted(np.unravel_index(k, linked.shape))
         groups[a] += groups.pop(b)
         center, radius = np.delete(center, b), np.delete(radius, b)
         g = groups[a]
         center[a] = w[g].mean()
-        kappa = np.sqrt(len(g)) if Yt is None else float(np.linalg.norm(X[:, g] @ Yt[g, :]))
+        kappa = float(np.linalg.norm(X[:, g] @ Yt[g, :]))
         radius[a] = max(floor, unit * kappa) + float(np.abs(w[g] - center[a]).max())
     return list(zip(groups, center.tolist(), radius.tolist()))
 
@@ -170,17 +167,22 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
     """Classify the spectrum of a validated `A` whose symmetrizer search outcome is `sym`.
 
     The route (`eigh` with a symmetrizer, `eig` without) chooses X, Y^T and
-    the matrix `_eigenvalue_groups` draws disks for.  A group off the real
-    axis by more than its radius makes the spectrum complex; n groups are
-    multiplicity-free; a repeated group is diagonalizable on `eigh` (D A D^-1
-    is symmetric) and rank-tested on `eig`.  LAPACK failures raise LinAlgError.
+    the grouping.  Each computed eigenvalue of the symmetric H = D A D^-1 is
+    within about n eps ||H||_2 of a true one (Weyl), so `eigh`'s descending w
+    split into runs only where w_i - w_{i+1} > 2 max(`_disk_terms(H)`).  On
+    `eig`, `_eigenvalue_groups` merges disks of A, and a group off the real
+    axis by more than its radius makes the spectrum complex.  n groups are
+    multiplicity-free; a repeated group is diagonalizable on `eigh` (H is
+    symmetric) and rank-tested on `eig`.  LAPACK failures raise LinAlgError.
     """
     n = A.shape[0]
     symmetrized = isinstance(sym, Symmetrizer)
     if symmetrized:
         w, V, H = _symmetrized_eigh(A, sym.delta)
         X, Yt = V / sym.delta[:, None], V.T * sym.delta[None, :]
-        groups = _eigenvalue_groups(H, w, None, None, tol)  # H is what eigh solved
+        cuts = [0, *(np.flatnonzero(w[:-1] - w[1:] > 2 * max(_disk_terms(H, tol))) + 1).tolist(), n]
+        # runs on the real axis (radius 0); a singleton's value skips a numpy mean, which costs more than the split
+        groups = [(range(a, b), w[a] if b - a == 1 else w[a:b].mean(), 0.0) for a, b in zip(cuts, cuts[1:])]
     else:
         w, X = np.linalg.eig(A)
         # X^-1 by LU while ||X||_F ||X^-1||_F >= cond(X) is below 1e13, where pinv would drop

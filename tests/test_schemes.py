@@ -538,6 +538,25 @@ def test_q_side_detection_on_johnson_schemes():
             assert not rep.side_i and not rep.side_ii, (v, c)
 
 
+def test_endpoint_side_i_reads_generator_b_as_the_full_scan_does():
+    # side_i reads generator b's pattern alone; a generator yields at most
+    # one structure, so it must agree with the scan of every generator
+    schemes = [builtin_scheme("hypercube", n) for n in (2, 3, 4, 5, 6)]
+    schemes += [scheme_from_relations(johnson_relations(v, k)) for v, k in ((5, 2), (6, 3), (7, 3), (8, 4))]
+    schemes += [rook_scheme(m, n) for m, n in ((2, 2), (3, 3), (3, 4))]
+    held = 0
+    for scheme in schemes:
+        ed = eigendata(scheme)
+        d = len(ed.P) - 1
+        for kind, structures in (("p", detect_p_polynomial(scheme, ed.tol)), ("q", detect_q_polynomial(ed))):
+            for b in range(1, d + 1):
+                for c in range(1, d + 1):
+                    want = any(st.generator == b and st.last == c for st in structures)
+                    assert check_scheme_characterization(ed, kind, b, c).side_i == want, (kind, b, c)
+                    held += want
+    assert held >= 20, held
+
+
 def test_triple_counting_matches_brute_force():
     cases = {
         "hypercube(5)": hamming_relations(5),

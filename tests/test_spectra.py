@@ -12,6 +12,7 @@ from spectralpath.linalg import (
 from spectralpath.spectra import (
     EPS,
     SpectralKind,
+    _disk_terms,
     _eigenvalue_groups,
     _profile_threshold,
     _spectrum,
@@ -353,12 +354,13 @@ def test_eigenvalue_groups_early_exit_matches_the_full_loop():
         assert len(_eigenvalue_groups(A, w, X, np.linalg.pinv(X), DEFAULT_TOL)) < len(A)
 
 
-def test_symmetric_groups_match_the_full_loop_with_unit_vectors():
-    # X = Yt = I makes every projector norm sqrt(|g|), as for orthonormal
-    # eigenvectors, so the neighbour-only merge of the symmetric route must
-    # agree with the all-pairs reference: on the real line the closest pair
-    # of touching disks is adjacent.  eig_tol = 0 lets the norm term set the
-    # radii, and eig_tol = 0.02 or 0.05 chains merges across uniform spectra
+def test_symmetric_runs_split_at_certified_gaps_within_the_full_loop_groups():
+    # the eigh route splits the descending w of H wherever a gap exceeds
+    # 2 max(floor, unit), and nowhere else; each merge-loop group with unit
+    # eigenvectors (every projector norm sqrt(|g|), as for orthonormal ones)
+    # is a union of those runs, since its radii never fall below
+    # max(floor, unit).  eig_tol = 0 lets the norm term set the split, and
+    # eig_tol = 0.02 or 0.05 chains merges across uniform spectra
     rng = np.random.default_rng(7)
     cases = [np.zeros((3, 3)), np.ones((40, 40)) - np.eye(40)]
     star = np.zeros((30, 30))
@@ -369,13 +371,37 @@ def test_symmetric_groups_match_the_full_loop_with_unit_vectors():
             B = np.rint(rng.normal(size=(n, n)))
             cases += [B + B.T, np.diag(rng.integers(0, 3, size=n) + 1e-9 * rng.normal(size=n))]  # near ties
     cases += [np.diag(rng.uniform(0.0, 1.0, size=n)) for n in (9, 16, 16, 30, 30, 30, 30)]
-    merged = 0
+    merged = coarser = 0
     for tol in (DEFAULT_TOL, Tolerance(eig_tol=0.0), Tolerance(eig_tol=0.02), Tolerance(eig_tol=0.05)):
         for H in cases:
             H = 0.5 * (H + H.T)
-            w = np.linalg.eigvalsh(H)[::-1]
-            got = _eigenvalue_groups(H, w, None, None, tol)
-            eye = np.eye(len(H))
-            assert got == _eigenvalue_groups_full_loop(H, w, eye, eye, tol)
-            merged += any(len(g) > 1 for g, _, _ in got)
+            n = len(H)
+            w = np.linalg.eigh(H)[0][::-1]
+            try:
+                eigenvalues = _classify(H, Symmetrizer(kappa=np.ones(n)), tol).eigenvalues
+            except (DegenerateSpectrumError, SpectralIdentityError):  # raised only past n singleton runs
+                eigenvalues = [(t, 1) for t in w]
+            ends = np.cumsum([m for _, m in eigenvalues])
+            runs = [range(b - m, b) for b, (_, m) in zip(ends, eigenvalues)]
+            assert ends[-1] == n
+            limit = 2 * max(_disk_terms(H, tol))
+            assert list(w[:-1] - w[1:] > limit) == [i + 1 in ends for i in range(n - 1)]
+            for r, (t, _) in zip(runs, eigenvalues):
+                assert t == (w[r[0]] if len(r) == 1 else w[r.start:r.stop].mean())
+            eye = np.eye(n)
+            groups = _eigenvalue_groups_full_loop(H, w, eye, eye, tol)
+            for g, _, _ in groups:
+                assert all(set(r) <= set(g) or not set(r) & set(g) for r in runs)
+            merged += any(len(r) > 1 for r in runs)
+            coarser += len(groups) < len(runs)
     assert merged >= 30, merged
+    assert coarser >= 1, coarser
+
+
+def test_skewed_diagonal_splits_at_its_certified_top_gap():
+    # the top gap 2.4e-8 exceeds 2 eig_tol max|A| = 2e-8; the disk merge took the whole cluster (x6)
+    top, mid = 1 + 4.3e-8, 1 + 1.9e-8
+    eigenvalues = analyze_matrix(np.diag([top, mid, mid, mid, mid, 1.0])).spectral.eigenvalues
+    assert [m for _, m in eigenvalues] == [1, 5]
+    assert eigenvalues[0][0] == top
+    assert eigenvalues[1][0] == pytest.approx(1 + 1.52e-8, abs=1e-15)

@@ -7,11 +7,15 @@ Usage (from the root of a checkout):
 Writes the inputs of every workload in BENCHMARK.json for each seed once,
 with this checkout's `bench/workloads.build`, under a temporary directory.
 These are `analyze` (which sweeps the profile at every position), `check`
-and `scheme` calls.  Every call then runs with and without `--json` in
+and `scheme` calls.  `analyze` also runs on fixed matrices with repeated
+eigenvalues that the benchmark never draws (K_40, the order-30 star, the
+6-cube and a skewed near-degenerate diagonal), so a change in eigenvalue
+grouping shows as a differing call.  Every call runs with and without `--json` in
 each checkout: one fresh interpreter per checkout, importing spectralpath
 from that checkout's `src/` and calling `spectralpath.cli.main`
 in-process.  The exit code, stdout and stderr of every call are compared.
-Prints the number of calls compared and the first calls that differ;
+Prints the number of calls compared, of the workload calls and of the calls
+on fixed matrices that differ, and the first calls that differ;
 exits 1 on any difference, 0 otherwise.
 """
 
@@ -21,6 +25,8 @@ import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SHOWN = 5  # differing calls printed
@@ -53,8 +59,22 @@ with open(sys.argv[3], "w", encoding="utf-8") as fh:
 """
 
 
+def degenerate_matrices() -> dict:
+    """Symmetric matrices with repeated or nearly repeated eigenvalues, by file name."""
+    star = np.zeros((30, 30))
+    star[0, 1:] = star[1:, 0] = 1.0
+    verts = np.arange(64)
+    top, mid = 1 + 4.3e-8, 1 + 1.9e-8
+    return {
+        "complete-40": np.ones((40, 40)) - np.eye(40),
+        "star-30": star,
+        "cube-6": (np.bitwise_count(verts[:, None] ^ verts) == 1).astype(float),
+        "skewed-diagonal": np.diag([top, mid, mid, mid, mid, 1.0]),
+    }
+
+
 def write_calls(folder: str, seeds: list) -> list:
-    """Every operation of every workload and seed, without and with --json."""
+    """Every operation of every workload and seed, then `analyze` on each fixed matrix; without and with --json."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.dont_write_bytecode = True  # leave bench/ as it is
     import workloads
@@ -67,6 +87,11 @@ def write_calls(folder: str, seeds: list) -> list:
             for op in workloads.build(name, seed, os.path.join(folder, f"{name}-seed{seed}")):
                 argv = [a for a in op.argv if a != "--json"]
                 calls += [argv, argv + ["--json"]]
+    for name, A in degenerate_matrices().items():
+        path = os.path.join(folder, f"{name}.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{len(A)}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in A.tolist()))
+        calls += [["analyze", path], ["analyze", path, "--json"]]
     return calls
 
 
@@ -96,7 +121,9 @@ def main() -> int:
         ours = run_checkout(ROOT, calls_path, folder, "this")
         theirs = run_checkout(other, calls_path, folder, "against")
         differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
-        print(f"{len(calls)} calls compared, {len(differ)} differ "
+        workload = len(calls) - 2 * len(degenerate_matrices())  # the workload calls come first
+        print(f"{len(calls)} calls compared, {len(differ)} differ: {sum(i < workload for i in differ)} of {workload} "
+              f"workload calls, {sum(i >= workload for i in differ)} of {len(calls) - workload} on fixed matrices "
               f"(this checkout {ROOT} against {other}, seeds {' '.join(map(str, args.seeds))})")
         for i in differ[:SHOWN]:
             print(f"  spectralpath {' '.join(calls[i]).replace(folder, '<inputs>')}")
