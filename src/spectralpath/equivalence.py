@@ -102,16 +102,14 @@ class MatrixAnalysis:
         return [(s, t) for s in range(n) for t, dist in enumerate(_bfs(self._adj, (s,))[1]) if dist == n - 1]
 
     def profile(self, s: int, t: int) -> EntryProfile | None:
-        """Entry-product profile at (s, t); None when `A` is not multiplicity-free."""
+        """Entry-product profile at (s, t), judged by its own size; None when `A` is not multiplicity-free."""
         self._check_position(s, t)
         if self.spectral.kind is not SpectralKind.MULTIPLICITY_FREE:
             return None
         # the whole row s: numpy would sum a lone column pairwise, a row in the sweep's order
-        C, threshold, mean, spread, constant, zero = _profiles(
-            self.A, self.spectral.spectrum, self.tol, slice(s, s + 1))
-        constant, zero = bool(constant[0, t]), bool(zero[0, t])
-        common = float(mean[0, t]) if constant and not zero else None
-        return EntryProfile(C[:, 0, t], constant, common, zero, float(spread[0, t]), threshold)
+        C, mean, spread, constant = _profiles(self.spectral.spectrum, self.tol, slice(s, s + 1))
+        common = float(mean[0, t]) if constant[0, t] else None
+        return EntryProfile(C[:, 0, t], common, float(spread[0, t]))
 
     def constant_positions(self) -> list:
         """(s, t, common value) in row-major order for every position with a nonzero constant profile."""
@@ -121,9 +119,8 @@ class MatrixAnalysis:
         step = max(1, PROFILE_BLOCK // (n * n))  # rows per block
         found = []
         for first in range(0, n, step):
-            _, _, mean, _, constant, zero = _profiles(
-                self.A, self.spectral.spectrum, self.tol, slice(first, first + step))
-            found += [(first + int(r), int(t), float(mean[r, t])) for r, t in np.argwhere(constant & ~zero)]
+            _, mean, _, constant = _profiles(self.spectral.spectrum, self.tol, slice(first, first + step))
+            found += [(first + int(r), int(t), float(mean[r, t])) for r, t in np.argwhere(constant)]
         return found
 
 

@@ -72,7 +72,7 @@ class DegenerateSpectrumError(RuntimeError):
     """Eigenvalues too close to tell apart or to merge at working precision.
 
     Also raised when the fixed combination of a scheme's intersection matrices has
-    colliding eigenvalues, and when a gap product or profile threshold overflows.
+    colliding eigenvalues, and when a gap product overflows or underflows.
     """
 
 
@@ -86,7 +86,7 @@ def _gap_products(theta: np.ndarray, tol: Tolerance) -> np.ndarray:
     except FloatingPointError:
         raise DegenerateSpectrumError("gap products overflow the float range; eigenvalues spread too far") from None
     d = len(theta) - 1
-    if d >= 1:
+    if d >= 1:  # absolute: it also keeps a path scaled into zero_tol at exit 3 until the zero test is scale-free
         small = np.flatnonzero(np.abs(g) < max(tol.eig_tol**d, 5e-324))
         if small.size:
             i = int(small[0])

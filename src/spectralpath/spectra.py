@@ -10,10 +10,11 @@ in the rows of Y^T = X^-1, and the profile of an entry position (s, t) is
 
     c_i = (E_i)_{st} * prod_{j != i} (theta_i - theta_j).
 
-Whether that profile is a nonzero constant is the spectral side of the
-structure tests in :mod:`spectralpath.equivalence`.  On the diagonal the
-profile is the eigenvector-eigenvalue identity (Denton, Parke, Tao and
-Zhang, arXiv:1908.03795).
+Whether that profile is a nonzero constant, its spread within residual_tol
+of its own largest value, is the spectral side of the structure tests in
+:mod:`spectralpath.equivalence`.  On the diagonal the profile is the
+eigenvector-eigenvalue identity (Denton, Parke, Tao and Zhang,
+arXiv:1908.03795).
 
 Eigenvectors come from LAPACK.  When a positive diagonal D symmetrizes A,
 `eigh` gives D A D^-1 = V diag(theta) V^T, so X = D^-1 V and Y^T = V^T D;
@@ -78,14 +79,12 @@ class SpectralClass:
 
 @dataclass(frozen=True)
 class EntryProfile:
-    """Profile values c_i at one entry position, with the constancy verdict."""
+    """Profile values c_i at one entry position, their spread max_i |c_i - mean|, and the mean
+    as `common_value` when they are a nonzero constant (see `_profiles`), else None."""
 
     values: np.ndarray
-    is_constant: bool
     common_value: float | None
-    constant_zero: bool
     spread: float
-    threshold: float
 
 
 def _verify_spectrum(A, theta, X, Yt, tol: Tolerance) -> dict:
@@ -223,29 +222,17 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
     return SpectralClass(kind=kind, eigenvalues=eigenvalues, rank_defects=tuple(defects))
 
 
-def _profile_threshold(A, tol: Tolerance) -> float:
-    """residual_tol * max|A|^(n-1); DegenerateSpectrumError when that is not finite."""
-    d, scale = A.shape[0] - 1, float(np.abs(A).max())
-    try:
-        threshold = tol.residual_tol * scale**d
-    except OverflowError:  # float ** raises it; an overflowing float * gives inf
-        threshold = np.inf
-    if threshold == np.inf:
-        raise DegenerateSpectrumError(f"profile threshold residual_tol * {scale:.3e}^{d} overflows the float range")
-    return threshold
-
-
-def _profiles(A: np.ndarray, spectrum: Spectrum, tol: Tolerance, rows: slice):
-    """Profiles c_i = (E_i)_{st} * gaps[i] of a validated `A` and its own `spectrum`, at the rows `rows`.
+def _profiles(spectrum: Spectrum, tol: Tolerance, rows: slice):
+    """Profiles c_i = (E_i)_{st} * gaps[i] of a multiplicity-free `spectrum`, at the rows `rows`.
 
     The one place they are formed: C[i, r, t] = X[s, i] * gaps[i] * Yt[i, t]
     for each row s and every t, summed along axis 0 in one order everywhere.
-    Returns C, the threshold (which grows with max|A|^d, as the gap products
-    do), and per position the mean, spread, is_constant and constant_zero.
+    Returns C and per position the mean, spread and whether the profile is a
+    nonzero constant, a test of the profile alone: spread <= residual_tol *
+    max_i |c_i|, and spread < max_i |c_i|, which keeps the mean off zero.
     """
     C = (spectrum.X[rows].T * spectrum.gaps[:, None])[:, :, None] * spectrum.Yt[:, None, :]
-    threshold = _profile_threshold(A, tol)
     mean = np.add.reduce(C, axis=0) / len(C)
     spread = np.abs(C - mean).max(axis=0)
-    is_constant = spread <= threshold
-    return C, threshold, mean, spread, is_constant, is_constant & (np.abs(mean) <= threshold)
+    peak = np.abs(C).max(axis=0)
+    return C, mean, spread, (spread <= tol.residual_tol * peak) & (spread < peak)

@@ -18,6 +18,7 @@ import pytest
 import spectralpath
 from spectralpath.cli import main
 from suites import random_instance, write_matrix, write_scheme
+from test_exact_oracle import draw
 
 # Directory holding the imported package, so child processes run this copy.
 SRC_DIR = str(Path(spectralpath.__file__).resolve().parent.parent)
@@ -96,16 +97,32 @@ def test_analyze_json_report(capsys, path3_file):
     assert positions == {(0, 2), (2, 0)}
 
 
-def test_analyze_exits_three_naming_the_first_position_where_its_sides_disagree(capsys, tmp_path):
-    # the path 0 - 2 - 3 - 1 plus 462 I: the profile threshold outgrows the profile at the end (0, 1)
+def test_analyze_lists_the_shifted_path_ends_with_their_arc_products(capsys, tmp_path):
+    # the path 0 - 2 - 3 - 1 plus 462 I: each end's profile is constant at the product of the arcs between the ends
+    A = random_instance("permuted_path", 3, 1) + 462.0 * np.eye(4)
     path = tmp_path / "shifted.txt"
-    write_matrix(random_instance("permuted_path", 3, 1) + 462.0 * np.eye(4), path)
-    verdict = "sides disagree at (0, 1): pattern side True, spectral side False: numerical inconsistency"
+    write_matrix(A, path)
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["path_order"] == [0, 2, 3, 1]
+    listed = {(p["s"], p["t"]): p["value"] for p in result["constant_profile_positions"]}
+    assert listed.keys() == {(0, 1), (1, 0)}
+    assert listed[0, 1] == pytest.approx(A[0, 2] * A[2, 3] * A[3, 1], rel=1e-9)
+    assert listed[1, 0] == pytest.approx(A[1, 3] * A[3, 2] * A[2, 0], rel=1e-9)
+
+
+def test_analyze_exits_three_naming_the_first_position_where_its_sides_disagree(capsys, tmp_path):
+    # the order-6 path 1 - 2 - 0 - 3 - 4 - 5 with dyadic arcs from 2^-10 to 2^16: its symmetrizer
+    # weights span 2^43, and the profile at the end (1, 5) spreads by 1.3e-3 of its largest value
+    path = tmp_path / "dyadic.txt"
+    write_matrix(np.array(draw("permuted_path", "dyadic", 1)), path)
+    verdict = "sides disagree at (1, 5): pattern side True, spectral side False: numerical inconsistency"
     code, out, _ = run(capsys, "analyze", str(path), "--json")
     assert code == 3
     report = json.loads(out)
     assert report["verdict"] == verdict
-    assert report["result"]["path_order"] == [0, 2, 3, 1]
+    assert report["result"]["path_order"] == [1, 2, 0, 3, 4, 5]
     code, out, _ = run(capsys, "analyze", str(path))
     assert code == 3
     assert out.splitlines()[-1] == f"verdict: {verdict}"
@@ -116,7 +133,7 @@ def test_check_json_reports_the_position_profile(capsys, path3_file):
     code, out, _ = run(capsys, "check", path3_file, "--form", "path", "--s", "0", "--t", "1", "--json")
     assert code == 1
     prof = json.loads(out)["result"]["profile"]
-    assert prof["is_constant"] is False
+    assert prof["common_value"] is None
     assert len(prof["values"]) == 3
 
 
@@ -168,7 +185,7 @@ def test_json_report_is_one_line(capsys, path3_file, argv):
 
 
 TOLERANCE_KEYS = {"zero_tol", "eig_tol", "residual_tol"}
-PROFILE_KEYS = {"values", "is_constant", "common_value", "constant_zero", "spread", "threshold"}
+PROFILE_KEYS = {"values", "common_value", "spread"}
 ANALYZE_KEYS = {
     "order", "arc_count", "path_order", "spectral_kind", "eigenvalues", "symmetrizable", "kappa",
     "not_symmetrizable", "constant_profile_positions",

@@ -13,7 +13,7 @@ from spectralpath.equivalence import (
     check_characterization,
     clamp_nonnegative,
 )
-from spectralpath.spectra import SpectralKind, _profile_threshold
+from spectralpath.spectra import SpectralKind
 from spectralpath.symmetrize import Symmetrizer
 from suites import INSTANCE_KINDS, random_instance
 from test_digraph import seeded_mask
@@ -267,7 +267,7 @@ def _reference_check(analysis, form, s, t) -> EquivalenceReport:
     distance form compares the directed distance with n - 1.
     """
     profile = analysis.profile(s, t)
-    spectral_ok = profile is not None and profile.is_constant and profile.common_value is not None
+    spectral_ok = profile is not None and profile.common_value is not None
     symmetrizable = isinstance(analysis.symmetrizer, Symmetrizer)
     kind = analysis.spectral.kind
     order = analysis.path_order
@@ -382,12 +382,11 @@ def _tensor_sweep(analysis):
     the (s, t, common value) list in row-major order.
     """
     sp = analysis.spectral.spectrum
-    threshold = _profile_threshold(analysis.A, analysis.tol)
     C = (sp.X.T * sp.gaps[:, None])[:, :, None] * sp.Yt[:, None, :]
     mean = C.mean(axis=0)
     spread = np.abs(C - mean).max(axis=0)
-    is_constant = spread <= threshold
-    nonzero = is_constant & (np.abs(mean) > threshold)
+    peak = np.abs(C).max(axis=0)
+    nonzero = (spread <= analysis.tol.residual_tol * peak) & (spread < peak)
     return C, mean, spread, [(int(s), int(t), float(mean[s, t])) for s, t in np.argwhere(nonzero)]
 
 

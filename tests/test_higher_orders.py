@@ -3,8 +3,9 @@
 These orders are past where projectors from the product formula and
 eigenvalues from the characteristic polynomial stopped being reliable.
 Instances are kept well posed: eigenvalue gaps of at least 1e-3, and
-endpoint values at least 100 times the constancy threshold
-residual_tol * max|A|^d, so a failure here is the spectral route's own.
+endpoint values at least 100 times residual_tol * max|A|^d (an absolute
+bound; the package's constancy test is relative to each profile), so a
+failure here is the spectral route's own.
 """
 
 import json

@@ -14,7 +14,6 @@ from spectralpath.spectra import (
     SpectralKind,
     _disk_terms,
     _eigenvalue_groups,
-    _profile_threshold,
     _spectrum,
     _classify,
     _verify_spectrum,
@@ -245,37 +244,35 @@ def test_gap_product_overflow_is_a_numerical_error():
         _gap_products(theta, DEFAULT_TOL)
 
 
-def test_profile_threshold_overflow_is_a_numerical_error():
-    # residual_tol * max|A|^(n-1): a Python float power that raises OverflowError
-    assert _profile_threshold(np.full((3, 3), 1e100), DEFAULT_TOL) == pytest.approx(1e192)
-    with pytest.raises(DegenerateSpectrumError, match=r"1\.000e\+160\^2 overflows the float range"):
-        _profile_threshold(np.full((3, 3), 1e160), DEFAULT_TOL)
-    with pytest.raises(DegenerateSpectrumError):
-        _profile_threshold(np.full((3, 3), 1e150), Tolerance(residual_tol=1e10))
-
-
 def test_entry_profile_frozen_path3():
     analysis = analyze_matrix(PATH3)
     p_end = analysis.profile(0, 2)
     assert np.allclose(p_end.values, [1.0, 1.0, 1.0], atol=1e-10)
-    assert p_end.is_constant and not p_end.constant_zero
     assert p_end.common_value == pytest.approx(1.0, abs=1e-10)
 
     p_mid = analysis.profile(0, 1)
     root2 = math.sqrt(2.0)
     assert np.allclose(p_mid.values, [root2, 0.0, -root2], atol=1e-10)
-    assert not p_mid.is_constant
+    assert p_mid.common_value is None
 
     p_diag = analysis.profile(1, 1)
     # (E_i)_{11} gap products: middle projector vanishes at (1, 1)
-    assert not p_diag.is_constant
+    assert p_diag.common_value is None
 
 
 def test_entry_profile_constant_zero():
-    # diagonal matrix: off-diagonal projector entries vanish identically
+    # diagonal matrix: off-diagonal projector entries vanish identically, and zero is not a nonzero constant
     prof = analyze_matrix(np.diag([1.0, 2.0])).profile(0, 1)
-    assert prof.is_constant and prof.constant_zero
+    assert (prof.values == 0.0).all() and prof.spread == 0.0
     assert prof.common_value is None
+
+
+def test_entry_profile_zero_mean_is_not_constant_at_any_residual_tol():
+    # the profile (sqrt 2, 0, -sqrt 2) spreads by less than twice its largest value, but its mean is zero
+    analysis = analyze_matrix(PATH3, Tolerance(residual_tol=2.0))
+    assert analysis.profile(0, 1).common_value is None
+    assert analysis.profile(0, 2).common_value == pytest.approx(1.0, abs=1e-10)
+    assert (0, 1) not in {(s, t) for s, t, _ in analysis.constant_positions()}
 
 
 def test_entry_profile_requires_multiplicity_free():

@@ -10,13 +10,18 @@ These are `analyze` (which sweeps the profile at every position), `check`
 and `scheme` calls.  `analyze` also runs on fixed matrices with repeated
 eigenvalues that the benchmark never draws (K_40, the order-30 star, the
 6-cube and a skewed near-degenerate diagonal), so a change in eigenvalue
-grouping shows as a differing call.  Every call runs with and without `--json` in
-each checkout: one fresh interpreter per checkout, importing spectralpath
-from that checkout's `src/` and calling `spectralpath.cli.main`
-in-process.  The exit code, stdout and stderr of every call are compared.
-Prints the number of calls compared, of the workload calls and of the calls
-on fixed matrices that differ, and the first calls that differ;
-exits 1 on any difference, 0 otherwise.
+grouping shows as a differing call.  `analyze`, and `check --form path` at
+both path ends, also run on paths from the reach ledger (`tools/reach.py`)
+whose profile verdicts sit near the constancy bound: the unit paths with
+one heavy loop, Kac-Sylvester at n = 22 and 32, and the order-4 permuted
+path plus 462 I; so a verdict that moves shows as a differing call.  Every
+call runs with and without `--json` in each checkout: one fresh interpreter
+per checkout, importing spectralpath from that checkout's `src/` and
+calling `spectralpath.cli.main` in-process.  The exit code, stdout and
+stderr of every call are compared.  Prints the number of calls compared;
+of the workload calls, the calls on fixed matrices and the calls on reach
+paths, how many differ and how many of those by exit code; and the first
+calls that differ; exits 1 on any difference, 0 otherwise.
 """
 
 import argparse
@@ -73,8 +78,26 @@ def degenerate_matrices() -> dict:
     }
 
 
-def write_calls(folder: str, seeds: list) -> list:
-    """Every operation of every workload and seed, then `analyze` on each fixed matrix; without and with --json."""
+def reach_paths() -> dict:
+    """Bidirected paths whose end profiles sit near the constancy bound, by file name, with their ends."""
+    import reach
+
+    paths = {"loop-6-100": reach.loop_path(6, 100.0), "loop-10-10": reach.loop_path(10, 10.0),
+             "kac-22": reach.kac(22), "kac-32": reach.kac(32),
+             "shift-462": reach.random_instance("permuted_path", 3, 1) + 462.0 * np.eye(4)}
+    return {name: (A, reach.path_ends(A)) for name, A in paths.items()}
+
+
+def _write(folder: str, name: str, A) -> str:
+    path = os.path.join(folder, f"{name}.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(A)}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in A.tolist()))
+    return path
+
+
+def write_calls(folder: str, seeds: list) -> tuple:
+    """Every operation of every workload and seed, `analyze` on each fixed matrix, then `analyze` and `check
+    --form path` at both ends of each reach path; without and with --json.  Also the number of each kind."""
     sys.path.insert(0, os.path.join(ROOT, "bench"))
     sys.dont_write_bytecode = True  # leave bench/ as it is
     import workloads
@@ -87,12 +110,18 @@ def write_calls(folder: str, seeds: list) -> list:
             for op in workloads.build(name, seed, os.path.join(folder, f"{name}-seed{seed}")):
                 argv = [a for a in op.argv if a != "--json"]
                 calls += [argv, argv + ["--json"]]
+    counts = [len(calls)]
     for name, A in degenerate_matrices().items():
-        path = os.path.join(folder, f"{name}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{len(A)}\n" + "".join(" ".join(map(repr, row)) + "\n" for row in A.tolist()))
+        path = _write(folder, name, A)
         calls += [["analyze", path], ["analyze", path, "--json"]]
-    return calls
+    counts.append(len(calls) - sum(counts))
+    for name, (A, (s, t)) in reach_paths().items():
+        path = _write(folder, name, A)
+        for argv in (["analyze", path], *(["check", path, "--form", "path", "--s", str(a), "--t", str(b)]
+                                          for a, b in ((s, t), (t, s)))):
+            calls += [argv, argv + ["--json"]]
+    counts.append(len(calls) - sum(counts))
+    return calls, counts
 
 
 def run_checkout(checkout: str, calls_path: str, folder: str, tag: str) -> list:
@@ -114,17 +143,19 @@ def main() -> int:
         sys.stderr.write(f"error: no spectralpath sources under {other}/src\n")
         return 2
     with tempfile.TemporaryDirectory() as folder:
-        calls = write_calls(folder, args.seeds)
+        calls, counts = write_calls(folder, args.seeds)
         calls_path = os.path.join(folder, "calls.json")
         with open(calls_path, "w", encoding="utf-8") as fh:
             json.dump(calls, fh)
         ours = run_checkout(ROOT, calls_path, folder, "this")
         theirs = run_checkout(other, calls_path, folder, "against")
         differ = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
-        workload = len(calls) - 2 * len(degenerate_matrices())  # the workload calls come first
-        print(f"{len(calls)} calls compared, {len(differ)} differ: {sum(i < workload for i in differ)} of {workload} "
-              f"workload calls, {sum(i >= workload for i in differ)} of {len(calls) - workload} on fixed matrices "
-              f"(this checkout {ROOT} against {other}, seeds {' '.join(map(str, args.seeds))})")
+        groups = zip(("workload calls", "on fixed matrices", "on reach paths"), [0, *np.cumsum(counts)], counts)
+        print(f"{len(calls)} calls compared, {len(differ)} differ: " + ", ".join(
+            f"{sum(start <= i < start + n for i in differ)} of {n} {kind} "
+            f"({sum(start <= i < start + n and ours[i][0] != theirs[i][0] for i in differ)} by exit code)"
+            for kind, start, n in groups)
+              + f" (this checkout {ROOT} against {other}, seeds {' '.join(map(str, args.seeds))})")
         for i in differ[:SHOWN]:
             print(f"  spectralpath {' '.join(calls[i]).replace(folder, '<inputs>')}")
             for field, a, b in zip(("exit code", "stdout", "stderr"), ours[i], theirs[i]):
