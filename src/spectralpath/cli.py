@@ -313,7 +313,7 @@ def _cmd_scheme(args) -> int:
 # and arguments as (flag, add_argument keywords), positionals first.
 _COMMON = (
     ("--zero-tol", {"type": float, "default": DEFAULT_TOL.zero_tol, "help": "structural zero threshold"}),
-    ("--eig-tol", {"type": float, "default": DEFAULT_TOL.eig_tol, "help": "eigenvalue distinctness threshold"}),
+    ("--eig-tol", {"type": float, "default": DEFAULT_TOL.eig_tol, "help": "eig-route disk floor and gap bounds"}),
     ("--residual-tol", {
         "type": float, "default": DEFAULT_TOL.residual_tol, "help": "verified identity residual bound"}),
     ("--json", {"action": "store_true", "default": False, "help": "emit a full-precision JSON report"}),

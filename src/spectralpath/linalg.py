@@ -6,10 +6,10 @@ validates an input into a float64 square matrix, and `read_matrix` reads
 the text format.  The matrix side
 (:mod:`spectralpath.spectra`) and the scheme side
 (:mod:`spectralpath.schemes`) share the two numerical errors, the
-symmetrized eigensolve and the eigenvalue gap products defined here, so
-neither imports the other.  The rest of the linear algebra (LAPACK `eig`,
-`solve` and SVD rank) is called through numpy where it is needed, in those
-two modules.
+symmetrized eigensolve with its certified split and the eigenvalue gap
+products defined here, so neither imports the other.  The rest of the
+linear algebra (LAPACK `eig`, `solve` and SVD rank) is called through
+numpy where it is needed, in those two modules.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import numpy as np
 class Tolerance:
     """Numeric thresholds used across the package.
 
-    zero_tol decides whether an entry counts as structurally nonzero,
-    eig_tol decides whether two eigenvalues count as distinct, and
-    residual_tol bounds acceptable residuals in verified identities.
+    zero_tol decides whether an entry counts as structurally nonzero; eig_tol
+    is the `eig` route's disk floor per max|A|, the gap-product underflow base
+    and a scheme endpoint check's least gap; residual_tol bounds residuals.
     """
 
     zero_tol: float = 1e-10
@@ -63,16 +63,14 @@ class SpectralIdentityError(RuntimeError):
         self.which = which
         self.residual = residual
         self.bound = bound
-        super().__init__(
-            f"spectral identity {which!r} violated: residual {residual:.3e} > {bound:.3e}"
-        )
+        super().__init__(f"spectral identity {which!r} violated: residual {residual:.3e} > {bound:.3e}")
 
 
 class DegenerateSpectrumError(RuntimeError):
     """Eigenvalues too close to tell apart or to merge at working precision.
 
-    Also raised when the fixed combination of a scheme's intersection matrices has
-    colliding eigenvalues, and when a gap product overflows or underflows.
+    Also raised for a symmetrized gap that the symmetrizer's residual leaves unproved, when no certified gap
+    separates two eigenvalues of a scheme's fixed combination, and when a gap product overflows or underflows.
     """
 
 
@@ -96,16 +94,29 @@ def _gap_products(theta: np.ndarray, tol: Tolerance) -> np.ndarray:
     return g
 
 
-def _symmetrized_eigh(C: np.ndarray, delta: np.ndarray):
-    """Descending eigenvalues w, orthonormal eigenvectors V (column i for w[i]) and the matrix H they solve.
+def _weyl_unit(M: np.ndarray) -> float:
+    """4 n eps ||M||_F, the backward error of LAPACK's eigensolve of `M` (for symmetric `M` each eigenvalue's error
+    bound, by Weyl's inequality), formed at the power-of-two scale of max|M|."""
+    e = math.frexp(float(np.abs(M).max()))[1]  # ||M||_F formed at the scale 2^-e, where it cannot overflow
+    return math.ldexp(4 * len(M) * np.finfo(float).eps * float(np.linalg.norm(np.ldexp(M, -e))), e)
 
-    H is the symmetric part of D C D^-1, D = diag(delta), which is D C D^-1
-    itself when D symmetrizes C.
+
+def _symmetrized_eigh(C: np.ndarray, delta: np.ndarray):
+    """Descending eigenvalues w, orthonormal eigenvectors V (column i for w[i]), the matrix H they solve, and runs.
+
+    H is the symmetric part of S = D C D^-1, D = diag(delta): S up to rounding when D symmetrizes C.  The runs
+    w[cuts[k]:cuts[k+1]] split at the gaps above twice `_weyl_unit(H)`.  C's eigenvalues lie within ||S - H||_2 of
+    H's (Bauer-Fike), so a gap above that split by at most twice ||S - H||_2 certifies nothing either way and raises
+    DegenerateSpectrumError.
     """
     S = C * delta[:, None] / delta[None, :]
     H = 0.5 * (S + S.T)
     w, V = np.linalg.eigh(H)
-    return w[::-1], V[:, ::-1], H
+    w, V, split = w[::-1], V[:, ::-1], 2 * _weyl_unit(H)
+    gaps, drift = w[:-1] - w[1:], len(H) * float(np.abs(S - H).max())  # n max|S - H| >= ||S - H||_2
+    if ((gaps > split) & (gaps <= split + 2 * drift)).any():
+        raise DegenerateSpectrumError(f"an eigenvalue gap lies within twice the symmetrizer's residual {drift:.3e}")
+    return w, V, H, [0, *(np.flatnonzero(gaps > split) + 1).tolist(), len(w)]
 
 
 def as_matrix(A) -> np.ndarray:
@@ -161,9 +172,7 @@ def read_matrix(source) -> np.ndarray:
     if n < 1:
         raise ParseError(lineno(0), f"matrix order must be positive, got {n}")
     if len(content) - 1 < n:
-        raise ParseError(
-            lineno(len(content) - 1), f"expected {n} matrix rows, found {len(content) - 1}"
-        )
+        raise ParseError(lineno(len(content) - 1), f"expected {n} matrix rows, found {len(content) - 1}")
     if len(content) - 1 > n:
         raise ParseError(lineno(n + 1), f"unexpected extra row beyond {n}")
 

@@ -291,8 +291,8 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL) -> Scheme
     symmetrized by conjugation with diag(sqrt(k)) (the valency balance
     k_h p^h_ij = k_j p^j_ih, checked on construction, makes every B_i
     symmetrizable by the valencies) and diagonalized; left eigenvectors
-    normalized at column 0 are the rows of P.  Colliding combination
-    eigenvalues, or a left eigenvector vanishing at column 0, raise
+    normalized at column 0 are the rows of P.  Eigenvalues sharing a run of
+    `_symmetrized_eigh`, or a left eigenvector vanishing at column 0, raise
     DegenerateSpectrumError.
     """
     dp1 = scheme.d + 1
@@ -302,11 +302,10 @@ def eigendata(scheme: AssociationScheme, tol: Tolerance = DEFAULT_TOL) -> Scheme
     # that P, Q and q keep their bits; redrawing rescued no scheme (ROADMAP N)
     coeffs = np.random.default_rng([0, 0]).uniform(1.0, 2.0, size=dp1)
     C = np.add.reduce(coeffs[:, None, None] * B, axis=0)  # summed in index order
-    w, V, _ = _symmetrized_eigh(C, delta)
-    if dp1 > 1:
-        gap = float((w[:-1] - w[1:]).min())
-        if gap <= tol.eig_tol * max(1.0, float(abs(C).max())):
-            raise DegenerateSpectrumError(f"random combination has colliding eigenvalues (gap {gap:.3e})")
+    w, V, _, cuts = _symmetrized_eigh(C, delta)
+    if len(cuts) <= dp1:  # some run holds two eigenvalues
+        raise DegenerateSpectrumError(f"random combination has colliding eigenvalues: its smallest gap "
+                                      f"{float((w[:-1] - w[1:]).min()):.3e} is not certified")
     U = delta[:, None] * V  # columns are left eigenvectors of C, transposed
     if float(abs(U[0, :]).min()) < 1e-12:
         raise DegenerateSpectrumError("a left eigenvector of the random combination vanishes at column 0")

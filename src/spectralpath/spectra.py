@@ -18,9 +18,9 @@ arXiv:1908.03795).
 
 Eigenvectors come from LAPACK.  When a positive diagonal D symmetrizes A,
 `eigh` gives D A D^-1 = V diag(theta) V^T, so X = D^-1 V and Y^T = V^T D;
-otherwise `eig` gives X and Y^T = X^-1.  `eigh`'s eigenvalues split only at
-gaps a Weyl bound certifies; `eig`'s merge by perturbation disks of A, and a
-group that neither separates nor passes the rank test raises
+otherwise `eig` gives X and Y^T = X^-1.  `eigh`'s eigenvalues split exactly
+at the gaps a Weyl bound certifies; `eig`'s merge by perturbation disks of
+A, and a group that neither separates nor passes the rank test raises
 DegenerateSpectrumError instead of guessing.  Every spectrum is checked once
 against the projector identities of the matrix LAPACK solved.
 """
@@ -32,10 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products, _symmetrized_eigh
+from .linalg import (DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products, _symmetrized_eigh,
+                     _weyl_unit)
 from .symmetrize import Symmetrizer
-
-EPS = float(np.finfo(float).eps)
 
 
 class SpectralKind(enum.Enum):
@@ -122,26 +121,19 @@ def _spectrum(A, theta, X, Yt, tol: Tolerance, solved=None) -> Spectrum:
     return Spectrum(theta=theta, X=X, Yt=Yt, gaps=gaps, residuals=residuals)
 
 
-def _disk_terms(A, tol: Tolerance):
-    """The least radius eig_tol * max|A| of an eigenvalue disk of `A`, and its unit 4 n eps ||A||_F."""
-    peak = float(np.abs(A).max())
-    e = np.frexp(peak)[1]  # ||A||_F formed at the scale 2^-e, where it cannot overflow
-    return tol.eig_tol * peak, float(np.ldexp(4 * len(A) * EPS * float(np.linalg.norm(np.ldexp(A, -e))), e))
-
-
 def _eigenvalue_groups(A, w, X, Yt, tol: Tolerance) -> list:
     """(index list, complex center, float radius) for groups of the eigenvalues `w` of `A` no perturbation can tell apart.
 
     `A` is the matrix `eig` solved, X and Yt its right and left eigenvectors.
     A disk is centred on its group's mean, with the members' spread plus
     unit * ||P||_F as radius (P the group's projector: the first-order bound
-    for a backward error of 4 n eps ||A||_F; a factor of 1 leaves some
+    for the backward error `_weyl_unit(A)`; a factor of 1 leaves some
     eig-split Jordan blocks of order 2 apart), and never less than the floor
     eig_tol * max|A|.  Groups merge closest pair first while disks overlap; a
     merged group takes its own ||P||, moderate where its members' nearly
     parallel eigenvectors have huge ones.
     """
-    floor, unit = _disk_terms(A, tol)
+    floor, unit = tol.eig_tol * float(np.abs(A).max()), _weyl_unit(A)
     groups = [[i] for i in range(len(w))]
     center = w.astype(complex)
     radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
@@ -166,20 +158,19 @@ def _classify(A: np.ndarray, sym, tol: Tolerance) -> SpectralClass:
     """Classify the spectrum of a validated `A` whose symmetrizer search outcome is `sym`.
 
     The route (`eigh` with a symmetrizer, `eig` without) chooses X, Y^T and
-    the grouping.  Each computed eigenvalue of the symmetric H = D A D^-1 is
-    within about n eps ||H||_2 of a true one (Weyl), so `eigh`'s descending w
-    split into runs only where w_i - w_{i+1} > 2 max(`_disk_terms(H)`).  On
-    `eig`, `_eigenvalue_groups` merges disks of A, and a group off the real
-    axis by more than its radius makes the spectrum complex.  n groups are
+    the grouping.  On `eigh` the groups are the runs of `_symmetrized_eigh`,
+    split at twice the Weyl unit (it raises on a gap its symmetrizer's residual
+    leaves unproved); `eig_tol` does not enter.  On `eig`, `_eigenvalue_groups`
+    merges disks of A, never below eig_tol * max|A|, and a group off the real axis by more
+    than its radius makes the spectrum complex.  n groups are
     multiplicity-free; a repeated group is diagonalizable on `eigh` (H is
     symmetric) and rank-tested on `eig`.  LAPACK failures raise LinAlgError.
     """
     n = A.shape[0]
     symmetrized = isinstance(sym, Symmetrizer)
     if symmetrized:
-        w, V, H = _symmetrized_eigh(A, sym.delta)
+        w, V, H, cuts = _symmetrized_eigh(A, sym.delta)
         X, Yt = V / sym.delta[:, None], V.T * sym.delta[None, :]
-        cuts = [0, *(np.flatnonzero(w[:-1] - w[1:] > 2 * max(_disk_terms(H, tol))) + 1).tolist(), n]
         # runs on the real axis (radius 0); a singleton's value skips a numpy mean, which costs more than the split
         groups = [(range(a, b), w[a] if b - a == 1 else w[a:b].mean(), 0.0) for a, b in zip(cuts, cuts[1:])]
     else:

@@ -283,9 +283,15 @@ FIXED = {
     **{f"bidiagonal-{n}-2^{e}": _bidiagonal(n, 2.0**e) for n in (3, 4, 6, 8) for e in (4, 8, 12, 16, 20)},
     # three distinct eigenvalues about 4.1e-9, -0.9e-9 and -3.2e-9
     "1e-9*K3": [[1e-9 * x for x in row] for row in ((0, 1, 2), (1, 0, 3), (2, 3, 0))],
-    # 1 + 4.3e-8, (1 + 1.9e-8) x 4 and 1: the top gap 2.4e-8 is certified, the lower one 1.9e-8 is not
+    # 1 + 4.3e-8, (1 + 1.9e-8) x 4 and 1: both gaps, 2.4e-8 and 1.9e-8, are far above twice the Weyl unit
     "skewed-diagonal": [[(1 + 4.3e-8, 1 + 1.9e-8, 1 + 1.9e-8, 1 + 1.9e-8, 1 + 1.9e-8, 1.0)[i] if i == j else 0.0
                          for j in range(6)] for i in range(6)],
+    # 2^18, 2^-8 and 0: the gap 2^-8 is below eig_tol * max|A| = 2.6e-3, and far above twice the Weyl unit
+    "dyadic-diagonal": [[(2.0**18, 2.0**-8, 0.0)[i] if i == j else 0.0 for j in range(3)] for i in range(3)],
+    # 0 x 2, -2^-30 / 3 and 3 + 2^-30 / 3; symmetrized only within residual_tol (the 0-1-2 cycle is off by
+    # 2^-30), so H's gaps near 0 are not A's
+    "near-symmetric-block": [[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0], [1.0, 1.0 + 2.0**-30, 1.0, 0.0],
+                             [0.0, 0.0, 0.0, 0.0]],
 }
 
 _E = "direction E of ROADMAP"
@@ -306,8 +312,6 @@ KNOWN_WRONG = {
     **{f"bidiagonal-{n}-2^{e}": _FAR_PAIR + ": the eigenvector condition numbers grow like c^(n-1)"
        for n, e in ((3, 16), (3, 20), (4, 12), (4, 16), (4, 20), (6, 12), (6, 16), (6, 20), (8, 8), (8, 12),
                     (8, 16), (8, 20))},
-    "skewed-diagonal": "analyze exits 0 with multiplicities 1 and 5 where they are 1, 4 and 1: eigh's run joins "
-                       "1 + 1.9e-8 (x4) and 1, a gap below twice the floor",
 }
 
 

@@ -2,6 +2,7 @@
 polynomial structure detection, endpoint checks, file format."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -198,6 +199,21 @@ def test_eigendata_residual_failure_is_a_spectral_identity_error():
     with pytest.raises(SpectralIdentityError) as info:
         eigendata(builtin_scheme("hypercube", 3), Tolerance(residual_tol=0.0))
     assert info.value.residual > info.value.bound == 0.0
+
+
+def test_eigendata_collision_names_the_smallest_gap(monkeypatch):
+    # equal coefficients make the combination sum_i B_i, of rank one: |X| once
+    # and 0 three times, which no certified gap separates
+    class Equal:
+        def uniform(self, low, high, size):
+            return np.ones(size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Equal())
+    for tol in (DEFAULT_TOL, Tolerance(eig_tol=0.0)):  # eig_tol is not read
+        with pytest.raises(DegenerateSpectrumError) as info:
+            eigendata(builtin_scheme("hypercube", 3), tol)
+        named = re.search(r"colliding eigenvalues: its smallest gap (\S+) is not certified$", str(info.value))
+        assert 0.0 <= float(named.group(1)) < 1e-12
 
 
 def test_ptensor_only_scheme_matches_relations_route():

@@ -7,12 +7,10 @@ import pytest
 
 from spectralpath.equivalence import analyze_matrix
 from spectralpath.linalg import (
-    DEFAULT_TOL, DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products,
+    DEFAULT_TOL, DegenerateSpectrumError, SpectralIdentityError, Tolerance, _gap_products, _symmetrized_eigh,
 )
 from spectralpath.spectra import (
-    EPS,
     SpectralKind,
-    _disk_terms,
     _eigenvalue_groups,
     _spectrum,
     _classify,
@@ -307,7 +305,7 @@ def _eigenvalue_groups_full_loop(A, w, X, Yt, tol):
     peak = float(np.max(np.abs(A)))
     floor = tol.eig_tol * peak
     e = np.frexp(peak)[1]
-    unit = float(np.ldexp(4 * n * EPS * float(np.linalg.norm(np.ldexp(A, -e))), e))
+    unit = float(np.ldexp(4 * n * np.finfo(float).eps * float(np.linalg.norm(np.ldexp(A, -e))), e))
     groups = [[i] for i in range(n)]
     center = w.astype(complex)
     radius = np.maximum(floor, unit * np.linalg.norm(X, axis=0) * np.linalg.norm(Yt, axis=1))
@@ -353,11 +351,12 @@ def test_eigenvalue_groups_early_exit_matches_the_full_loop():
 
 def test_symmetric_runs_split_at_certified_gaps_within_the_full_loop_groups():
     # the eigh route splits the descending w of H wherever a gap exceeds
-    # 2 max(floor, unit), and nowhere else; each merge-loop group with unit
-    # eigenvectors (every projector norm sqrt(|g|), as for orthonormal ones)
-    # is a union of those runs, since its radii never fall below
-    # max(floor, unit).  eig_tol = 0 lets the norm term set the split, and
-    # eig_tol = 0.02 or 0.05 chains merges across uniform spectra
+    # twice the Weyl unit 4 n eps ||H||_F, and nowhere else, at any eig_tol;
+    # each merge-loop group with unit eigenvectors (every projector norm
+    # sqrt(|g|), as for orthonormal ones) is a union of those runs, since its
+    # radii never fall below the unit.  eig_tol = 0 leaves the unit as the
+    # loop's least radius, and eig_tol = 0.02 or 0.05 chains merges across
+    # uniform spectra
     rng = np.random.default_rng(7)
     cases = [np.zeros((3, 3)), np.ones((40, 40)) - np.eye(40)]
     star = np.zeros((30, 30))
@@ -366,39 +365,73 @@ def test_symmetric_runs_split_at_certified_gaps_within_the_full_loop_groups():
     for n in (2, 5, 9, 16):
         for _ in range(4):
             B = np.rint(rng.normal(size=(n, n)))
-            cases += [B + B.T, np.diag(rng.integers(0, 3, size=n) + 1e-9 * rng.normal(size=n))]  # near ties
+            cases.append(B + B.T)
+            # near ties, split at 1e-9 and mostly joined at 1e-14, below twice the unit
+            cases += [np.diag(rng.integers(0, 3, size=n) + e * rng.normal(size=n)) for e in (1e-9, 1e-14)]
     cases += [np.diag(rng.uniform(0.0, 1.0, size=n)) for n in (9, 16, 16, 30, 30, 30, 30)]
     merged = coarser = 0
-    for tol in (DEFAULT_TOL, Tolerance(eig_tol=0.0), Tolerance(eig_tol=0.02), Tolerance(eig_tol=0.05)):
-        for H in cases:
-            H = 0.5 * (H + H.T)
-            n = len(H)
-            w = np.linalg.eigh(H)[0][::-1]
+    for H in cases:
+        H = 0.5 * (H + H.T)
+        n = len(H)
+        w, _, _, cuts = _symmetrized_eigh(H, np.ones(n))
+        split = 8 * n * np.finfo(float).eps * np.linalg.norm(H)  # H is exactly symmetric: no residual term
+        assert cuts == [0, *(i + 1 for i in range(n - 1) if w[i] - w[i + 1] > split), n]
+        runs = [range(a, b) for a, b in zip(cuts, cuts[1:])]
+        for tol in (DEFAULT_TOL, Tolerance(eig_tol=0.0), Tolerance(eig_tol=0.02), Tolerance(eig_tol=0.05)):
             try:
                 eigenvalues = _classify(H, Symmetrizer(kappa=np.ones(n)), tol).eigenvalues
             except (DegenerateSpectrumError, SpectralIdentityError):  # raised only past n singleton runs
                 eigenvalues = [(t, 1) for t in w]
-            ends = np.cumsum([m for _, m in eigenvalues])
-            runs = [range(b - m, b) for b, (_, m) in zip(ends, eigenvalues)]
-            assert ends[-1] == n
-            limit = 2 * max(_disk_terms(H, tol))
-            assert list(w[:-1] - w[1:] > limit) == [i + 1 in ends for i in range(n - 1)]
+            assert [m for _, m in eigenvalues] == [len(r) for r in runs]
             for r, (t, _) in zip(runs, eigenvalues):
                 assert t == (w[r[0]] if len(r) == 1 else w[r.start:r.stop].mean())
             eye = np.eye(n)
             groups = _eigenvalue_groups_full_loop(H, w, eye, eye, tol)
             for g, _, _ in groups:
                 assert all(set(r) <= set(g) or not set(r) & set(g) for r in runs)
-            merged += any(len(r) > 1 for r in runs)
             coarser += len(groups) < len(runs)
-    assert merged >= 30, merged
+        merged += any(len(r) > 1 for r in runs)
+    assert merged >= 15, merged
     assert coarser >= 1, coarser
 
 
+def test_exact_repeats_stay_in_one_symmetric_run():
+    # Q diag(lambda) Q^T with Q random orthogonal and one eigenvalue repeated
+    # exactly: the Weyl split never cuts through the repeat, at any order
+    # from 3 to 59 and any scale from 1e-3 to 1e6
+    rng = np.random.default_rng(33)
+    for _ in range(200):
+        n = int(rng.integers(3, 60))
+        scale = 10.0 ** rng.uniform(-3.0, 6.0)
+        lam = np.sort(rng.uniform(-scale, scale, size=n))[::-1]
+        m = int(rng.integers(2, min(n, 6) + 1))
+        a = int(rng.integers(0, n - m + 1))
+        lam[a:a + m] = lam[a]  # still descending
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        H = (Q * lam) @ Q.T
+        cuts = _symmetrized_eigh(0.5 * (H + H.T), np.ones(n))[3]
+        assert not [c for c in cuts if a < c < a + m], (n, scale, m, a)
+
+
 def test_skewed_diagonal_splits_at_its_certified_top_gap():
-    # the top gap 2.4e-8 exceeds 2 eig_tol max|A| = 2e-8; the disk merge took the whole cluster (x6)
+    # both gaps, 2.4e-8 at the top and 1.9e-8 below the cluster, exceed twice
+    # the Weyl unit (2.6e-14), so the runs are x1, x4 and x1, although the
+    # lower gap is below 2 eig_tol max|A| = 2e-8
     top, mid = 1 + 4.3e-8, 1 + 1.9e-8
     eigenvalues = analyze_matrix(np.diag([top, mid, mid, mid, mid, 1.0])).spectral.eigenvalues
-    assert [m for _, m in eigenvalues] == [1, 5]
-    assert eigenvalues[0][0] == top
-    assert eigenvalues[1][0] == pytest.approx(1 + 1.52e-8, abs=1e-15)
+    assert [m for _, m in eigenvalues] == [1, 4, 1]
+    assert eigenvalues[0][0] == top and eigenvalues[2][0] == 1.0
+    assert eigenvalues[1][0] == pytest.approx(mid, abs=1e-15)
+
+
+def test_gap_within_the_symmetrizers_residual_exits_three():
+    # rows 0 and 1 equal, one arc 1 + 2^-30 and an isolated vertex: exactly 0
+    # twice, -2^-30/3 and 3 + 2^-30/3, diagonalizable.  The symmetrizer
+    # accepts the cycle within residual_tol, and H's eigenvalues near 0, about
+    # 1.6e-10 apart and far above twice the Weyl unit, are not A's: the gaps
+    # lie within twice ||S - H||, which certifies neither split nor equality
+    A = np.zeros((4, 4))
+    A[:3, :3] = 1.0
+    A[2, 1] += 2.0**-30
+    with pytest.raises(DegenerateSpectrumError, match="within twice the symmetrizer's residual"):  # eigh route
+        analyze_matrix(A)

@@ -54,11 +54,12 @@ def test_closed_form_matches_propagation_on_cube_matrix():
     assert isinstance(searched, Symmetrizer)
     assert np.allclose(searched.kappa, closed.kappa, atol=1e-13)
     # the eigensolve both sides share: D A D^-1 = V diag(w) V^T, w descending
-    w, V, H = _symmetrized_eigh(B1_CUBE3, closed.delta)
+    w, V, H, cuts = _symmetrized_eigh(B1_CUBE3, closed.delta)
     assert np.allclose(w, [3.0, 1.0, -1.0, -3.0], atol=1e-13)
     assert np.allclose((V * w) @ V.T, conjugate(closed, B1_CUBE3), atol=1e-13)
     assert np.allclose(H, conjugate(closed, B1_CUBE3), atol=1e-13)
     assert np.allclose(V.T @ V, np.eye(4), atol=1e-13)
+    assert cuts == [0, 1, 2, 3, 4]
 
 
 def test_symmetric_input_gets_unit_weights():

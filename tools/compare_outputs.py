@@ -9,12 +9,13 @@ with this checkout's `bench/workloads.build`, under a temporary directory.
 These are `analyze` (which sweeps the profile at every position), `check`
 and `scheme` calls.  `analyze` also runs on fixed matrices with repeated
 eigenvalues that the benchmark never draws (K_40, the order-30 star, the
-6-cube and a skewed near-degenerate diagonal), so a change in eigenvalue
-grouping shows as a differing call.  `analyze`, and `check --form path` at
+6-cube, a skewed near-degenerate diagonal and diag(2^18, 2^-8, 0)), so a
+change in eigenvalue grouping shows as a differing call.  `analyze`, and `check --form path` at
 both path ends, also run on paths from the reach ledger (`tools/reach.py`)
 whose profile verdicts sit near the constancy bound: the unit paths with
-one heavy loop, Kac-Sylvester at n = 22 and 32, and the order-4 permuted
-path plus 462 I; so a verdict that moves shows as a differing call.  Every
+one heavy loop, Kac-Sylvester at n = 22 and 32, the order-4 permuted path
+plus 462 I and Wilkinson's W+ of order 15, whose closest eigenvalues are
+4e-8 apart; so a verdict that moves shows as a differing call.  Every
 call runs with and without `--json` in each checkout: one fresh interpreter
 per checkout, importing spectralpath from that checkout's `src/` and
 calling `spectralpath.cli.main` in-process.  The exit code, stdout and
@@ -75,6 +76,7 @@ def degenerate_matrices() -> dict:
         "star-30": star,
         "cube-6": (np.bitwise_count(verts[:, None] ^ verts) == 1).astype(float),
         "skewed-diagonal": np.diag([top, mid, mid, mid, mid, 1.0]),
+        "dyadic-diagonal": np.diag([2.0**18, 2.0**-8, 0.0]),
     }
 
 
@@ -84,7 +86,8 @@ def reach_paths() -> dict:
 
     paths = {"loop-6-100": reach.loop_path(6, 100.0), "loop-10-10": reach.loop_path(10, 10.0),
              "kac-22": reach.kac(22), "kac-32": reach.kac(32),
-             "shift-462": reach.random_instance("permuted_path", 3, 1) + 462.0 * np.eye(4)}
+             "shift-462": reach.random_instance("permuted_path", 3, 1) + 462.0 * np.eye(4),
+             "wilkinson-15": reach.wilkinson(15)}
     return {name: (A, reach.path_ends(A)) for name, A in paths.items()}
 
 
